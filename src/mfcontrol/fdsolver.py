@@ -24,8 +24,7 @@ from .measures import EmpiricalMeasure
 from .particles import ParticleEnsemble
 from .problem import MfcProblem
 
-_SOLVE_TOL = 1e-10
-_GS_MAX_SWEEPS = 10_000
+_SOLVE_TOL = 1e-10  # on the residual relative to max(1, |rhs|_inf)
 
 
 @dataclass
@@ -42,47 +41,27 @@ class MonotoneOperator:
     boundary: np.ndarray  # (num_nodes,) bool
     _lu: object = None
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """L applied to flattened node values (num_nodes, c)."""
-        return self.matrix @ values
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Direct sparse solve of (I - dt L) u = rhs; Gauss-Seidel fallback."""
+        """Direct sparse solve of (I - dt L) u = rhs with a cached LU factor.
+
+        I - dt L is a strictly diagonally dominant M-matrix, so the
+        factorization cannot fail on a system built by build_operator; a
+        failure or a residual above tolerance raises RuntimeError at once.
+        """
         if self._lu is None:
             try:
                 self._lu = splu(self.system.tocsc())
-            except RuntimeError:
-                self._lu = "failed"
-        if self._lu != "failed":
-            sol = self._lu.solve(rhs)
-        else:
-            sol = gauss_seidel(self.system, rhs)
+            except RuntimeError as exc:
+                raise RuntimeError(f"sparse LU of I - dt L failed: {exc}") from exc
+        sol = self._lu.solve(rhs)
         res = np.abs(self.system @ sol - rhs).max()
-        if res > _SOLVE_TOL:
-            sol = gauss_seidel(self.system, rhs, x0=sol)
-            res = np.abs(self.system @ sol - rhs).max()
-            if res > _SOLVE_TOL:
-                raise RuntimeError(
-                    f"linear solve stalled at residual {res:.3e} (tol {_SOLVE_TOL:.0e})"
-                )
+        tol = _SOLVE_TOL * max(1.0, np.abs(rhs).max())
+        if not res <= tol:
+            raise RuntimeError(
+                f"linear solve residual {res:.3e} exceeds the tolerance {tol:.3e} "
+                f"({_SOLVE_TOL:.0e} * max(1, |rhs|_inf))"
+            )
         return sol
-
-
-def gauss_seidel(A: sp.spmatrix, rhs: np.ndarray, x0=None, tol: float = _SOLVE_TOL) -> np.ndarray:
-    """Plain Gauss-Seidel sweeps; converges on the M-matrix systems built here."""
-    A = A.tocsr()
-    n = A.shape[0]
-    x = np.zeros_like(rhs) if x0 is None else x0.copy()
-    diag = A.diagonal()
-    indptr, indices, data = A.indptr, A.indices, A.data
-    for _ in range(_GS_MAX_SWEEPS):
-        for i in range(n):
-            row = slice(indptr[i], indptr[i + 1])
-            s = data[row] @ x[indices[row]] - diag[i] * x[i]
-            x[i] = (rhs[i] - s) / diag[i]
-        if np.abs(A @ x - rhs).max() <= tol:
-            return x
-    return x
 
 
 @dataclass
@@ -105,14 +84,21 @@ class AdjointField:
         return None if self.v is None else self.v.eval_slice(j, x)
 
 
-def _node_drift_diffusion(problem, policy, ensemble, grid, j):
-    t = j * grid.dt
-    X = grid.node_coords()
-    psi = policy.slice_flat(j)
-    eta = ensemble.measure(j)
-    b = problem.drift(t, X, psi, eta)
-    sig = problem.diffusion(t, X, psi, eta)
-    return t, X, psi, eta, b, sig
+def _node_inputs(policy, ensemble, grid, j):
+    """Time, node coordinates, node controls and particle measure of slice j."""
+    return j * grid.dt, grid.node_coords(), policy.slice_flat(j), ensemble.measure(j)
+
+
+def _pattern_csr(data: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix from per-row entries (num_rows, width), exact zeros dropped."""
+    n = data.shape[0]
+    keep = data != 0.0
+    counts = np.zeros(n, dtype=np.int64)
+    for column in keep.T:  # faster than a row-wise reduction over a few columns
+        counts += column
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(n, n))
 
 
 def build_operator(
@@ -128,8 +114,14 @@ def build_operator(
     b+, backward by b-), the diagonal of sigma sigma^T centrally.  Requires
     a diagonal diffusion matrix; off-diagonal mass would produce negative
     stencil weights and is rejected.
+
+    L and I - dt*L are written straight into CSR on the fixed (2d+1)-point
+    row pattern, with exact zeros dropped: the same arrays, bit for bit, as
+    assembling L from COO and forming I - dt*L with scipy's sparse algebra.
     """
-    t, X, psi, eta, b, sig = _node_drift_diffusion(problem, policy, ensemble, grid, j)
+    t, X, psi, eta = _node_inputs(policy, ensemble, grid, j)
+    b = problem.drift(t, X, psi, eta)
+    sig = problem.diffusion(t, X, psi, eta)
     a2 = np.einsum("pir,plr->pil", sig, sig)
     d = grid.state_dim
     offdiag = a2 - np.einsum("pi,il->pil", np.einsum("pii->pi", a2), np.eye(d))
@@ -143,38 +135,39 @@ def build_operator(
     diag = np.einsum("pii->pi", a2)
 
     P = grid.num_nodes
-    n = np.array(grid.nodes)
     h = grid.h
-    strides = np.ones(d, dtype=np.int64)
-    for i in range(d - 2, -1, -1):
-        strides[i] = strides[i + 1] * n[i + 1]
-    idx = np.indices(grid.nodes).reshape(d, -1).T
-    interior = ~grid.boundary_mask()
+    strides = grid.strides
+    boundary = grid.boundary_mask()
 
-    rows, cols, vals = [], [], []
-    node_ids = np.arange(P)
+    # Row k holds columns k - s_0 < ... < k - s_{d-1} < k < k + s_{d-1} < ...
+    # < k + s_0 (s_i the stride of dimension i): entry i is the backward
+    # neighbour in dimension i, entry 2d - i the forward one, entry d the
+    # diagonal.  Boundary rows of L are zero, so their out-of-range columns
+    # are always dropped.
+    offsets = np.concatenate([-strides, [0], strides[::-1]])
+    cols = np.arange(P)[:, None] + offsets
+    L = np.zeros((P, 2 * d + 1))
     for i in range(d):
-        up = np.maximum(b[:, i], 0.0) / h[i] + 0.5 * diag[:, i] / h[i] ** 2
-        dn = np.maximum(-b[:, i], 0.0) / h[i] + 0.5 * diag[:, i] / h[i] ** 2
-        if np.any(up[interior] < 0) or np.any(dn[interior] < 0):
+        half_diffusion = 0.5 * diag[:, i] / h[i] ** 2
+        up = np.maximum(b[:, i], 0.0) / h[i] + half_diffusion
+        dn = np.maximum(-b[:, i], 0.0) / h[i] + half_diffusion
+        if np.any((np.minimum(up, dn) < 0) & ~boundary):
             raise ValueError(f"negative stencil weight along dimension {i}")
-        mask = interior
-        rows.append(node_ids[mask])
-        cols.append(node_ids[mask] + strides[i])
-        vals.append(up[mask])
-        rows.append(node_ids[mask])
-        cols.append(node_ids[mask] - strides[i])
-        vals.append(dn[mask])
-        rows.append(node_ids[mask])
-        cols.append(node_ids[mask])
-        vals.append(-(up[mask] + dn[mask]))
+        L[:, 2 * d - i] = up
+        L[:, i] = dn
+        L[:, d] -= up + dn
+    L[boundary] = 0.0
 
-    L = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(P, P),
+    # 1 - dt*L_kk on the diagonal, -dt*L_kq off it; x * -dt equals
+    # 0 - dt*x and 1 + x * -dt equals 1 - dt*x, bit for bit
+    system = L * -grid.dt
+    system[:, d] += 1.0
+    return MonotoneOperator(
+        grid=grid,
+        matrix=_pattern_csr(L, cols),
+        system=_pattern_csr(system, cols),
+        boundary=boundary,
     )
-    system = (sp.identity(P, format="csr") - grid.dt * L).tocsr()
-    return MonotoneOperator(grid=grid, matrix=L, system=system, boundary=~interior)
 
 
 def terminal_data(problem: MfcProblem, ensemble: ParticleEnsemble, grid: SpaceTimeGrid) -> np.ndarray:
@@ -203,7 +196,7 @@ def assemble_source(
     on the state, the extra first-order terms are added with upwind
     differences split by coefficient sign.
     """
-    t, X, psi, eta, b, sig = _node_drift_diffusion(problem, policy, ensemble, grid, j)
+    t, X, psi, eta = _node_inputs(policy, ensemble, grid, j)
     Jb = np.asarray(problem.dx_drift(t, X, psi, eta))
     src = np.einsum("pil,pi->pl", Jb, U_next)
     src += np.asarray(problem.dx_running(t, X, psi, eta))
@@ -216,6 +209,7 @@ def assemble_source(
         src += problem.mu_running.mean_contract(t, eta_k, X, psi)
 
     if problem.diffusion_state_dependent:
+        sig = problem.diffusion(t, X, psi, eta)
         src += _assemble_fex(
             problem, t, X, psi, eta_k, sig, U_next, grid, deriv="x", kernel=problem.mu_diffusion
         )

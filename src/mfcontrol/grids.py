@@ -12,9 +12,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -35,6 +41,8 @@ class SpaceTimeGrid:
             raise ValueError("time_steps must be >= 1")
         if not (len(self.lo) == len(self.hi) == len(self.nodes)):
             raise ValueError("lo, hi, nodes must have equal lengths")
+        if not self.nodes:
+            raise ValueError("need at least one space dimension")
         for lo, hi, n in zip(self.lo, self.hi, self.nodes):
             if n < 2:
                 raise ValueError("need at least two nodes per dimension")
@@ -49,12 +57,14 @@ class SpaceTimeGrid:
     def dt(self) -> float:
         return self.horizon / self.time_steps
 
-    @property
+    # The array-valued geometry below is computed once per grid instance and
+    # stored read-only, so every caller shares one copy.
+
+    @cached_property
     def h(self) -> np.ndarray:
-        lo = np.array(self.lo)
-        hi = np.array(self.hi)
-        n = np.array(self.nodes)
-        return (hi - lo) / (n - 1)
+        """Mesh width per dimension."""
+        lo, hi, n = np.array(self.lo), np.array(self.hi), np.array(self.nodes)
+        return _read_only((hi - lo) / (n - 1))
 
     @property
     def num_nodes(self) -> int:
@@ -64,6 +74,14 @@ class SpaceTimeGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.time_steps + 1) * self.dt
 
+    @cached_property
+    def strides(self) -> np.ndarray:
+        """Flat-index step of each dimension in C order; shape (d,)."""
+        strides = np.ones(self.state_dim, dtype=np.int64)
+        for i in range(self.state_dim - 2, -1, -1):
+            strides[i] = strides[i + 1] * self.nodes[i + 1]
+        return _read_only(strides)
+
     def axes(self) -> list[np.ndarray]:
         return [
             np.array(self.lo[i]) + np.arange(self.nodes[i]) * self.h[i]
@@ -72,14 +90,31 @@ class SpaceTimeGrid:
 
     def node_coords(self) -> np.ndarray:
         """All node coordinates, flattened in C order; shape (num_nodes, d)."""
-        idx = np.indices(self.nodes).reshape(self.state_dim, -1).T
-        return np.array(self.lo) + idx * self.h
+        return self._node_coords
 
     def boundary_mask(self) -> np.ndarray:
         """True on nodes lying on the boundary of the box; shape (num_nodes,)."""
+        return self._boundary_mask
+
+    @cached_property
+    def _node_coords(self) -> np.ndarray:
+        idx = np.indices(self.nodes).reshape(self.state_dim, -1).T
+        return _read_only(np.array(self.lo) + idx * self.h)
+
+    @cached_property
+    def _boundary_mask(self) -> np.ndarray:
         idx = np.indices(self.nodes).reshape(self.state_dim, -1).T
         n = np.array(self.nodes)
-        return ((idx == 0) | (idx == n - 1)).any(axis=1)
+        return _read_only(((idx == 0) | (idx == n - 1)).any(axis=1))
+
+    @cached_property
+    def _corner_offsets(self) -> tuple[int, ...]:
+        """Flat offset of each of the 2^d cell corners from the cell's lowest
+        node; bit i of the corner number selects the upper node in dim i."""
+        return tuple(
+            sum(int(self.strides[i]) for i in range(self.state_dim) if (corner >> i) & 1)
+            for corner in range(1 << self.state_dim)
+        )
 
     def time_index(self, t: float) -> int:
         """floor(t / dt), capped at M; robust against roundoff at grid times."""
@@ -98,30 +133,42 @@ def multilinear_eval(grid: SpaceTimeGrid, slice_values: np.ndarray, x: np.ndarra
     if not np.all(np.isfinite(x)):
         bad = np.argwhere(~np.isfinite(x))[0]
         raise ValueError(f"non-finite query coordinate {bad[1]} at point {bad[0]}")
-    d = grid.state_dim
     c = slice_values.shape[-1]
-    lo = np.array(grid.lo)
-    h = grid.h
-    n = np.array(grid.nodes)
+    # c == 1 is evaluated on 1-D arrays; the arithmetic is the same
+    flat = slice_values.reshape(-1) if c == 1 else slice_values.reshape(-1, c)
 
-    xc = np.clip(x, lo, np.array(grid.hi))
-    u = (xc - lo) / h
-    i0 = np.floor(u).astype(np.int64)
-    np.clip(i0, 0, n - 2, out=i0)
-    frac = np.clip(u - i0, 0.0, 1.0)
+    base = 0
+    for i in range(grid.state_dim):
+        # clamp to the box; with the bound as first operand, maximum and
+        # minimum resolve ties exactly as np.clip does
+        u = np.maximum(grid.lo[i], x[:, i])
+        np.minimum(grid.hi[i], u, out=u)
+        u -= grid.lo[i]
+        u /= grid.h[i]
+        # u >= 0, so truncation is floor; the last cell also holds the upper face
+        cell = u.astype(np.int64)
+        np.minimum(cell, grid.nodes[i] - 2, out=cell)
+        frac = u - cell  # >= 0 since cell <= floor(u)
+        np.minimum(1.0, frac, out=frac)
+        base = base + cell * grid.strides[i]
+        # weights[corner] over dimensions 0..i: a running product in
+        # dimension order, the order in which np.prod would multiply the
+        # per-dimension factors of a corner
+        lower = 1.0 - frac
+        if i == 0:
+            weights = [lower, frac]
+        else:
+            weights = [w * lower for w in weights] + [w * frac for w in weights]
 
-    strides = np.ones(d, dtype=np.int64)
-    for i in range(d - 2, -1, -1):
-        strides[i] = strides[i + 1] * n[i + 1]
-    flat = slice_values.reshape(-1, c)
-    base = i0 @ strides
-
-    out = np.zeros((x.shape[0], c))
-    for corner in range(1 << d):
-        bits = np.array([(corner >> i) & 1 for i in range(d)], dtype=np.int64)
-        w = np.prod(np.where(bits == 1, frac, 1.0 - frac), axis=1)
-        out += w[:, None] * flat[base + bits @ strides]
-    return out
+    out = np.zeros((x.shape[0],) + flat.shape[1:])
+    index = np.empty_like(base)
+    corner = np.empty_like(out)
+    for w, offset in zip(weights, grid._corner_offsets):
+        np.add(base, offset, out=index)
+        flat.take(index, axis=0, out=corner)
+        corner *= w if c == 1 else w[:, None]
+        out += corner
+    return out if c > 1 else out[:, None]
 
 
 @dataclass
@@ -166,9 +213,6 @@ class GridField:
 class PolicyField(GridField):
     """Feedback control on the grid: multilinear in space with clamping,
     piecewise-constant in time on [t_j, t_{j+1})."""
-
-    def evaluate(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.eval_slice(self.grid.time_index(t), x)
 
 
 def max_principle_check(field: GridField) -> tuple[np.ndarray, np.ndarray]:

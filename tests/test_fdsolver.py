@@ -1,7 +1,10 @@
 """Monotone finite-difference solver: stencils, monotonicity, convergence."""
 
+import time
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mfcontrol import (
     MeasureKernel,
@@ -16,7 +19,8 @@ from mfcontrol import (
     portfolio_problem,
     simulate,
 )
-from mfcontrol.fdsolver import gauss_seidel, terminal_data
+from mfcontrol import fdsolver
+from mfcontrol.fdsolver import MonotoneOperator, terminal_data
 
 
 def _linear_1d_problem(
@@ -139,16 +143,88 @@ def test_m_matrix_inverse_nonnegativity():
         assert sol.min() >= -1e-12
 
 
-def test_gauss_seidel_matches_direct_solve():
+def _coo_system(problem, policy, ensemble, grid, j):
+    """I - dt*L assembled from COO triplets and scipy's sparse algebra: the
+    reference that build_operator's direct CSR assembly must reproduce."""
+    t = j * grid.dt
+    X = grid.node_coords()
+    psi = policy.slice_flat(j)
+    eta = ensemble.measure(j)
+    b = problem.drift(t, X, psi, eta)
+    sig = problem.diffusion(t, X, psi, eta)
+    diag = np.einsum("pii->pi", np.einsum("pir,plr->pil", sig, sig))
+    P, h, strides = grid.num_nodes, grid.h, grid.strides
+    nodes = np.arange(P)[~grid.boundary_mask()]
+    rows, cols, vals = [], [], []
+    for i in range(grid.state_dim):
+        up = np.maximum(b[:, i], 0.0) / h[i] + 0.5 * diag[:, i] / h[i] ** 2
+        dn = np.maximum(-b[:, i], 0.0) / h[i] + 0.5 * diag[:, i] / h[i] ** 2
+        rows += [nodes] * 3
+        cols += [nodes + strides[i], nodes - strides[i], nodes]
+        vals += [up[nodes], dn[nodes], -(up[nodes] + dn[nodes])]
+    L = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(P, P)
+    )
+    return (sp.identity(P, format="csr") - grid.dt * L).tocsr()
+
+
+def _assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        # compare bit patterns, which also tells -0.0 from 0.0
+        np.testing.assert_array_equal(a.view(np.int8), b.view(np.int8))
+
+
+@pytest.mark.parametrize("psi_scale, nnz", [(0.0, 7403), (1.0, 9804)])
+def test_system_matches_coo_assembly_bitwise(psi_scale, nnz):
+    # psi = 0 zeroes the inventory drift, so scipy drops those stencil
+    # entries as exact zeros; the direct assembly must drop the same ones
+    prob, grid = portfolio_problem(), portfolio_grid()
+    rng = np.random.default_rng(3)
+    vals = psi_scale * rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,))
+    policy = PolicyField(grid, vals)
+    ens = simulate(prob, policy, 128, grid.time_steps, 0)
+    for j in (0, 17):
+        got = build_operator(prob, policy, ens, grid, j).system
+        assert got.nnz == nnz
+        _assert_same_csr(got, _coo_system(prob, policy, ens, grid, j))
+
+
+def test_system_matches_coo_assembly_bitwise_1d():
+    prob = _linear_1d_problem(b=-0.4, sigma=0.3)
+    grid = _grid_1d(nodes=21)
+    policy, ens = _setup(prob, grid)
+    got = build_operator(prob, policy, ens, grid, 0).system
+    _assert_same_csr(got, _coo_system(prob, policy, ens, grid, 0))
+
+
+def test_singular_system_raises_promptly():
+    grid = _grid_1d(nodes=21)
+    P = grid.num_nodes
+    op = MonotoneOperator(
+        grid=grid, matrix=sp.csr_matrix((P, P)), system=sp.csr_matrix((P, P)),
+        boundary=grid.boundary_mask(),
+    )
+    tic = time.perf_counter()
+    with pytest.raises(RuntimeError, match="sparse LU"):
+        op.solve(np.ones((P, 1)))
+    assert time.perf_counter() - tic < 5.0
+
+
+def test_solve_tolerance_is_relative_to_rhs(monkeypatch):
     prob = _linear_1d_problem()
     grid = _grid_1d(nodes=21)
     policy, ens = _setup(prob, grid)
     op = build_operator(prob, policy, ens, grid, 0)
     rng = np.random.default_rng(1)
-    rhs = rng.standard_normal((grid.num_nodes, 1))
-    direct = op.solve(rhs)
-    iterative = gauss_seidel(op.system, rhs)
-    np.testing.assert_allclose(iterative, direct, atol=1e-8)
+    rhs = 1e12 * rng.standard_normal((grid.num_nodes, 1))
+    sol = op.solve(rhs)
+    res = np.abs(op.system @ sol - rhs).max()
+    assert res <= fdsolver._SOLVE_TOL * np.abs(rhs).max()
+    monkeypatch.setattr(fdsolver, "_SOLVE_TOL", 0.0)
+    with pytest.raises(RuntimeError, match=r"residual .* exceeds the tolerance"):
+        op.solve(rhs)
 
 
 def test_zero_source_sweep_obeys_maximum_principle():

@@ -33,6 +33,18 @@ def test_grid_geometry(grid):
     assert mask.sum() == 99 - 7 * 9
 
 
+def test_grid_geometry_arrays_are_cached_read_only(grid):
+    arrays = (grid.h, grid.strides, grid.node_coords(), grid.boundary_mask())
+    for arr in arrays:
+        assert not arr.flags.writeable
+    assert grid.node_coords() is arrays[2]
+    with pytest.raises(ValueError):
+        grid.node_coords()[0, 0] = 1.0
+    # the caches take no part in equality or hashing
+    twin = SpaceTimeGrid(grid.horizon, grid.time_steps, grid.lo, grid.hi, grid.nodes)
+    assert twin == grid and hash(twin) == hash(grid)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         SpaceTimeGrid(1.0, 0, (0.0,), (1.0,), (5,))
@@ -40,6 +52,8 @@ def test_grid_validation():
         SpaceTimeGrid(1.0, 2, (0.0,), (1.0,), (1,))
     with pytest.raises(ValueError):
         SpaceTimeGrid(1.0, 2, (1.0,), (0.0,), (5,))
+    with pytest.raises(ValueError, match="at least one space dimension"):
+        SpaceTimeGrid(1.0, 2, (), (), ())
 
 
 def test_interpolation_partition_of_unity(grid):
@@ -68,6 +82,53 @@ def test_interpolation_clamps_outside_box(grid):
     np.testing.assert_allclose(outside, inside, rtol=0, atol=1e-12)
 
 
+def _corner_loop_eval(grid, slice_values, x):
+    """Per-corner np.where/np.prod interpolation: the reference that the
+    vectorised multilinear_eval must reproduce bit for bit."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    d = grid.state_dim
+    c = slice_values.shape[-1]
+    lo = np.array(grid.lo)
+    n = np.array(grid.nodes)
+    xc = np.clip(x, lo, np.array(grid.hi))
+    u = (xc - lo) / grid.h
+    i0 = np.floor(u).astype(np.int64)
+    np.clip(i0, 0, n - 2, out=i0)
+    frac = np.clip(u - i0, 0.0, 1.0)
+    strides = np.ones(d, dtype=np.int64)
+    for i in range(d - 2, -1, -1):
+        strides[i] = strides[i + 1] * n[i + 1]
+    flat = slice_values.reshape(-1, c)
+    base = i0 @ strides
+    out = np.zeros((x.shape[0], c))
+    for corner in range(1 << d):
+        bits = np.array([(corner >> i) & 1 for i in range(d)], dtype=np.int64)
+        w = np.prod(np.where(bits == 1, frac, 1.0 - frac), axis=1)
+        out += w[:, None] * flat[base + bits @ strides]
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("c", [1, 2, 4])
+def test_interpolation_matches_corner_loop_bitwise(d, c):
+    rng = np.random.default_rng(10 * d + c)
+    lo = np.array([-1.5, 0.0, 0.3])[:d]
+    hi = np.array([2.5, 3.0, 1.1])[:d]
+    grid = SpaceTimeGrid(1.0, 2, tuple(lo), tuple(hi), (7, 5, 4)[:d])
+    vals = rng.standard_normal(grid.nodes + (c,))
+    inside = rng.uniform(lo, hi, (300, d))
+    upper_faces = inside.copy()
+    for i in range(d):
+        upper_faces[i::d, i] = hi[i]
+    outside = rng.uniform(lo - 2.0, hi + 2.0, (300, d))
+    for pts in (grid.node_coords(), inside, upper_faces, outside):
+        got = multilinear_eval(grid, vals, pts)
+        want = _corner_loop_eval(grid, vals, pts)
+        assert got.shape == want.shape
+        # compare bit patterns, which also tells -0.0 from 0.0
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_interpolation_rejects_non_finite(grid):
     vals = np.zeros(grid.nodes + (1,))
     with pytest.raises(ValueError):
@@ -89,11 +150,11 @@ def test_policy_field_time_is_piecewise_constant(grid):
         vals[j] = float(j)
     pol = PolicyField(grid, vals)
     x = np.array([[0.0, 2.0]])
-    assert pol.evaluate(0.0, x)[0, 0] == 0.0
-    assert pol.evaluate(0.1, x)[0, 0] == 0.0
-    assert pol.evaluate(0.25, x)[0, 0] == 1.0
-    assert pol.evaluate(0.9999, x)[0, 0] == 3.0
-    assert pol.evaluate(1.0, x)[0, 0] == 4.0
+    assert pol.interpolate(0.0, x)[0, 0] == 0.0
+    assert pol.interpolate(0.1, x)[0, 0] == 0.0
+    assert pol.interpolate(0.25, x)[0, 0] == 1.0
+    assert pol.interpolate(0.9999, x)[0, 0] == 3.0
+    assert pol.interpolate(1.0, x)[0, 0] == 4.0
 
 
 def test_field_shape_validation(grid):
