@@ -105,12 +105,10 @@ def _pointwise_source(
     Jb = np.asarray(problem.dx_drift(t, x, a, eta))
     src = np.einsum("pil,pi->pl", Jb, u_here)
     src += np.asarray(problem.dx_running(t, x, a, eta))
-    step = 1
-    if kernel_subsample is not None and eta.size > kernel_subsample:
-        step = int(np.ceil(eta.size / kernel_subsample))
     eta_k = eta.strided(kernel_subsample)
     if not problem.mu_drift.is_zero:
-        src += problem.mu_drift.mean_contract(t, eta_k, x, a, weights=u_carriers[::step])
+        u_k = u_carriers[:: eta.stride(kernel_subsample)]
+        src += problem.mu_drift.mean_contract(t, eta_k, x, a, weights=u_k)
     if not problem.mu_running.is_zero:
         src += problem.mu_running.mean_contract(t, eta_k, x, a)
     return src

@@ -29,14 +29,14 @@ _SOLVE_TOL = 1e-10  # on the residual relative to max(1, |rhs|_inf)
 
 @dataclass
 class MonotoneOperator:
-    """Monotone stencil L for one time slice: L[phi]_k = sum_q a_qk (phi_q - phi_k).
+    """Implicit step for the monotone stencil L of one time slice.
 
-    `matrix` holds L on flattened nodes (boundary rows zero); `system` is
-    I - dt*L with identity rows on the Dirichlet boundary.
+    L[phi]_k = sum_q a_qk (phi_q - phi_k) on flattened nodes, with zero rows
+    on the Dirichlet boundary; `system` is I - dt*L, whose boundary rows are
+    identity rows.
     """
 
     grid: SpaceTimeGrid
-    matrix: sp.csr_matrix
     system: sp.csr_matrix
     boundary: np.ndarray  # (num_nodes,) bool
     _lu: object = None
@@ -115,8 +115,8 @@ def build_operator(
     a diagonal diffusion matrix; off-diagonal mass would produce negative
     stencil weights and is rejected.
 
-    L and I - dt*L are written straight into CSR on the fixed (2d+1)-point
-    row pattern, with exact zeros dropped: the same arrays, bit for bit, as
+    I - dt*L is written straight into CSR on the fixed (2d+1)-point row
+    pattern, with exact zeros dropped: the same arrays, bit for bit, as
     assembling L from COO and forming I - dt*L with scipy's sparse algebra.
     """
     t, X, psi, eta = _node_inputs(policy, ensemble, grid, j)
@@ -164,7 +164,6 @@ def build_operator(
     system[:, d] += 1.0
     return MonotoneOperator(
         grid=grid,
-        matrix=_pattern_csr(L, cols),
         system=_pattern_csr(system, cols),
         boundary=boundary,
     )

@@ -47,11 +47,22 @@ class EmpiricalMeasure:
         """Arithmetic mean of fn(x, a) over the atoms."""
         return np.asarray(fn(self.x, self.a)).mean(axis=0)
 
-    def strided(self, max_atoms: Optional[int]) -> "EmpiricalMeasure":
-        """Deterministic uniform subsample (every ceil(N/max_atoms)-th atom)."""
+    def stride(self, max_atoms: Optional[int]) -> int:
+        """Step of the subsample kept by strided(max_atoms): ceil(N/max_atoms),
+        or 1 when every atom is kept."""
         if max_atoms is None or self.size <= max_atoms:
+            return 1
+        return int(np.ceil(self.size / max_atoms))
+
+    def strided(self, max_atoms: Optional[int]) -> "EmpiricalMeasure":
+        """Deterministic uniform subsample (every stride(max_atoms)-th atom).
+
+        Per-atom arrays such as adjoint values at the atoms are subsampled
+        alongside as ``values[::measure.stride(max_atoms)]``.
+        """
+        step = self.stride(max_atoms)
+        if step == 1:
             return self
-        step = int(np.ceil(self.size / max_atoms))
         return EmpiricalMeasure(self.x[::step], self.a[::step])
 
 
@@ -62,14 +73,19 @@ class MeasureKernel:
     The kernel value at (carrier, evaluation) has shape ``out_shape``; the
     leading axis of ``out_shape`` indexes the coefficient component at the
     carrier, trailing axes index derivative directions at the evaluation
-    point.  Exactly one of the three representations is populated:
+    point.  Exactly one of the four representations is populated:
 
     * ``const``       -- kernel independent of carrier and evaluation point;
     * ``carrier_fn``  -- depends on the carrier only,
       signature ``(t, cx, ca, measure) -> (L, *out_shape)``;
     * ``pair_fn``     -- full dependence, signature
       ``(t, cx, ca, ex, ea, measure) -> (P, L, *out_shape)`` with carrier
-      arrays broadcast as ``(1, L, .)`` and evaluation arrays ``(P, 1, .)``.
+      arrays broadcast as ``(1, L, .)`` and evaluation arrays ``(P, 1, .)``;
+    * ``contract_fn`` -- full dependence in contracted form, signature
+      ``(t, measure, eval_x, eval_a, weights)``, returning what
+      :meth:`mean_contract` returns for the same arguments; for kernels
+      whose carrier averages are cheaper than the (P, L) table of
+      ``pair_fn``.
 
     A kernel with no representation is identically zero.
     """
@@ -78,6 +94,7 @@ class MeasureKernel:
     const: Optional[np.ndarray] = None
     carrier_fn: Optional[Callable] = None
     pair_fn: Optional[Callable] = None
+    contract_fn: Optional[Callable] = None
     eval_chunk: int = 256
 
     @classmethod
@@ -91,7 +108,12 @@ class MeasureKernel:
 
     @property
     def is_zero(self) -> bool:
-        return self.const is None and self.carrier_fn is None and self.pair_fn is None
+        return (
+            self.const is None
+            and self.carrier_fn is None
+            and self.pair_fn is None
+            and self.contract_fn is None
+        )
 
     def mean_contract(
         self,
@@ -128,6 +150,9 @@ class MeasureKernel:
             else:
                 avg = _contract_carrier(K, weights)
             return np.broadcast_to(avg, (P,) + avg.shape).copy()
+
+        if self.contract_fn is not None:
+            return np.asarray(self.contract_fn(t, measure, eval_x, eval_a, weights))
 
         out = None
         for lo in range(0, P, self.eval_chunk):

@@ -4,14 +4,20 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from mfcontrol import field_from_csv
+from mfcontrol import PolicyField, experiments, field_from_csv
 from mfcontrol.cli import main
 from mfcontrol.config import RunConfig
-from mfcontrol.experiments import sparsity_report, sparsity_to_csv
+from mfcontrol.experiments import (
+    SweepResult,
+    robustness_sweep,
+    sparsity_report,
+    sparsity_to_csv,
+)
 
 
 def _cfg(tmp_path, text):
@@ -155,3 +161,33 @@ def test_reports_are_byte_identical_across_thread_counts(tmp_path):
     assert _strip_wall_time(tmp_path / "t1" / "report.csv") == _strip_wall_time(
         tmp_path / "t4" / "report.csv"
     )
+
+
+def test_robustness_sweep_is_thread_count_invariant(monkeypatch):
+    # the sweep is the only threaded code: its cells run in a pool of
+    # MFCONTROL_THREADS workers and must come out bit for bit the same
+    config = RunConfig(
+        problem="portfolio", cells=6, time_steps=6, particles=200,
+        sweep_steps=2, sweep_iterations=1,
+    )
+    _, grid = config.build()
+    rng = np.random.default_rng(4)
+    policy = PolicyField(grid, 0.3 * rng.standard_normal((7,) + grid.nodes + (1,)))
+
+    pools = []
+
+    class RecordingPool(experiments.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    results = []
+    for threads in (1, 2):
+        monkeypatch.setenv("MFCONTROL_THREADS", str(threads))
+        results.append(robustness_sweep(config, policy))
+    assert pools == [2]  # one worker runs inline; two run in a pool
+    for f in fields(SweepResult):
+        a, b = (getattr(r, f.name) for r in results)
+        assert a.shape == b.shape, f.name
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64), err_msg=f.name)

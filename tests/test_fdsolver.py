@@ -74,13 +74,19 @@ def _setup(problem, grid, N=64, seed=0):
     return policy, ens
 
 
+def _stencil(op):
+    """Dense L recovered from the system I - dt*L (zero on boundary rows)."""
+    P = op.system.shape[0]
+    return (np.eye(P) - op.system.toarray()) / op.grid.dt
+
+
 def test_stencil_weights_pure_diffusion():
     # sigma^2 = 2, h = 0.1: each interior row is (100, -200, 100)
     prob = _linear_1d_problem(b=0.0, sigma=np.sqrt(2.0))
     grid = _grid_1d(nodes=11)
     policy, ens = _setup(prob, grid)
     op = build_operator(prob, policy, ens, grid, 0)
-    L = op.matrix.toarray()
+    L = _stencil(op)
     for k in range(1, 10):
         np.testing.assert_allclose(L[k, k - 1], 100.0, atol=1e-9)
         np.testing.assert_allclose(L[k, k + 1], 100.0, atol=1e-9)
@@ -93,7 +99,7 @@ def test_stencil_weights_upwind_drift():
     prob = _linear_1d_problem(b=1.0, sigma=np.sqrt(2.0))
     grid = _grid_1d(nodes=11)
     policy, ens = _setup(prob, grid)
-    L = build_operator(prob, policy, ens, grid, 0).matrix.toarray()
+    L = _stencil(build_operator(prob, policy, ens, grid, 0))
     np.testing.assert_allclose(L[5, 6], 110.0, atol=1e-9)
     np.testing.assert_allclose(L[5, 4], 100.0, atol=1e-9)
     np.testing.assert_allclose(L[5, 5], -210.0, atol=1e-9)
@@ -104,12 +110,13 @@ def test_stencil_nonnegative_off_diagonal_on_models():
         policy, ens = _setup(prob, grid, N=256)
         for j in (0, 25, 49):
             op = build_operator(prob, policy, ens, grid, j)
-            L = op.matrix.tocoo()
-            off = L.data[L.row != L.col]
-            assert np.all(off >= 0.0)
             sys_ = op.system.tocoo()
             off_sys = sys_.data[sys_.row != sys_.col]
             assert np.all(off_sys <= 0.0)  # M-matrix sign pattern
+            # rows of L sum to zero, so every row of I - dt*L sums to one
+            # and the diagonal dominates strictly
+            np.testing.assert_allclose(op.system.sum(axis=1).A1, 1.0, rtol=0, atol=1e-12)
+            assert np.all(op.system.diagonal() >= 1.0)
 
 
 def test_off_diagonal_diffusion_rejected():
@@ -203,8 +210,7 @@ def test_singular_system_raises_promptly():
     grid = _grid_1d(nodes=21)
     P = grid.num_nodes
     op = MonotoneOperator(
-        grid=grid, matrix=sp.csr_matrix((P, P)), system=sp.csr_matrix((P, P)),
-        boundary=grid.boundary_mask(),
+        grid=grid, system=sp.csr_matrix((P, P)), boundary=grid.boundary_mask(),
     )
     tic = time.perf_counter()
     with pytest.raises(RuntimeError, match="sparse LU"):

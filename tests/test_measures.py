@@ -34,6 +34,7 @@ def test_strided_subsample(measure):
     assert measure.strided(40) is measure
     # non-divisible count: step = ceil(40/12) = 4 keeps every 4th atom
     assert measure.strided(12).size == 10
+    assert [measure.stride(n) for n in (None, 40, 41, 12, 10, 1)] == [1, 1, 1, 4, 4, 40]
 
 
 def test_zero_kernel(measure):

@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the two hottest kernels of a portfolio solve.
+"""Micro-benchmarks of the hottest kernels of the portfolio and the
+Cucker-Smale solves.
 
 pytest-benchmark times each call; the rounds are few, so the file runs in
 well under three seconds.  `pytest tests/test_microbench.py` prints the
@@ -9,8 +10,12 @@ import numpy as np
 import pytest
 
 from mfcontrol import (
+    CuckerSmaleParams,
+    EmpiricalMeasure,
     PolicyField,
     build_operator,
+    cs2d_grid,
+    cs2d_problem,
     multilinear_eval,
     portfolio_grid,
     portfolio_problem,
@@ -41,3 +46,35 @@ def test_build_operator_portfolio_slice(benchmark):
         rounds=20, iterations=5, warmup_rounds=1,
     )
     assert op.system.nnz == 9804
+
+
+def _cs_measure(n, seed):
+    rng = np.random.default_rng(seed)
+    return EmpiricalMeasure(rng.normal((1.5, 1.5), 0.3, (n, 2)), np.zeros((n, 1)))
+
+
+def test_cs_drift_5000_particles_500_atoms(benchmark):
+    # the simulation step of the beta = 10 experiment: every particle
+    # against a 500-atom subsample of the 5000-particle law
+    problem = cs2d_problem(CuckerSmaleParams(beta=10.0, kernel_subsample=500))
+    eta = _cs_measure(5000, 2)
+    a = np.zeros((5000, 1))
+    out = benchmark.pedantic(
+        problem.drift, args=(0.0, eta.x, a, eta), rounds=10, iterations=2, warmup_rounds=1
+    )
+    assert out.shape == (5000, 2)
+
+
+def test_cs_mu_drift_contraction_on_lattice(benchmark):
+    # the nonlocal adjoint source of one slice: 2601 nodes, 500 carriers
+    params = CuckerSmaleParams(beta=10.0)
+    problem, grid = cs2d_problem(params), cs2d_grid(params)
+    eta = _cs_measure(500, 3)
+    X = grid.node_coords()
+    a = np.zeros((grid.num_nodes, 1))
+    weights = np.random.default_rng(4).standard_normal((500, 2))
+    out = benchmark.pedantic(
+        problem.mu_drift.mean_contract, args=(0.0, eta, X, a),
+        kwargs={"weights": weights}, rounds=20, iterations=5, warmup_rounds=1,
+    )
+    assert out.shape == (grid.num_nodes, 2)

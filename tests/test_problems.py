@@ -1,0 +1,96 @@
+"""Cucker-Smale alignment kernels against their pairwise definitions.
+
+The oracles below are the (P, L) pairwise formulas the kernels were first
+written with.  The kernels now sum over the distinct x-values with matrix
+products, so they agree with the oracles up to summation order.
+"""
+
+import numpy as np
+import pytest
+
+from mfcontrol import CuckerSmaleParams, EmpiricalMeasure, cs2d_grid, cs2d_problem
+from mfcontrol.problems import _inv_pow
+
+
+def _oracle_align(p, x, v, etas):
+    L = etas.size
+    dx = x[:, None] - etas.x[None, :, 0]
+    np.multiply(dx, dx, out=dx)
+    dx += 1.0
+    w = _inv_pow(dx, p.beta, consume=True)
+    dv = etas.x[None, :, 1] - v[:, None]
+    return (p.K / L) * np.einsum("pl,pl->p", w, dv)
+
+
+def _oracle_dx_drift(p, x, etas):
+    out = np.zeros((x.shape[0], 2, 2))
+    out[:, 0, 1] = 1.0
+    L = etas.size
+    dx = x[:, None, 0] - etas.x[None, :, 0]
+    dist2 = 1.0 + dx * dx
+    wp = _inv_pow(dist2, p.beta + 1.0)
+    dv = etas.x[None, :, 1] - x[:, None, 1]
+    out[:, 1, 0] = (-2.0 * p.beta * p.K / L) * np.einsum("pl,pl,pl->p", dv, dx, wp)
+    out[:, 1, 1] = (-p.K / L) * np.einsum("pl,pl->p", wp, dist2)
+    return out
+
+
+def _oracle_mu_drift_pair(p, cx, ex):
+    P, L = ex.shape[0], cx.shape[1]
+    dx = cx[:, :, 0] - ex[:, :, 0]
+    dist2 = 1.0 + dx * dx
+    w = _inv_pow(dist2, p.beta)
+    dv = ex[:, :, 1] - cx[:, :, 1]
+    out = np.zeros((P, L, 2, 2))
+    out[:, :, 1, 0] = (2.0 * p.beta * p.K) * dv * dx * (w / dist2)
+    out[:, :, 1, 1] = p.K * w
+    return out
+
+
+def _oracle_mean_contract(p, measure, ex, weights):
+    K = _oracle_mu_drift_pair(p, measure.x[None], ex[:, None, :])
+    if weights is None:
+        return K.mean(axis=1)
+    return np.einsum("li,plim->pm", weights, K) / measure.size
+
+
+def _points(kind, rng):
+    if kind == "lattice":
+        return cs2d_grid(CuckerSmaleParams()).node_coords()
+    if kind == "cloud":
+        return rng.uniform((0.0, 0.0), (5.0, 4.0), (700, 2))
+    # repeated x-values: 600 points on 37 distinct positions
+    x = rng.choice(rng.uniform(0.0, 5.0, 37), 600)
+    return np.column_stack([x, rng.uniform(0.0, 4.0, 600)])
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    scale = np.abs(want).max()
+    assert scale > 0
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 10.0])
+@pytest.mark.parametrize("kind", ["lattice", "cloud", "repeated"])
+def test_cs_kernels_match_pairwise_oracle(beta, kind):
+    p = CuckerSmaleParams(beta=beta, K=1.3, kernel_subsample=150)
+    prob = cs2d_problem(p)
+    rng = np.random.default_rng(int(beta * 10) + len(kind))
+    eta = EmpiricalMeasure(
+        rng.normal((1.5, 1.5), 0.6, (450, 2)), rng.standard_normal((450, 1))
+    )
+    etas = eta.strided(p.kernel_subsample)
+    X = _points(kind, rng)
+    a = rng.standard_normal((X.shape[0], 1))
+
+    b = prob.drift(0.0, X, a, eta)
+    np.testing.assert_array_equal(b[:, 0], X[:, 1])
+    _assert_close(b[:, 1] - a[:, 0], _oracle_align(p, X[:, 0], X[:, 1], etas))
+    _assert_close(prob.dx_drift(0.0, X, a, eta), _oracle_dx_drift(p, X, etas))
+
+    # the contraction sees the run's own subsample, not the problem's
+    u = rng.standard_normal((eta.size, 2))
+    for weights in (None, u):
+        got = prob.mu_drift.mean_contract(0.0, eta, X, a, weights=weights)
+        _assert_close(got, _oracle_mean_contract(p, eta, X, weights))
