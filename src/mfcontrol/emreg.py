@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,8 +58,12 @@ def cell_regression(
     the corresponding `fallback` row.  Shapes: x (N, d), targets (N, c),
     fallback (num_cells, c); returns (num_cells, c).
     """
+    return _cell_means(cell_index(grid, x), targets, fallback)
+
+
+def _cell_means(idx: np.ndarray, targets: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """cell_regression on precomputed cell indices `idx` of the samples."""
     ncells = fallback.shape[0]
-    idx = cell_index(grid, x)
     counts = np.bincount(idx, minlength=ncells)
     out = fallback.copy()
     filled = counts > 0
@@ -80,7 +85,11 @@ class PiecewiseConstantAdjoint:
         return self.cells[j][cell_index(self.grid, x)]
 
     def u_at_nodes(self, j: int) -> np.ndarray:
-        return self.u_at_points(j, self.grid.node_coords())
+        return self.cells[j][self._node_cells]
+
+    @cached_property
+    def _node_cells(self) -> np.ndarray:
+        return cell_index(self.grid, self.grid.node_coords())
 
     def v_at_nodes(self, j: int):
         return None
@@ -91,23 +100,23 @@ class PiecewiseConstantAdjoint:
 
 def _pointwise_source(
     problem: MfcProblem,
-    policy: PolicyField,
-    x: np.ndarray,
+    t: float,
     eta,
-    u_here: np.ndarray,
-    u_carriers: np.ndarray,
-    j: int,
+    u: np.ndarray,
     kernel_subsample: Optional[int] = None,
 ) -> np.ndarray:
-    """Adjoint source at arbitrary points: (dx b)^T u + dx f + kernel means."""
-    t = j * policy.grid.dt
-    a = policy.eval_slice(j, x)
+    """Adjoint source at the particles of eta: (dx b)^T u + dx f + kernel means.
+
+    u holds the adjoint at the particles, which are also the carriers of
+    the kernel means; the controls are the ones stored with the particles.
+    """
+    x, a = eta.x, eta.a
     Jb = np.asarray(problem.dx_drift(t, x, a, eta))
-    src = np.einsum("pil,pi->pl", Jb, u_here)
+    src = np.einsum("pil,pi->pl", Jb, u)
     src += np.asarray(problem.dx_running(t, x, a, eta))
     eta_k = eta.strided(kernel_subsample)
     if not problem.mu_drift.is_zero:
-        u_k = u_carriers[:: eta.stride(kernel_subsample)]
+        u_k = u[:: eta.stride(kernel_subsample)]
         src += problem.mu_drift.mean_contract(t, eta_k, x, a, weights=u_k)
     if not problem.mu_running.is_zero:
         src += problem.mu_running.mean_contract(t, eta_k, x, a)
@@ -127,7 +136,9 @@ def regress_adjoint(
     Cell values at slice j-1 are the per-cell means over particles X_{j-1}
     of Y_j(X_j) + dt * source(t_j, X_j), mirroring the explicit source
     treatment of the grid scheme.  Requires a state-independent diffusion
-    (no gradient term enters the targets then).
+    (no gradient term enters the targets then).  The source reads the
+    controls stored in the ensemble, which simulate evaluated under
+    `policy`; the ensemble must come from that policy.
     """
     if problem.diffusion_state_dependent:
         raise NotImplementedError(
@@ -148,22 +159,20 @@ def regress_adjoint(
     term = term + problem.mu_terminal.mean_contract(
         problem.horizon, mu_T.strided(kernel_subsample), ensemble.states[M], None
     )
-    cells[M] = cell_regression(grid, ensemble.states[M], term, fallback[M])
-
-    adj = PiecewiseConstantAdjoint(grid=grid, cells=cells)
+    # idx holds the cells of the particles at the slice being stepped from:
+    # the regression onto slice j-1 computes the lookup of the next step
+    idx = cell_index(grid, ensemble.states[M])
+    cells[M] = _cell_means(idx, term, fallback[M])
     for j in range(M, 0, -1):
-        xj = ensemble.states[j]
-        eta = ensemble.measure(j)
-        u_here = adj.u_at_points(j, xj)
+        u_here = cells[j][idx]
         src = _pointwise_source(
-            problem, policy, xj, eta, u_here, u_here, j,
+            problem, j * grid.dt, ensemble.measure(j), u_here,
             kernel_subsample=kernel_subsample,
         )
         targets = u_here + grid.dt * src
-        cells[j - 1] = cell_regression(
-            grid, ensemble.states[j - 1], targets, fallback[j - 1]
-        )
-    return adj
+        idx = cell_index(grid, ensemble.states[j - 1])
+        cells[j - 1] = _cell_means(idx, targets, fallback[j - 1])
+    return PiecewiseConstantAdjoint(grid=grid, cells=cells)
 
 
 def run_emreg(

@@ -11,6 +11,7 @@ component.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -19,12 +20,51 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .grids import GridField, PolicyField, SpaceTimeGrid, multilinear_eval
+from .grids import GridField, PolicyField, SpaceTimeGrid, _read_only, multilinear_eval
 from .measures import EmpiricalMeasure
 from .particles import ParticleEnsemble
 from .problem import MfcProblem
 
 _SOLVE_TOL = 1e-10  # on the residual relative to max(1, |rhs|_inf)
+
+# SuperLU settings of the per-slice factorisation.  The matrix arrives in a
+# fixed fill-reducing order (_fill_order), so no column ordering is computed
+# ("NATURAL"), and the diagonal pivot is always taken (threshold 0).  Small
+# supernodes (relax, panel_size) cut the factor time of a 51 x 51 portfolio
+# slice by a quarter to two thirds against SuperLU's defaults.
+_LU_OPTIONS = dict(
+    permc_spec="NATURAL",
+    diag_pivot_thresh=0.0,
+    relax=1,
+    panel_size=1,
+    options={"SymmetricMode": True},
+)
+
+
+@functools.lru_cache(maxsize=16)
+def _fill_order(nodes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Fill-reducing elimination order of the (2d+1)-point node lattice.
+
+    Returns (order, rank), read-only: order lists the flat node indices in
+    elimination order and rank is its inverse, rank[order[k]] = k.  The
+    order comes from SuperLU's minimum degree on A + A^T for a strictly
+    diagonally dominant matrix on the full lattice stencil, whose pattern
+    contains that of every I - dt*L on these nodes.  SuperLU's perm_c maps
+    a column to its position, so it is the rank and its inverse the order.
+    """
+    lattice = None
+    for n in reversed(nodes):  # C order: the last dimension has stride 1
+        path = sp.diags([-1.0, -1.0], [-1, 1], shape=(n, n))
+        lattice = path if lattice is None else sp.kronsum(lattice, path)
+    dominant = lattice + (2 * len(nodes) + 1) * sp.identity(lattice.shape[0])
+    lu = splu(
+        dominant.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    rank = lu.perm_c.astype(np.int64)
+    return _read_only(np.argsort(rank)), _read_only(rank)
 
 
 @dataclass
@@ -44,16 +84,28 @@ class MonotoneOperator:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Direct sparse solve of (I - dt L) u = rhs with a cached LU factor.
 
-        I - dt L is a strictly diagonally dominant M-matrix, so the
-        factorization cannot fail on a system built by build_operator; a
-        failure or a residual above tolerance raises RuntimeError at once.
+        The system is factored as B = Q^T (I - dt L) Q, Q the lattice's
+        fill-reducing order (_fill_order), without pivoting.  That is safe:
+        I - dt L is a nonsingular M-matrix (nonpositive off-diagonal entries,
+        row sums 1, hence strictly diagonally dominant), every symmetric
+        permutation of an M-matrix is one, and so is every Schur complement
+        of one, so each pivot of the elimination is positive.  A failed
+        factorisation (a zero pivot on a system not built by build_operator)
+        or a residual above tolerance raises RuntimeError at once.
         """
+        order, rank = _fill_order(self.grid.nodes)
         if self._lu is None:
+            # rows in elimination order, then columns relabelled by rank;
+            # tocsc sorts each column's row indices
+            permuted = self.system[order]
+            permuted.indices = rank[permuted.indices]
+            permuted.has_sorted_indices = False
             try:
-                self._lu = splu(self.system.tocsc())
+                self._lu = splu(permuted.tocsc(), **_LU_OPTIONS)
             except RuntimeError as exc:
                 raise RuntimeError(f"sparse LU of I - dt L failed: {exc}") from exc
-        sol = self._lu.solve(rhs)
+        sol = np.empty_like(rhs, dtype=float)
+        sol[order] = self._lu.solve(rhs[order])
         res = np.abs(self.system @ sol - rhs).max()
         tol = _SOLVE_TOL * max(1.0, np.abs(rhs).max())
         if not res <= tol:

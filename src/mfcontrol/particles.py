@@ -61,6 +61,11 @@ def simulate(
     The Brownian increments are drawn upfront from a counter-based (Philox)
     stream in a fixed (step, particle, component) layout, so the ensemble is
     bitwise reproducible for a given (seed, N, M) regardless of scheduling.
+
+    Memory: the states, the controls and the upfront noise of all steps are
+    held at once, (M+1)·N·d + (M+1)·N·k + M·N·n doubles, that is
+    O(M·N·(d + k + n)); about 16 MB for the portfolio model at M = 50,
+    N = 10 000.
     """
     if N < 1 or M < 1:
         raise ValueError("need N >= 1 and M >= 1")
@@ -125,14 +130,6 @@ def estimate_cost(
     mean = _chunked_mean(total)
     std_err = float(total.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
     return float(mean), std_err
-
-
-def empirical_expect(ensemble: ParticleEnsemble, j: int, fn) -> np.ndarray:
-    """Mean of fn(x, a) over slice-j particles, in deterministic chunked order."""
-    if not 0 <= j <= ensemble.time_steps:
-        raise IndexError("time index out of range")
-    vals = np.asarray(fn(ensemble.states[j], ensemble.controls[j]), dtype=float)
-    return _chunked_mean(vals)
 
 
 def _chunked_mean(vals: np.ndarray) -> np.ndarray:

@@ -174,19 +174,3 @@ def validate_derivatives(
 
     flagged = {name: err for name, err in errors.items() if err > tolerance}
     return DerivativeReport(max_rel_error=errors, flagged=flagged, tolerance=tolerance)
-
-
-def check_diffusion_constant(problem: MfcProblem, samples: int = 16, seed: int = 1) -> bool:
-    """Spot-check that sigma ignores (x, a, eta) when declared state-independent."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    d, k = problem.state_dim, problem.control_dim
-    meas = EmpiricalMeasure(rng.standard_normal((8, d)), rng.standard_normal((8, k)))
-    t = 0.5 * problem.horizon
-    ref = problem.diffusion(t, np.zeros((1, d)), np.zeros((1, k)), meas)
-    for _ in range(samples):
-        x = rng.standard_normal((1, d)) * 3.0
-        a = rng.standard_normal((1, k)) * 3.0
-        m2 = EmpiricalMeasure(rng.standard_normal((5, d)), rng.standard_normal((5, k)))
-        if not np.allclose(problem.diffusion(t, x, a, m2), ref, atol=1e-12):
-            return False
-    return True

@@ -1,12 +1,15 @@
 """Monotone finite-difference solver: stencils, monotonicity, convergence."""
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from mfcontrol import (
+    CuckerSmaleParams,
     MeasureKernel,
     MfcProblem,
     PolicyField,
@@ -14,6 +17,8 @@ from mfcontrol import (
     assemble_source,
     backward_sweep,
     build_operator,
+    cs2d_grid,
+    cs2d_problem,
     max_principle_check,
     portfolio_grid,
     portfolio_problem,
@@ -231,6 +236,89 @@ def test_solve_tolerance_is_relative_to_rhs(monkeypatch):
     monkeypatch.setattr(fdsolver, "_SOLVE_TOL", 0.0)
     with pytest.raises(RuntimeError, match=r"residual .* exceeds the tolerance"):
         op.solve(rhs)
+
+
+def _coupled_portfolio_slice(j=17):
+    """Portfolio operator under a policy of mixed sign: every upwind
+    direction occurs, so no stencil entry drops out of the system."""
+    prob, grid = portfolio_problem(), portfolio_grid()
+    rng = np.random.default_rng(5)
+    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
+    ens = simulate(prob, policy, 256, grid.time_steps, 0)
+    return build_operator(prob, policy, ens, grid, j)
+
+
+def _cs2d_slice(j=3):
+    params = CuckerSmaleParams(beta=10.0)
+    prob, grid = cs2d_problem(params), cs2d_grid(params, time_steps=10)
+    policy = PolicyField(grid, np.random.default_rng(6).standard_normal(
+        (grid.time_steps + 1,) + grid.nodes + (1,)))
+    ens = simulate(prob, policy, 200, grid.time_steps, 0)
+    return build_operator(prob, policy, ens, grid, j)
+
+
+def _slice_3d():
+    """Space-dependent drift of both signs on a 9 x 8 x 7 lattice (strides
+    56, 7, 1), so that a mix-up of dimensions shows in the ordering."""
+
+    def drift(t, x, a, eta):
+        return np.stack(
+            [np.sin(6.0 * x[:, 1]), x[:, 2] - 0.5, np.cos(5.0 * x[:, 0])], axis=1
+        )
+
+    def diffusion(t, x, a, eta):
+        return np.broadcast_to(np.diag([0.3, 0.2, 0.4]), (x.shape[0], 3, 3))
+
+    prob = dataclasses.replace(
+        _linear_1d_problem(), state_dim=3, noise_dim=3, drift=drift, diffusion=diffusion,
+        initial_sampler=lambda n, rng: rng.uniform(0.2, 0.8, (n, 3)),
+    )
+    grid = SpaceTimeGrid(horizon=1.0, time_steps=20, lo=(0.0,) * 3, hi=(1.0,) * 3, nodes=(9, 8, 7))
+    policy, ens = _setup(prob, grid)
+    return build_operator(prob, policy, ens, grid, 4)
+
+
+@pytest.mark.parametrize("make_slice", [_coupled_portfolio_slice, _cs2d_slice, _slice_3d])
+def test_solve_matches_dense_solve(make_slice):
+    op = make_slice()
+    P = op.grid.num_nodes
+    rng = np.random.default_rng(7)
+    rhs = rng.standard_normal((P, 2))
+    sol = op.solve(rhs)
+    want = np.linalg.solve(op.system.toarray(), rhs)
+    assert np.abs(sol - want).max() <= 1e-12 * np.abs(want).max()
+    # the factorisation took every diagonal pivot: no row was exchanged
+    np.testing.assert_array_equal(op._lu.perm_r, np.arange(P))
+    # and the lattice order keeps the fill near that of SuperLU's own
+    # per-matrix ordering with partial pivoting
+    default = splu(op.system.tocsc())
+    assert op._lu.L.nnz + op._lu.U.nnz <= 1.25 * (default.L.nnz + default.U.nnz)
+
+
+def test_solve_obeys_discrete_maximum_principle():
+    # I - dt*L has row sums 1 and a nonnegative inverse, so each entry of
+    # the solution is a convex combination of the right-hand side
+    op = _coupled_portfolio_slice()
+    np.testing.assert_allclose(op.system.sum(axis=1).A1, 1.0, rtol=0, atol=1e-12)
+    rhs = np.random.default_rng(8).uniform(-3.0, 5.0, (op.grid.num_nodes, 2))
+    sol = op.solve(rhs)
+    assert np.all(sol >= rhs.min(axis=0) - 1e-12)
+    assert np.all(sol <= rhs.max(axis=0) + 1e-12)
+
+
+def test_fill_order_is_one_permutation_per_node_lattice():
+    fdsolver._fill_order.cache_clear()
+    prob = _linear_1d_problem()
+    for horizon, steps in [(1.0, 40), (2.0, 7)]:
+        grid = SpaceTimeGrid(horizon=horizon, time_steps=steps, lo=(0.0,), hi=(1.0,), nodes=(33,))
+        prob = dataclasses.replace(prob, horizon=horizon)
+        policy, ens = _setup(prob, grid)
+        build_operator(prob, policy, ens, grid, 0).solve(np.ones((33, 1)))
+    assert fdsolver._fill_order.cache_info().misses == 1
+    order, rank = fdsolver._fill_order((33,))
+    np.testing.assert_array_equal(np.sort(order), np.arange(33))
+    np.testing.assert_array_equal(rank[order], np.arange(33))
+    assert not order.flags.writeable and not rank.flags.writeable
 
 
 def test_zero_source_sweep_obeys_maximum_principle():

@@ -48,6 +48,22 @@ def test_build_operator_portfolio_slice(benchmark):
     assert op.system.nnz == 9804
 
 
+def test_factor_and_solve_portfolio_slice(benchmark):
+    # one implicit step of the adjoint sweep on a coupled slice (a policy of
+    # mixed sign keeps every stencil entry): assembly, LU factor and solve
+    problem, grid = portfolio_problem(), portfolio_grid()
+    rng = np.random.default_rng(1)
+    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
+    ensemble = simulate(problem, policy, 1000, grid.time_steps, 0)
+    rhs = rng.standard_normal((grid.num_nodes, 2))
+
+    def step():
+        return build_operator(problem, policy, ensemble, grid, 10).solve(rhs)
+
+    out = benchmark.pedantic(step, rounds=10, iterations=2, warmup_rounds=1)
+    assert out.shape == (grid.num_nodes, 2)
+
+
 def _cs_measure(n, seed):
     rng = np.random.default_rng(seed)
     return EmpiricalMeasure(rng.normal((1.5, 1.5), 0.3, (n, 2)), np.zeros((n, 1)))

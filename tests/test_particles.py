@@ -14,7 +14,6 @@ from mfcontrol import (
     portfolio_problem,
     simulate,
 )
-from mfcontrol.particles import empirical_expect
 
 
 def _zero_policy(grid, k=1):
@@ -77,16 +76,6 @@ def test_estimate_cost_uses_common_ensemble():
     c1 = estimate_cost(prob, pol, ens)
     c2 = estimate_cost(prob, pol, ens)
     assert c1 == c2
-
-
-def test_empirical_expect():
-    prob = portfolio_problem()
-    grid = portfolio_grid()
-    ens = simulate(prob, _zero_policy(grid), 257, grid.time_steps, 2)
-    out = empirical_expect(ens, 0, lambda x, a: x)
-    np.testing.assert_allclose(out, ens.states[0].mean(axis=0), atol=1e-12)
-    with pytest.raises(IndexError):
-        empirical_expect(ens, 99, lambda x, a: x)
 
 
 def test_simulate_validates_inputs():

@@ -9,7 +9,6 @@ from mfcontrol import (
     portfolio_problem,
     validate_derivatives,
 )
-from mfcontrol.problem import check_diffusion_constant
 
 
 def test_portfolio_derivatives_match_finite_differences():
@@ -23,6 +22,22 @@ def test_cs2d_derivatives_match_finite_differences():
         prob = cs2d_problem(CuckerSmaleParams(beta=beta))
         report = validate_derivatives(prob, tolerance=1e-6)
         assert report.ok, (beta, report.flagged)
+
+
+def check_diffusion_constant(problem, samples=16, seed=1):
+    """Spot-check that sigma ignores (x, a, eta) when declared state-independent."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    d, k = problem.state_dim, problem.control_dim
+    meas = EmpiricalMeasure(rng.standard_normal((8, d)), rng.standard_normal((8, k)))
+    t = 0.5 * problem.horizon
+    ref = problem.diffusion(t, np.zeros((1, d)), np.zeros((1, k)), meas)
+    for _ in range(samples):
+        x = rng.standard_normal((1, d)) * 3.0
+        a = rng.standard_normal((1, k)) * 3.0
+        m2 = EmpiricalMeasure(rng.standard_normal((5, d)), rng.standard_normal((5, k)))
+        if not np.allclose(problem.diffusion(t, x, a, m2), ref, atol=1e-12):
+            return False
+    return True
 
 
 def test_declared_constant_diffusions_are_constant():
