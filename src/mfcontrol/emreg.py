@@ -138,8 +138,13 @@ def regress_adjoint(
     treatment of the grid scheme.  Requires a state-independent diffusion
     (no gradient term enters the targets then).  The source reads the
     controls stored in the ensemble, which simulate evaluated under
-    `policy`; the ensemble must come from that policy.
+    `policy`; the ensemble must come from that policy or one with equal
+    values, else ValueError.
     """
+    if policy is not ensemble.policy and not np.array_equal(
+        policy.values, ensemble.policy.values
+    ):
+        raise ValueError("the ensemble was simulated under a different policy")
     if problem.diffusion_state_dependent:
         raise NotImplementedError(
             "the regression baseline supports state-independent diffusion only"

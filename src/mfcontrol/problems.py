@@ -197,6 +197,44 @@ def _inv_pow(base: np.ndarray, beta: float, consume: bool = False) -> np.ndarray
 # temporary; on a 2-vCPU Xeon 32-64 rows ran fastest, 256 rows 30 % slower
 _KERNEL_BLOCK = 64
 
+# piecewise Chebyshev interpolation of the kernel sums in x (see
+# _kernel_sums): first-kind nodes per panel, in ascending order, with their
+# barycentric weights (-1)^j sin(theta_j); panel width at most
+# min(_CHEB_MAX_WIDTH, 1 / sqrt(q + 1)); points per block of the evaluation
+_CHEB_N = 20
+_CHEB_THETA = (2 * np.arange(_CHEB_N) + 1) * np.pi / (2 * _CHEB_N)
+_CHEB_T = -np.cos(_CHEB_THETA)
+_CHEB_W = (-1.0) ** np.arange(_CHEB_N) * np.sin(_CHEB_THETA)
+_CHEB_MAX_WIDTH = 0.5
+_CHEB_BLOCK = 512
+
+
+def _cheb_nodes(lo: float, hi: float, q: float) -> np.ndarray:
+    """Chebyshev nodes (panels, _CHEB_N) of equal panels covering [lo, hi]."""
+    width = min(_CHEB_MAX_WIDTH, 1.0 / np.sqrt(q + 1.0))
+    panels = max(1, int(np.ceil((hi - lo) / width)))
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (edges[:-1] + half)[:, None] + half[:, None] * _CHEB_T
+
+
+def _direct_sums(
+    x: np.ndarray, atoms: np.ndarray, R: np.ndarray, q: float, dx_moment: bool
+) -> np.ndarray:
+    """The kernel sums at every point of x, in blocks of _KERNEL_BLOCK rows
+    (which keeps the (block, L) temporaries in cache), with one matrix
+    product per block."""
+    out = np.empty((x.size, R.shape[1]))
+    for lo in range(0, x.size, _KERNEL_BLOCK):
+        dx = x[lo : lo + _KERNEL_BLOCK, None] - atoms
+        w = np.multiply(dx, dx)
+        w += 1.0
+        w = _inv_pow(w, q, consume=True)
+        if dx_moment:
+            w *= dx
+        np.matmul(w, R, out=out[lo : lo + _KERNEL_BLOCK])
+    return out
+
 
 def _kernel_sums(
     x: np.ndarray,
@@ -209,20 +247,54 @@ def _kernel_sums(
 
     W[p, l] = (1 + dx^2)^-q with dx = x[p] - atoms[l]; R has shape (L, r)
     and the result (P, r).  Rows are evaluated once per distinct value of x
-    (51 on a 51 x 51 node lattice) and mapped back to the points; they go in
-    blocks of _KERNEL_BLOCK, which keeps the (block, L) temporaries in cache,
-    with one matrix product per block.
+    and mapped back to the points.
+
+    When there are no more distinct values than interpolation nodes (51 on
+    a 51 x 51 node lattice, or clouds with repeated x), every distinct
+    value is summed directly over the atoms.  Otherwise [min x, max x] is
+    cut into equal panels of width at most min(0.5, 1/sqrt(q + 1)); the
+    sums are evaluated directly at _CHEB_N = 20 first-kind Chebyshev nodes
+    per panel and interpolated to the points with the barycentric formula
+    (a point exactly on a node takes that node's value).
+
+    Error bound: each sum is analytic in x off x'_l +- i.  On the strip
+    |Im z| <= b < 1, |1 + z^2| >= 1 - b^2, and b = 1/sqrt(q + 1) gives
+    (1 - b^2)^-q <= e.  A panel of half-width a <= b/2 maps this strip onto
+    the Bernstein ellipse with rho - 1/rho = 2b/a >= 4, rho >= 2 + sqrt(5).
+    ATAP Thm 8.2 (Trefethen), whose aliasing argument holds for first-kind
+    nodes too, bounds the degree n - 1 interpolant by
+    |f - p| <= 4 M rho^-(n-1) / (rho - 1) <= 1.6e-12 M at n = 20, with
+    M <= e sum_l |R_l| for the plain sums (times max |x - x'_l| + 1 for
+    the dx moment).  Seen on random clouds, q in [0, 100]: within 3.3e-14
+    of the largest |result|.
     """
     ux, inverse = np.unique(x, return_inverse=True)
-    out = np.empty((ux.size, R.shape[1]))
-    for lo in range(0, ux.size, _KERNEL_BLOCK):
-        dx = ux[lo : lo + _KERNEL_BLOCK, None] - atoms
-        w = np.multiply(dx, dx)
-        w += 1.0
-        w = _inv_pow(w, q, consume=True)
-        if dx_moment:
-            w *= dx
-        np.matmul(w, R, out=out[lo : lo + _KERNEL_BLOCK])
+    nodes = _cheb_nodes(ux[0], ux[-1], q)
+    if ux.size <= nodes.size:
+        return _direct_sums(ux, atoms, R, q, dx_moment)[inverse]
+
+    xs = nodes.ravel()
+    fs = _direct_sums(xs, atoms, R, q, dx_moment)
+    panels, r = nodes.shape[0], R.shape[1]
+    # the node values with a column of ones: one product with the weights
+    # w_j / (x - x_j) gives numerator and denominator of the formula
+    f1 = np.concatenate([fs, np.ones((xs.size, 1))], axis=1).reshape(panels, _CHEB_N, r + 1)
+    panel = np.minimum(
+        ((ux - ux[0]) * (panels / (ux[-1] - ux[0]))).astype(np.int64), panels - 1
+    )
+    starts = np.searchsorted(panel, np.arange(panels + 1))
+    out = np.empty((ux.size, r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(panels):
+            for s in range(starts[k], starts[k + 1], _CHEB_BLOCK):
+                e = min(s + _CHEB_BLOCK, starts[k + 1])
+                c = np.subtract(ux[s:e, None], nodes[k])
+                np.divide(_CHEB_W, c, out=c)
+                pq = c @ f1[k]
+                np.divide(pq[:, :r], pq[:, r:], out=out[s:e])
+    j = np.minimum(np.searchsorted(xs, ux), xs.size - 1)
+    on = xs[j] == ux
+    out[on] = fs[j[on]]
     return out[inverse]
 
 

@@ -134,6 +134,19 @@ def test_regress_adjoint_matches_reference_loop_bitwise(model):
         )
 
 
+def test_regress_adjoint_rejects_a_different_policy():
+    prob = portfolio_problem()
+    grid = portfolio_grid(cells=10, time_steps=6)
+    policy = PolicyField.zeros(grid, 1)
+    ens = simulate(prob, policy, 50, grid.time_steps, 0)
+    assert ens.policy is policy
+    # the same values in another field are accepted
+    regress_adjoint(prob, policy.copy(), ens, grid)
+    other = PolicyField(grid, policy.values + 1e-300)
+    with pytest.raises(ValueError, match="different policy"):
+        regress_adjoint(prob, other, ens, grid)
+
+
 def test_state_dependent_diffusion_unsupported():
     prob = portfolio_problem()
     prob.diffusion_state_dependent = True

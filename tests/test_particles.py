@@ -1,14 +1,20 @@
 """Particle simulation: exactness, statistics, reproducibility, failures."""
 
+import os
+import warnings
+
 import numpy as np
 import pytest
 
 from mfcontrol import (
+    CuckerSmaleParams,
     EmpiricalMeasure,
     MeasureKernel,
     MfcProblem,
     PolicyField,
     PortfolioParams,
+    cs2d_grid,
+    cs2d_problem,
     estimate_cost,
     portfolio_grid,
     portfolio_problem,
@@ -124,3 +130,42 @@ def test_measure_slices_pair_states_with_controls():
     assert isinstance(eta, EmpiricalMeasure)
     np.testing.assert_array_equal(eta.x, ens.states[10])
     np.testing.assert_array_equal(eta.a, ens.controls[10])
+
+
+def test_simulate_warns_when_particles_leave_the_grid_box():
+    # the initial inventories are uniform on [1, 2]; the grid stops at 1.5
+    params = PortfolioParams(domain_hi=(6.0, 1.5))
+    grid = portfolio_grid(params, cells=10, time_steps=10)
+    with pytest.warns(RuntimeWarning, match=r"outside the grid box .* dimension 1"):
+        simulate(portfolio_problem(params), _zero_policy(grid), 500, grid.time_steps, 0)
+
+
+@pytest.mark.parametrize(
+    "prob, grid",
+    [
+        (portfolio_problem(), portfolio_grid()),
+        (cs2d_problem(), cs2d_grid()),
+        (
+            cs2d_problem(CuckerSmaleParams(beta=10.0, kernel_subsample=500)),
+            cs2d_grid(CuckerSmaleParams(beta=10.0)),
+        ),
+    ],
+    ids=["portfolio", "cs2d", "cs2d-beta10"],
+)
+def test_default_configs_stay_in_the_grid_box(prob, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate(prob, _zero_policy(grid), 2_000, grid.time_steps, 0)
+
+
+def test_simulate_fails_fast_beyond_physical_memory(monkeypatch):
+    # 1 000 pages of 4 KiB: 4 MB of physical memory
+    pages = {"SC_PHYS_PAGES": 1_000, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    prob = portfolio_problem()
+    grid = portfolio_grid()
+    # (M+1)·N·(d+k) + M·N·n = 51·10 000·3 + 50·10 000·1 doubles, 16 MB
+    with pytest.raises(MemoryError, match=r"N=10000 .* M=50 .*8\*\(\(M\+1\)\*N"):
+        simulate(prob, _zero_policy(grid), 10_000, grid.time_steps, 0)
+    # a need within the limit runs: 51·100·3 + 50·100 doubles, 160 KB
+    simulate(prob, _zero_policy(grid), 100, grid.time_steps, 0)

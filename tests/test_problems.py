@@ -2,14 +2,18 @@
 
 The oracles below are the (P, L) pairwise formulas the kernels were first
 written with.  The kernels now sum over the distinct x-values with matrix
-products, so they agree with the oracles up to summation order.
+products, so they agree with the oracles up to summation order; with more
+distinct x-values than interpolation nodes they interpolate the sums in x,
+which agrees to rounding level.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfcontrol import CuckerSmaleParams, EmpiricalMeasure, cs2d_grid, cs2d_problem
-from mfcontrol.problems import _inv_pow
+from mfcontrol.problems import _cheb_nodes, _inv_pow, _kernel_sums
 
 
 def _oracle_align(p, x, v, etas):
@@ -94,3 +98,80 @@ def test_cs_kernels_match_pairwise_oracle(beta, kind):
     for weights in (None, u):
         got = prob.mu_drift.mean_contract(0.0, eta, X, a, weights=weights)
         _assert_close(got, _oracle_mean_contract(p, eta, X, weights))
+
+
+def _direct_loop(x, atoms, R, q, dx_moment=False):
+    """_kernel_sums as it was before the interpolation: every distinct x
+    summed directly over the atoms, in blocks of 64 rows."""
+    ux, inverse = np.unique(x, return_inverse=True)
+    out = np.empty((ux.size, R.shape[1]))
+    for lo in range(0, ux.size, 64):
+        dx = ux[lo : lo + 64, None] - atoms
+        w = np.multiply(dx, dx)
+        w += 1.0
+        w = _inv_pow(w, q, consume=True)
+        if dx_moment:
+            w *= dx
+        np.matmul(w, R, out=out[lo : lo + 64])
+    return out[inverse]
+
+
+def _atoms_and_R(rng, L=300):
+    atoms = rng.normal(2.0, 0.8, L)
+    return atoms, np.column_stack([rng.normal(1.5, 0.5, L), np.ones(L)])
+
+
+@pytest.mark.parametrize("q", [0.5, 10.0, 11.0])
+@pytest.mark.parametrize("kind", ["lattice", "repeated", "one-x", "single"])
+def test_kernel_sums_direct_path_is_bitwise_unchanged(kind, q):
+    # no more distinct x-values than interpolation nodes: the direct path
+    rng = np.random.default_rng(7)
+    if kind == "one-x":
+        x = np.full(300, 1.7)
+    elif kind == "single":
+        x = np.array([2.3])
+    else:
+        x = _points(kind, rng)[:, 0]
+    atoms, R = _atoms_and_R(rng)
+    for dx_moment in (False, True):
+        np.testing.assert_array_equal(
+            _kernel_sums(x, atoms, R, q, dx_moment), _direct_loop(x, atoms, R, q, dx_moment)
+        )
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 10.0, 11.0, 100.0])
+def test_kernel_sums_on_chebyshev_nodes_and_panel_edges(q):
+    rng = np.random.default_rng(8)
+    nodes = _cheb_nodes(0.0, 5.0, q)
+    edges = np.linspace(0.0, 5.0, nodes.shape[0] + 1)
+    x = np.concatenate([[0.0, 5.0], rng.uniform(0.0, 5.0, 700), nodes.ravel(), edges])
+    assert np.unique(x).size > nodes.size  # the interpolation path
+    atoms, R = _atoms_and_R(rng)
+    for dx_moment in (False, True):
+        got = _kernel_sums(x, atoms, R, q, dx_moment)
+        assert np.all(np.isfinite(got))
+        _assert_close(got, _direct_loop(x, atoms, R, q, dx_moment))
+        # a point exactly on a node takes the node's directly summed value
+        on_nodes = got[702 : 702 + nodes.size]
+        np.testing.assert_array_equal(
+            on_nodes, _direct_loop(nodes.ravel(), atoms, R, q, dx_moment)
+        )
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    q=st.floats(0.0, 100.0),
+    spread=st.floats(0.05, 2.0),
+    n=st.integers(200, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interpolated_kernel_sums_match_direct_sums(q, spread, n, seed):
+    rng = np.random.default_rng(seed)
+    L = int(rng.integers(1, 500))
+    x = rng.normal(2.0, spread, n)
+    atoms = rng.normal(2.0, spread, L)
+    R = rng.standard_normal((L, 2))
+    for dx_moment in (False, True):
+        want = _direct_loop(x, atoms, R, q, dx_moment)
+        got = _kernel_sums(x, atoms, R, q, dx_moment)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
