@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import PolicyField
+from .grids import PolicyField, SpaceTimeGrid
 from .measures import EmpiricalMeasure
 from .problem import MfcProblem
 from .prox import ell_value
@@ -137,7 +137,7 @@ def _check_memory(need: int, N: int, M: int) -> None:
         )
 
 
-def _warn_out_of_box(states: np.ndarray, grid) -> None:
+def _warn_out_of_box(states: np.ndarray, grid: SpaceTimeGrid) -> None:
     """Warn per dimension when too many particle-steps leave the grid box."""
     lo, hi = np.array(grid.lo), np.array(grid.hi)
     # over the steps first, which numpy reduces as contiguous rows: about

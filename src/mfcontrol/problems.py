@@ -200,7 +200,8 @@ _KERNEL_BLOCK = 64
 # piecewise Chebyshev interpolation of the kernel sums in x (see
 # _kernel_sums): first-kind nodes per panel, in ascending order, with their
 # barycentric weights (-1)^j sin(theta_j); panel width at most
-# min(_CHEB_MAX_WIDTH, 1 / sqrt(q + 1)); points per block of the evaluation
+# min(_CHEB_MAX_WIDTH, 1 / sqrt(q + 1)); points per block of the evaluation,
+# which bounds its temporaries to (_CHEB_BLOCK, _CHEB_N)
 _CHEB_N = 20
 _CHEB_THETA = (2 * np.arange(_CHEB_N) + 1) * np.pi / (2 * _CHEB_N)
 _CHEB_T = -np.cos(_CHEB_THETA)
