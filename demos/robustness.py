@@ -19,7 +19,6 @@ from mfcontrol import (
     portfolio_problem,
     simulate,
 )
-from mfcontrol.emreg import run_emreg
 from mfcontrol.nag import run
 
 EVAL_SEED = 1_000_003
@@ -36,7 +35,7 @@ def main():
 
     print("training both solvers on the nominal problem (Q0 ~ U(1, 2))")
     pde = run(nominal, grid, iterations=8, num_particles=10_000, seed=0)
-    reg = run_emreg(nominal, grid, iterations=8, num_particles=10_000, seed=0)
+    reg = run(nominal, grid, iterations=8, num_particles=10_000, seed=0, method="emreg")
     print(f"  nominal values: PDE {pde.records[-1].cost:.4f}, "
           f"regression {reg.records[-1].cost:.4f}")
 

@@ -6,7 +6,7 @@ the state law being realized by a seeded interacting-particle simulation.
 """
 
 from .config import ConfigError, RunConfig, parse_config
-from .emreg import PiecewiseConstantAdjoint, regress_adjoint, run_emreg
+from .emreg import PiecewiseConstantAdjoint, regress_adjoint
 from .fdsolver import AdjointField, assemble_source, backward_sweep, build_operator
 from .grids import (
     GridField,
@@ -97,7 +97,6 @@ __all__ = [
     "regress_adjoint",
     "riccati_steady_state",
     "run",
-    "run_emreg",
     "simulate",
     "solve_cs_riccati",
     "validate_derivatives",

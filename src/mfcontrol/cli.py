@@ -25,6 +25,7 @@ from .experiments import (
     sparsity_to_csv,
 )
 from .grids import field_from_csv
+from .nag import METHODS
 from .problem import validate_derivatives
 
 
@@ -37,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the configured solver")
     p_run.add_argument("config", help="path to a run configuration file")
-    p_run.add_argument("--method", choices=("fipde", "ipde", "emreg"),
+    p_run.add_argument("--method", choices=METHODS,
                        help="override the configured method")
     p_run.add_argument("--output", help="override the configured output directory")
 

@@ -14,6 +14,7 @@ import difflib
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
+from .nag import METHODS
 from .problems import (
     CuckerSmaleParams,
     PortfolioParams,
@@ -27,8 +28,6 @@ _PROBLEMS = {
     "portfolio": (PortfolioParams, portfolio_problem, portfolio_grid),
     "cs2d": (CuckerSmaleParams, cs2d_problem, cs2d_grid),
 }
-
-_METHODS = ("fipde", "ipde", "emreg")
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,10 @@ class RunConfig:
         if self.problem not in _PROBLEMS:
             known = ", ".join(sorted(_PROBLEMS))
             raise ConfigError(f"unknown problem {self.problem!r}; known: {known}")
-        if self.method not in _METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; known: {', '.join(_METHODS)}")
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown method {self.method!r}; known: {', '.join(METHODS)}")
+        if self.dump_adjoint and self.method == "emreg":
+            raise ConfigError("dump_adjoint writes the PDE adjoint; method emreg has none")
         for name, value in (
             ("cells", self.cells),
             ("time_steps", self.time_steps),

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import emreg, nag
+from . import nag
 from .config import RunConfig
 from .fdsolver import backward_sweep
 from .grids import PolicyField, field_from_csv, field_to_csv
@@ -43,20 +43,17 @@ def _load_initial_policy(config: RunConfig) -> Optional[PolicyField]:
 def execute_run(config: RunConfig) -> nag.RunReport:
     """Run the configured method and return its report (no files written)."""
     problem, grid = config.build()
-    common = dict(
+    return nag.run(
+        problem, grid,
         iterations=config.iterations,
         tau=config.tau,
         num_particles=config.particles,
         seed=config.seed,
         eval_seed=config.eval_seed,
+        method=config.method,
         kernel_subsample=config.kernel_subsample,
         initial_policy=_load_initial_policy(config),
-    )
-    if config.method == "emreg":
-        return emreg.run_emreg(problem, grid, method="fipde", **common)
-    return nag.run(
-        problem, grid, method=config.method,
-        momentum_cap=config.momentum_cap, **common,
+        momentum_cap=config.momentum_cap,
     )
 
 
@@ -85,7 +82,7 @@ def write_artifacts(config: RunConfig, report: nag.RunReport, out_dir: Path) -> 
 def _write_dumps(config: RunConfig, report: nag.RunReport, out_dir: Path) -> None:
     problem, grid = config.build()
     policy = report.lookahead if report.lookahead is not None else report.policy
-    if config.dump_adjoint and config.method != "emreg":
+    if config.dump_adjoint:
         ensemble = simulate(problem, policy, config.particles, grid.time_steps, config.seed)
         adjoint = backward_sweep(
             problem, policy, ensemble, grid, kernel_subsample=config.kernel_subsample

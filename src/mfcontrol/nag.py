@@ -4,8 +4,9 @@ Each outer iteration simulates the interacting-particle state law under the
 current lookahead policy, solves the adjoint PDE system backward on the
 grid, assembles the control gradient on the same grid and applies a
 proximal-gradient step with Nesterov momentum m / (m + 3).  Dropping the
-momentum term recovers the plain iterative variant; both share the exact
-same gradient evaluation.
+momentum term recovers the plain iterative variant; the regression baseline
+swaps the PDE solve for a particle regression of the adjoint.  All three
+share the exact same gradient evaluation and step.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .measures import EmpiricalMeasure
 from .particles import ParticleEnsemble, estimate_cost, simulate
 from .problem import MfcProblem
 from .prox import prox_apply
+
+# 'fipde' and 'ipde' solve the adjoint PDE with and without momentum;
+# 'emreg' regresses the adjoint on the particles, with momentum
+METHODS = ("fipde", "ipde", "emreg")
 
 
 def gradient_slice(
@@ -211,9 +216,10 @@ def run(
     momentum_cap: Optional[float] = None,
     callback: Optional[Callable[[int, NagState, RunReport], None]] = None,
 ) -> RunReport:
-    """Run the iterative PDE-based solver and report per-iteration costs.
+    """Run the iterative solver and report per-iteration costs.
 
-    `method` selects 'fipde' (with momentum) or 'ipde' (without).  The
+    `method` is one of :data:`METHODS`.  The regression starts each
+    iteration's cells from the previous iteration's adjoint.  The
     training ensemble reuses the same seed every iteration so the scheme is
     a deterministic fixed-point iteration on the policy; cost rows are
     estimated on a separate fixed evaluation seed (common random numbers
@@ -223,8 +229,12 @@ def run(
     wall time of the iteration producing it.  On failure a
     :class:`SolverError` carrying the partial report is raised.
     """
-    if method not in ("fipde", "ipde"):
-        raise ValueError(f"unknown method {method!r}; expected 'fipde' or 'ipde'")
+    # emreg imports this module, so it is imported here, and
+    # emreg.regress_adjoint is looked up at each call
+    from . import emreg
+
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     if iterations < 0:
         raise ValueError("iteration count must be nonnegative")
     M = grid.time_steps
@@ -245,7 +255,8 @@ def run(
         "time_steps": M,
     }
     report = RunReport(
-        method=method, problem_name=problem.name, records=[], settings=settings
+        method="emreg-fipde" if method == "emreg" else method,
+        problem_name=problem.name, records=[], settings=settings,
     )
 
     def eval_cost(policy: PolicyField) -> tuple[float, float]:
@@ -255,19 +266,26 @@ def run(
     cost0, err0 = eval_cost(state.phi)
     report.records.append(IterationRecord(0, cost0, err0, float("nan"), 0.0))
 
+    adjoint = None
     try:
         for m in range(iterations):
             tic = time.perf_counter()
             ensemble = simulate(problem, state.psi, num_particles, M, seed)
-            adjoint = backward_sweep(
-                problem, state.psi, ensemble, grid, kernel_subsample=kernel_subsample
-            )
+            if method == "emreg":
+                adjoint = emreg.regress_adjoint(
+                    problem, ensemble, grid,
+                    previous=adjoint, kernel_subsample=kernel_subsample,
+                )
+            else:
+                adjoint = backward_sweep(
+                    problem, state.psi, ensemble, grid, kernel_subsample=kernel_subsample
+                )
             grad = gradient_field(
                 problem, state.psi, ensemble, adjoint, kernel_subsample=kernel_subsample
             )
             state = nag_step(
                 state, grad, tau, problem,
-                accelerate=(method == "fipde"), momentum_cap=momentum_cap,
+                accelerate=(method != "ipde"), momentum_cap=momentum_cap,
             )
             wall_ms = (time.perf_counter() - tic) * 1e3
             cost, err = eval_cost(state.phi)

@@ -28,14 +28,12 @@ _OUT_OF_BOX_WARN = 0.01
 
 @dataclass
 class ParticleEnsemble:
-    """N particle paths on the Euler grid with per-step control evaluations,
-    and the policy they were simulated under (a reference, not a copy)."""
+    """N particle paths on the Euler grid with per-step control evaluations."""
 
     states: np.ndarray  # (M+1, N, d)
     controls: np.ndarray  # (M+1, N, k)
     dt: float
     seed: int
-    policy: PolicyField
 
     @property
     def num_particles(self) -> int:
@@ -118,9 +116,7 @@ def simulate(
         states[j + 1] = nxt
     controls[M] = policy.eval_slice(M, states[M])
     _warn_out_of_box(states, policy.grid)
-    return ParticleEnsemble(
-        states=states, controls=controls, dt=dt, seed=seed, policy=policy
-    )
+    return ParticleEnsemble(states=states, controls=controls, dt=dt, seed=seed)
 
 
 def _check_memory(need: int, N: int, M: int) -> None:

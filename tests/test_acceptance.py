@@ -28,7 +28,6 @@ from mfcontrol import (
     simulate,
     solve_cs_riccati,
 )
-from mfcontrol.emreg import run_emreg
 from mfcontrol.experiments import sparsity_report
 from mfcontrol.nag import run
 
@@ -194,7 +193,7 @@ def test_criterion_6_robustness_separation():
     prob = portfolio_problem()
     grid = portfolio_grid()
     pde = run(prob, grid, iterations=8, num_particles=10_000, seed=0)
-    reg = run_emreg(prob, grid, iterations=8, num_particles=10_000, seed=0)
+    reg = run(prob, grid, iterations=8, num_particles=10_000, seed=0, method="emreg")
 
     perturbed = portfolio_problem(PortfolioParams(q_lo=0.5, q_hi=2.5))
 

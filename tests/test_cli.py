@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -56,6 +56,19 @@ def test_run_method_and_output_overrides(tmp_path):
     payload = json.loads((out / "report.json").read_text())
     assert payload["method"] == "emreg-fipde"
 
+
+
+def test_emreg_run_honours_momentum_cap():
+    # momentum first acts on the lookahead of step 2, so a cap of 0 first
+    # changes the cost of phi^3
+    cfg = RunConfig(
+        problem="portfolio", method="emreg", cells=10, time_steps=10,
+        particles=200, iterations=3,
+    )
+    free = experiments.execute_run(cfg).costs
+    capped = experiments.execute_run(replace(cfg, momentum_cap=0.0)).costs
+    np.testing.assert_array_equal(capped[:3], free[:3])
+    assert capped[3] != free[3]
 
 def test_dumps_are_written_on_request(tmp_path):
     cfg = _cfg(

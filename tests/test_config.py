@@ -1,5 +1,7 @@
 """Configuration parsing, validation and round-trips."""
 
+from dataclasses import replace
+
 import pytest
 
 from mfcontrol import ConfigError, RunConfig, parse_config
@@ -94,6 +96,16 @@ def test_validation_errors():
     # zero iterations is a valid request (report the initial cost only)
     assert RunConfig(problem="portfolio", iterations=0).iterations == 0
 
+
+
+def test_dump_adjoint_rejected_for_emreg(tmp_path):
+    # the regression solves no adjoint PDE, so there is nothing to dump
+    text = "problem = portfolio\ndump_adjoint = true\n"
+    with pytest.raises(ConfigError, match="dump_adjoint"):
+        parse_config(_write(tmp_path, text + "method = emreg\n"))
+    # the same check covers the --method override of the CLI
+    with pytest.raises(ConfigError, match="dump_adjoint"):
+        replace(parse_config(_write(tmp_path, text)), method="emreg")
 
 def test_round_trip_through_items():
     cfg = RunConfig(

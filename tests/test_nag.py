@@ -148,11 +148,12 @@ def test_methods_diverge_after_momentum_kicks_in():
         run(prob, grid, iterations=-1)
 
 
-def test_callback_sees_every_iteration():
+@pytest.mark.parametrize("method", ["fipde", "emreg"])
+def test_callback_sees_every_iteration(method):
     prob = portfolio_problem()
     grid = portfolio_grid(cells=10, time_steps=10)
     seen = []
-    run(prob, grid, iterations=3, num_particles=100, seed=0,
+    run(prob, grid, iterations=3, num_particles=100, seed=0, method=method,
         callback=lambda m, state, report: seen.append((m, state.iteration)))
     assert seen == [(1, 1), (2, 2), (3, 3)]
 
