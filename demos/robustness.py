@@ -17,7 +17,6 @@ from mfcontrol import (
     estimate_cost,
     portfolio_grid,
     portfolio_problem,
-    simulate,
 )
 from mfcontrol.nag import run
 
@@ -25,8 +24,7 @@ EVAL_SEED = 1_000_003
 
 
 def frozen_cost(problem, policy, grid):
-    ens = simulate(problem, policy, 10_000, grid.time_steps, EVAL_SEED)
-    return estimate_cost(problem, policy, ens)[0]
+    return estimate_cost(problem, policy, 10_000, grid.time_steps, EVAL_SEED)[0]
 
 
 def main():

@@ -80,16 +80,18 @@ def write_artifacts(config: RunConfig, report: nag.RunReport, out_dir: Path) -> 
 
 
 def _write_dumps(config: RunConfig, report: nag.RunReport, out_dir: Path) -> None:
+    if not (config.dump_adjoint or config.dump_trajectories):
+        return
     problem, grid = config.build()
     policy = report.lookahead if report.lookahead is not None else report.policy
+    # the training ensemble of the last lookahead serves both dumps
+    ensemble = simulate(problem, policy, config.particles, grid.time_steps, config.seed)
     if config.dump_adjoint:
-        ensemble = simulate(problem, policy, config.particles, grid.time_steps, config.seed)
         adjoint = backward_sweep(
             problem, policy, ensemble, grid, kernel_subsample=config.kernel_subsample
         )
         field_to_csv(adjoint.u, out_dir / "adjoint_u.csv")
     if config.dump_trajectories:
-        ensemble = simulate(problem, policy, config.particles, grid.time_steps, config.seed)
         keep = min(100, ensemble.num_particles)
         with open(out_dir / "trajectories.csv", "w") as fh:
             cols = ["t", "particle"] + [f"x{i+1}" for i in range(problem.state_dim)]
@@ -159,8 +161,9 @@ def _sweep_cell(config: RunConfig, policy: PolicyField, q_min: float, q_max: flo
     """(frozen-policy cost, fresh-reference cost) on one perturbed law."""
     cell_cfg = _perturbed_config(config, q_min, q_max)
     problem, grid = cell_cfg.build()
-    ens = simulate(problem, policy, cell_cfg.particles, grid.time_steps, cell_cfg.eval_seed)
-    j_policy, _ = estimate_cost(problem, policy, ens)
+    j_policy, _ = estimate_cost(
+        problem, policy, cell_cfg.particles, grid.time_steps, cell_cfg.eval_seed
+    )
 
     # the reference is always a freshly trained PDE-based policy on the
     # perturbed law, regardless of which method produced the frozen policy

@@ -10,7 +10,6 @@ operator monotone.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Tuple
@@ -222,30 +221,33 @@ def max_principle_check(field: GridField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def field_to_csv(field: GridField, path) -> None:
-    """Serialize as rows `t, x1..xd, c1..cc` with 17 significant digits."""
+    """Serialize as rows `t, x1..xd, c1..cc` with 17 significant digits.
+
+    The lines end in CRLF.  Each time slice is formatted and written as one
+    block, so that the whole file is never held as one string.
+    """
     d = field.grid.state_dim
     c = field.components
     coords = field.grid.node_coords()
+    header = ["t"] + [f"x{i+1}" for i in range(d)] + [f"c{i+1}" for i in range(c)]
+    row = ",".join(["%.17g"] * (1 + d + c))
+    block = np.empty((coords.shape[0], 1 + d + c))
+    block[:, 1 : 1 + d] = coords
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{i+1}" for i in range(d)] + [f"c{i+1}" for i in range(c)])
+        fh.write(",".join(header) + "\r\n")
         for j, t in enumerate(field.grid.times):
-            vals = field.slice_flat(j)
-            for p in range(coords.shape[0]):
-                row = [f"{t:.17g}"]
-                row += [f"{v:.17g}" for v in coords[p]]
-                row += [f"{v:.17g}" for v in vals[p]]
-                writer.writerow(row)
+            block[:, 0] = t
+            block[:, 1 + d :] = field.slice_flat(j)
+            fh.write("\r\n".join([row % tuple(r) for r in block.tolist()]) + "\r\n")
 
 
 def field_from_csv(path, policy: bool = False) -> GridField:
     """Reconstruct a GridField written by field_to_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = sum(1 for name in header if name.startswith("x"))
-        c = sum(1 for name in header if name.startswith("c"))
-        rows = np.array([[float(v) for v in row] for row in reader])
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    d = sum(1 for name in header if name.startswith("x"))
+    c = sum(1 for name in header if name.startswith("c"))
     times = np.unique(rows[:, 0])
     axes = [np.unique(rows[:, 1 + i]) for i in range(d)]
     nodes = tuple(len(ax) for ax in axes)

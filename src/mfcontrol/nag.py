@@ -224,9 +224,12 @@ def run(
     a deterministic fixed-point iteration on the policy; cost rows are
     estimated on a separate fixed evaluation seed (common random numbers
     across iterations) so cost gaps between iterates are not drowned by
-    Monte Carlo noise.  Row m = 0 echoes the cost of the initial policy; row
-    m >= 1 reports the cost of phi^m together with the gradient norm and
-    wall time of the iteration producing it.  On failure a
+    Monte Carlo noise.  The evaluation sums the costs along its particle
+    loop and keeps no paths, and it runs after the training ensemble is
+    dropped, so at most one ensemble is held at a time.  Row m = 0 echoes
+    the cost of the initial policy; row m >= 1 reports the cost of phi^m
+    together with the gradient norm and wall time of the iteration
+    producing it.  On failure a
     :class:`SolverError` carrying the partial report is raised.
     """
     # emreg imports this module, so it is imported here, and
@@ -260,21 +263,20 @@ def run(
     )
 
     def eval_cost(policy: PolicyField) -> tuple[float, float]:
-        ens = simulate(problem, policy, num_particles, M, eval_seed)
-        return estimate_cost(problem, policy, ens)
+        return estimate_cost(problem, policy, num_particles, M, eval_seed)
 
     cost0, err0 = eval_cost(state.phi)
     report.records.append(IterationRecord(0, cost0, err0, float("nan"), 0.0))
 
-    adjoint = None
+    previous = None  # the regression's adjoint of the last iteration
     try:
         for m in range(iterations):
             tic = time.perf_counter()
             ensemble = simulate(problem, state.psi, num_particles, M, seed)
             if method == "emreg":
-                adjoint = emreg.regress_adjoint(
+                adjoint = previous = emreg.regress_adjoint(
                     problem, ensemble, grid,
-                    previous=adjoint, kernel_subsample=kernel_subsample,
+                    previous=previous, kernel_subsample=kernel_subsample,
                 )
             else:
                 adjoint = backward_sweep(
@@ -283,15 +285,18 @@ def run(
             grad = gradient_field(
                 problem, state.psi, ensemble, adjoint, kernel_subsample=kernel_subsample
             )
+            # the training ensemble and its adjoint go before the evaluation
+            # and the next simulate, so that one ensemble is alive at a time
+            del ensemble, adjoint
             state = nag_step(
                 state, grad, tau, problem,
                 accelerate=(method != "ipde"), momentum_cap=momentum_cap,
             )
+            grad_norm = _grad_norm(grad)
+            del grad
             wall_ms = (time.perf_counter() - tic) * 1e3
             cost, err = eval_cost(state.phi)
-            report.records.append(
-                IterationRecord(m + 1, cost, err, _grad_norm(grad), wall_ms)
-            )
+            report.records.append(IterationRecord(m + 1, cost, err, grad_norm, wall_ms))
             if callback is not None:
                 callback(m + 1, state, report)
     except Exception as exc:  # noqa: BLE001 - partial results matter here

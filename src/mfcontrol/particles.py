@@ -11,18 +11,19 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .grids import PolicyField, SpaceTimeGrid
+from .grids import PolicyField
 from .measures import EmpiricalMeasure
 from .problem import MfcProblem
 from .prox import ell_value
 
 _CHUNK = 4096  # fixed reduction chunk so results are schedule-independent
 # share of particle-steps outside the policy grid's box, per dimension, above
-# which simulate warns: the clamped interpolation makes the policy and the
-# adjoint constant out there
+# which the particle loop warns: the clamped interpolation makes the policy
+# and the adjoint constant out there
 _OUT_OF_BOX_WARN = 0.01
 
 
@@ -55,28 +56,8 @@ def _noise_streams(seed: int):
     )
 
 
-def simulate(
-    problem: MfcProblem,
-    policy: PolicyField,
-    N: int,
-    M: int,
-    seed: int,
-) -> ParticleEnsemble:
-    """Forward Euler-Maruyama interacting-particle system under `policy`.
-
-    The Brownian increments are drawn upfront from a counter-based (Philox)
-    stream in a fixed (step, particle, component) layout, so the ensemble is
-    bitwise reproducible for a given (seed, N, M) regardless of scheduling.
-
-    Memory: the states, the controls and the upfront noise of all steps are
-    held at once, (M+1)·N·d + (M+1)·N·k + M·N·n doubles, that is
-    O(M·N·(d + k + n)); about 16 MB for the portfolio model at M = 50,
-    N = 10 000.  A need above the machine's physical memory raises
-    MemoryError before anything is allocated.
-
-    Warns when more than _OUT_OF_BOX_WARN of the particle-steps lie outside
-    the policy grid's box in some dimension.
-    """
+def _check_inputs(problem: MfcProblem, policy: PolicyField, N: int, M: int) -> None:
+    """Raise ValueError unless `policy` fits the problem and the Euler grid."""
     if N < 1 or M < 1:
         raise ValueError("need N >= 1 and M >= 1")
     if policy.grid.time_steps != M:
@@ -86,37 +67,107 @@ def simulate(
     if policy.components != problem.control_dim:
         raise ValueError("policy component count differs from the control dimension")
 
-    d, k, n = problem.state_dim, problem.control_dim, problem.noise_dim
-    _check_memory(8 * ((M + 1) * N * (d + k) + M * N * n), N, M)
+
+def _euler(
+    problem: MfcProblem,
+    policy: PolicyField,
+    N: int,
+    M: int,
+    seed: int,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Euler-Maruyama steps of the interacting-particle system under `policy`.
+
+    Yields (j, x, a) for j = 0..M: the (N, d) states at t_j and the (N, k)
+    policy controls there.  Each step's arrays are new, so a consumer may
+    keep them, but must not write to them.  The Brownian increments are
+    drawn one step at a time, an (N, n) block per step from a counter-based
+    (Philox) stream: the same numbers, bit for bit, as one (M, N, n) draw,
+    so the paths are reproducible for a given (seed, N, M) regardless of
+    scheduling.  Only one step is held, O(N·(d + k + n)) doubles.
+
+    When exhausted, warns if more than _OUT_OF_BOX_WARN of the
+    particle-steps lie outside the policy grid's box in some dimension; the
+    warning points at the caller of the function that iterates this one.
+    """
+    d, n = problem.state_dim, problem.noise_dim
     dt = problem.horizon / M
+    sqrt_dt = np.sqrt(dt)
     rng_init, rng_noise = _noise_streams(seed)
-
-    states = np.empty((M + 1, N, d))
-    controls = np.empty((M + 1, N, k))
-    states[0] = problem.initial_sampler(N, rng_init)
-    if states[0].shape != (N, d):
+    x = np.ascontiguousarray(problem.initial_sampler(N, rng_init), dtype=float)
+    if x.shape != (N, d):
         raise ValueError("initial sampler returned a wrong shape")
-    dW = rng_noise.standard_normal((M, N, n)) * np.sqrt(dt)
+    lo, hi = policy.grid.lo, policy.grid.hi
+    outside = [0] * d
 
-    for j in range(M):
-        t = j * dt
-        x = states[j]
+    for j in range(M + 1):
+        # out-of-box tally: the extrema of each column, about 12 us each at
+        # N = 10 000, and a per-point mask only where a column leaves the
+        # box; an (N, d) broadcast compare took 0.2-0.35 ms per step
+        for i in range(d):
+            col = x[:, i]
+            if col.min() < lo[i] or col.max() > hi[i]:
+                outside[i] += int(np.count_nonzero((col < lo[i]) | (col > hi[i])))
         a = policy.eval_slice(j, x)
-        controls[j] = a
+        yield j, x, a
+        if j == M:
+            break
         eta = EmpiricalMeasure(x, a)
-        b = problem.drift(t, x, a, eta)
-        sig = problem.diffusion(t, x, a, eta)
-        nxt = x + b * dt + np.einsum("pir,pr->pi", sig, dW[j])
+        b = problem.drift(j * dt, x, a, eta)
+        sig = problem.diffusion(j * dt, x, a, eta)
+        dW = rng_noise.standard_normal((N, n)) * sqrt_dt
+        nxt = x + b * dt + np.einsum("pir,pr->pi", sig, dW)
         if not np.all(np.isfinite(nxt)):
             l = int(np.argwhere(~np.isfinite(nxt).all(axis=1))[0][0])
             raise FloatingPointError(
                 f"non-finite state at step {j + 1}, particle {l}; "
                 "check drift/diffusion growth or the time step"
             )
-        states[j + 1] = nxt
-    controls[M] = policy.eval_slice(M, states[M])
-    _warn_out_of_box(states, policy.grid)
-    return ParticleEnsemble(states=states, controls=controls, dt=dt, seed=seed)
+        x = nxt
+
+    for i in range(d):
+        frac = outside[i] / ((M + 1) * N)
+        if frac > _OUT_OF_BOX_WARN:
+            warnings.warn(
+                f"{frac:.1%} of the particle-steps lie outside the grid box "
+                f"[{lo[i]}, {hi[i]}] in dimension {i}; the policy and the "
+                "adjoint are clamped to constants there",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+
+
+def simulate(
+    problem: MfcProblem,
+    policy: PolicyField,
+    N: int,
+    M: int,
+    seed: int,
+) -> ParticleEnsemble:
+    """Forward Euler-Maruyama interacting-particle system under `policy`.
+
+    Records every step of the particle loop (see _euler): the paths are
+    bitwise reproducible for a given (seed, N, M) regardless of scheduling.
+
+    Memory: the states and the controls of all steps, plus one step's
+    noise, (M+1)·N·(d + k) + N·n doubles, that is O(M·N·(d + k)); about
+    12 MB for the portfolio model at M = 50, N = 10 000.  A need above the
+    machine's physical memory raises MemoryError before anything is
+    allocated.
+
+    Warns when more than _OUT_OF_BOX_WARN of the particle-steps lie outside
+    the policy grid's box in some dimension.
+    """
+    _check_inputs(problem, policy, N, M)
+    d, k, n = problem.state_dim, problem.control_dim, problem.noise_dim
+    _check_memory(8 * ((M + 1) * N * (d + k) + N * n), N, M)
+    states = np.empty((M + 1, N, d))
+    controls = np.empty((M + 1, N, k))
+    for j, x, a in _euler(problem, policy, N, M, seed):
+        states[j] = x
+        controls[j] = a
+    return ParticleEnsemble(
+        states=states, controls=controls, dt=problem.horizon / M, seed=seed
+    )
 
 
 def _check_memory(need: int, N: int, M: int) -> None:
@@ -128,52 +179,37 @@ def _check_memory(need: int, N: int, M: int) -> None:
     if 0 < total < need:
         raise MemoryError(
             f"simulate needs {need / 2**20:.0f} MiB for N={N} particles and "
-            f"M={M} steps, 8*((M+1)*N*(d+k) + M*N*n) bytes, more than the "
+            f"M={M} steps, 8*((M+1)*N*(d+k) + N*n) bytes, more than the "
             f"{total / 2**20:.0f} MiB of physical memory"
         )
-
-
-def _warn_out_of_box(states: np.ndarray, grid: SpaceTimeGrid) -> None:
-    """Warn per dimension when too many particle-steps leave the grid box."""
-    lo, hi = np.array(grid.lo), np.array(grid.hi)
-    # over the steps first, which numpy reduces as contiguous rows: about
-    # 1.8 ms on a (51, 10 000, 2) ensemble, against 4.7 ms for the
-    # (51·10 000, 2) array along axis 0
-    low = states.min(axis=0).min(axis=0)
-    high = states.max(axis=0).max(axis=0)
-    for i in np.flatnonzero((low < lo) | (high > hi)):
-        col = states[..., i]
-        frac = np.count_nonzero((col < lo[i]) | (col > hi[i])) / col.size
-        if frac > _OUT_OF_BOX_WARN:
-            warnings.warn(
-                f"{frac:.1%} of the particle-steps lie outside the grid box "
-                f"[{lo[i]}, {hi[i]}] in dimension {i}; the policy and the "
-                "adjoint are clamped to constants there",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
 
 def estimate_cost(
     problem: MfcProblem,
     policy: PolicyField,
-    ensemble: ParticleEnsemble,
+    N: int,
+    M: int,
+    seed: int,
 ) -> tuple[float, float]:
-    """Monte-Carlo cost of the policy on the ensemble: (mean, standard error).
+    """Monte-Carlo cost of the policy: (mean, standard error).
 
-    Per-particle cost: sum_{j<M} [f(t_j, X_j, a_j, mu_j) + ell(a_j)] dt
-    plus g(X_M, mu_M).
+    Runs the particle loop of `simulate` with the same arguments and sums
+    the per-particle cost
+    sum_{j<M} [f(t_j, X_j, a_j, mu_j) + ell(a_j)] dt + g(X_M, mu_M)
+    as it goes, keeping no paths: O(N·(d + k + n)) memory.  The result is
+    bitwise the cost of the ensemble that `simulate` would return.  Warns
+    as `simulate` does when particles leave the policy grid's box.
     """
-    M = ensemble.time_steps
-    N = ensemble.num_particles
-    dt = ensemble.dt
+    _check_inputs(problem, policy, N, M)
+    dt = problem.horizon / M
     total = np.zeros(N)
-    for j in range(M):
-        eta = ensemble.measure(j)
-        f = problem.running_cost(j * dt, ensemble.states[j], ensemble.controls[j], eta)
-        total += (f + ell_value(problem.nonsmooth_cost, ensemble.controls[j])) * dt
-    mu_T = ensemble.measure(M)
-    total += problem.terminal_cost(ensemble.states[M], mu_T)
+    for j, x, a in _euler(problem, policy, N, M, seed):
+        eta = EmpiricalMeasure(x, a)
+        if j < M:
+            f = problem.running_cost(j * dt, x, a, eta)
+            total += (f + ell_value(problem.nonsmooth_cost, a)) * dt
+        else:
+            total += problem.terminal_cost(x, eta)
     mean = _chunked_mean(total)
     std_err = float(total.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
     return float(mean), std_err

@@ -198,8 +198,7 @@ def test_criterion_6_robustness_separation():
     perturbed = portfolio_problem(PortfolioParams(q_lo=0.5, q_hi=2.5))
 
     def frozen_cost(policy):
-        ens = simulate(perturbed, policy, 10_000, grid.time_steps, 1_000_003)
-        return estimate_cost(perturbed, policy, ens)[0]
+        return estimate_cost(perturbed, policy, 10_000, grid.time_steps, 1_000_003)[0]
 
     ref = run(perturbed, grid, iterations=8, num_particles=10_000, seed=0)
     j_ref = ref.records[-1].cost

@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from mfcontrol import PolicyField, experiments, field_from_csv
+from mfcontrol import PolicyField, experiments, field_from_csv, simulate
 from mfcontrol.cli import main
 from mfcontrol.config import RunConfig
 from mfcontrol.experiments import (
@@ -83,6 +83,26 @@ def test_dumps_are_written_on_request(tmp_path):
     lines = (out / "trajectories.csv").read_text().splitlines()
     assert lines[0] == "t,particle,x1,x2"
     assert len(lines) == 1 + 11 * 100
+
+
+def test_dumps_simulate_the_training_ensemble_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_simulate(*args):
+        calls.append(args[2:])
+        return simulate(*args)
+
+    monkeypatch.setattr(experiments, "simulate", counting_simulate)
+    cfg = _cfg(
+        tmp_path,
+        TINY + "dump_adjoint = true\ndump_trajectories = true\n"
+        f"output = {tmp_path / 'out'}\n",
+    )
+    assert main(["run", cfg]) == 0
+    # N, M and the training seed; the solve itself simulates through nag
+    assert calls == [(200, 10, 0)]
+    assert (tmp_path / "out" / "adjoint_u.csv").is_file()
+    assert (tmp_path / "out" / "trajectories.csv").is_file()
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

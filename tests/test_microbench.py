@@ -16,6 +16,7 @@ from mfcontrol import (
     build_operator,
     cs2d_grid,
     cs2d_problem,
+    estimate_cost,
     multilinear_eval,
     portfolio_grid,
     portfolio_problem,
@@ -62,6 +63,18 @@ def test_factor_and_solve_portfolio_slice(benchmark):
 
     out = benchmark.pedantic(step, rounds=10, iterations=2, warmup_rounds=1)
     assert out.shape == (grid.num_nodes, 2)
+
+
+def test_estimate_cost_portfolio_10k_particles(benchmark):
+    # one cost row of a portfolio solve: the streamed Euler loop at
+    # N = 10 000, M = 50, summing the costs along the way
+    problem, grid = portfolio_problem(), portfolio_grid()
+    policy = PolicyField.zeros(grid, 1)
+    cost, stderr = benchmark.pedantic(
+        estimate_cost, args=(problem, policy, 10_000, grid.time_steps, 1_000_003),
+        rounds=3, iterations=1, warmup_rounds=1,
+    )
+    assert np.isfinite(cost) and stderr > 0
 
 
 def _cs_measure(n, seed):

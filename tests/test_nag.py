@@ -1,5 +1,7 @@
 """Proximal-gradient driver: updates, gradient assembly, run reports."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from mfcontrol import (
     portfolio_problem,
     simulate,
 )
+from mfcontrol import nag
 from mfcontrol.fdsolver import AdjointField
 from mfcontrol.nag import (
     NagState,
@@ -24,6 +27,7 @@ from mfcontrol.nag import (
     nag_step,
     run,
 )
+from mfcontrol.particles import ParticleEnsemble
 from mfcontrol.prox import ProxSpec, prox_apply
 
 
@@ -156,6 +160,33 @@ def test_callback_sees_every_iteration(method):
     run(prob, grid, iterations=3, num_particles=100, seed=0, method=method,
         callback=lambda m, state, report: seen.append((m, state.iteration)))
     assert seen == [(1, 1), (2, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("method", ["fipde", "emreg"])
+def test_run_holds_one_ensemble_at_a_time(method, monkeypatch):
+    # no ensemble may be alive when the next simulation or a cost row starts
+    alive_at_start = []
+
+    def ensembles():
+        gc.collect()
+        return sum(isinstance(o, ParticleEnsemble) for o in gc.get_objects())
+
+    def watched(fn):
+        def call(*args):
+            alive_at_start.append((fn.__name__, ensembles()))
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(nag, "simulate", watched(nag.simulate))
+    monkeypatch.setattr(nag, "estimate_cost", watched(nag.estimate_cost))
+    prob = portfolio_problem()
+    grid = portfolio_grid(cells=10, time_steps=10)
+    run(prob, grid, iterations=2, num_particles=100, seed=0, method=method)
+    assert alive_at_start == [
+        ("estimate_cost", 0),
+        ("simulate", 0), ("estimate_cost", 0),
+        ("simulate", 0), ("estimate_cost", 0),
+    ]
 
 
 def test_failure_carries_partial_report():

@@ -1,6 +1,7 @@
 """Particle simulation: exactness, statistics, reproducibility, failures."""
 
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from mfcontrol import (
     portfolio_problem,
     simulate,
 )
+from mfcontrol.prox import ell_value
 
 
 def _zero_policy(grid, k=1):
@@ -35,7 +37,7 @@ def test_constant_coefficients_are_integrated_exactly():
     q0 = ens.states[0, :, 1]
     np.testing.assert_allclose(ens.states[-1, :, 0], 2.0, atol=1e-12)
     np.testing.assert_allclose(ens.states[-1, :, 1], q0, atol=1e-12)
-    cost, stderr = estimate_cost(prob, _zero_policy(grid), ens)
+    cost, stderr = estimate_cost(prob, _zero_policy(grid), 2_000, grid.time_steps, 11)
     expected = (q0**2 * 1.0 - q0 * (2.0 - 0.5 * q0)).mean()
     np.testing.assert_allclose(cost, expected, rtol=0, atol=1e-12)
     assert stderr > 0
@@ -78,10 +80,10 @@ def test_estimate_cost_uses_common_ensemble():
     prob = portfolio_problem()
     grid = portfolio_grid()
     pol = _zero_policy(grid)
-    ens = simulate(prob, pol, 1_000, grid.time_steps, 1)
-    c1 = estimate_cost(prob, pol, ens)
-    c2 = estimate_cost(prob, pol, ens)
+    c1 = estimate_cost(prob, pol, 1_000, grid.time_steps, 1)
+    c2 = estimate_cost(prob, pol, 1_000, grid.time_steps, 1)
     assert c1 == c2
+    assert estimate_cost(prob, pol, 1_000, grid.time_steps, 2) != c1
 
 
 def test_simulate_validates_inputs():
@@ -164,8 +166,118 @@ def test_simulate_fails_fast_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
     prob = portfolio_problem()
     grid = portfolio_grid()
-    # (M+1)·N·(d+k) + M·N·n = 51·10 000·3 + 50·10 000·1 doubles, 16 MB
-    with pytest.raises(MemoryError, match=r"N=10000 .* M=50 .*8\*\(\(M\+1\)\*N"):
+    # (M+1)·N·(d+k) + N·n = 51·10 000·3 + 10 000·1 doubles, 12.3 MB
+    with pytest.raises(
+        MemoryError, match=r"N=10000 .* M=50 .*8\*\(\(M\+1\)\*N\*\(d\+k\) \+ N\*n\)"
+    ):
         simulate(prob, _zero_policy(grid), 10_000, grid.time_steps, 0)
-    # a need within the limit runs: 51·100·3 + 50·100 doubles, 160 KB
+    # a need within the limit runs: 51·100·3 + 100 doubles, 123 KB
     simulate(prob, _zero_policy(grid), 100, grid.time_steps, 0)
+
+
+# ---------------------------------------------------------------------------
+# the streamed particle loop against the loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _upfront_simulate(problem, policy, N, M, seed):
+    """The particle loop with every Brownian increment drawn before it."""
+    d, k, n = problem.state_dim, problem.control_dim, problem.noise_dim
+    dt = problem.horizon / M
+    init_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
+    rng_init = np.random.Generator(np.random.Philox(init_seq))
+    rng_noise = np.random.Generator(np.random.Philox(noise_seq))
+    states = np.empty((M + 1, N, d))
+    controls = np.empty((M + 1, N, k))
+    states[0] = problem.initial_sampler(N, rng_init)
+    dW = rng_noise.standard_normal((M, N, n)) * np.sqrt(dt)
+    for j in range(M):
+        x = states[j]
+        a = policy.eval_slice(j, x)
+        controls[j] = a
+        eta = EmpiricalMeasure(x, a)
+        b = problem.drift(j * dt, x, a, eta)
+        sig = problem.diffusion(j * dt, x, a, eta)
+        states[j + 1] = x + b * dt + np.einsum("pir,pr->pi", sig, dW[j])
+    controls[M] = policy.eval_slice(M, states[M])
+    return states, controls
+
+
+def _ensemble_cost(problem, states, controls):
+    """Cost of a stored ensemble, summed slice by slice after the loop."""
+    M, N = states.shape[0] - 1, states.shape[1]
+    dt = problem.horizon / M
+    total = np.zeros(N)
+    for j in range(M):
+        eta = EmpiricalMeasure(states[j], controls[j])
+        f = problem.running_cost(j * dt, states[j], controls[j], eta)
+        total += (f + ell_value(problem.nonsmooth_cost, controls[j])) * dt
+    total += problem.terminal_cost(states[M], EmpiricalMeasure(states[M], controls[M]))
+    acc = 0.0
+    for lo in range(0, N, 4096):
+        acc += total[lo : lo + 4096].sum(axis=0)
+    return float(acc / N), float(total.std(ddof=1) / np.sqrt(N))
+
+
+def _wavy_policy(grid, k):
+    # smooth, of both signs and small enough to keep the particles in the box
+    X = grid.node_coords()
+    t = grid.times[:, None, None]
+    vals = 0.3 * np.sin(X.sum(axis=1)[None, :, None] + 2.0 * t + np.arange(k))
+    return PolicyField(grid, vals.reshape((grid.time_steps + 1,) + grid.nodes + (k,)))
+
+
+_ORACLE_CASES = [
+    # with the l1 control cost, so that ell enters the running cost
+    (portfolio_problem(PortfolioParams(k2=0.1)), portfolio_grid(), 2_000, 7),
+    (
+        cs2d_problem(CuckerSmaleParams(beta=10.0, kernel_subsample=500)),
+        cs2d_grid(CuckerSmaleParams(beta=10.0), time_steps=20),
+        2_000,
+        3,
+    ),
+]
+
+
+@pytest.mark.parametrize("prob, grid, N, seed", _ORACLE_CASES, ids=["portfolio", "cs2d-beta10"])
+def test_streamed_loop_matches_upfront_noise_bitwise(prob, grid, N, seed):
+    policy = _wavy_policy(grid, prob.control_dim)
+    states, controls = _upfront_simulate(prob, policy, N, grid.time_steps, seed)
+    ens = simulate(prob, policy, N, grid.time_steps, seed)
+    assert ens.states.tobytes() == states.tobytes()
+    assert ens.controls.tobytes() == controls.tobytes()
+    cost = estimate_cost(prob, policy, N, grid.time_steps, seed)
+    assert cost == _ensemble_cost(prob, states, controls)
+    # a mean over a few particles keeps the last bits of each particle's sum
+    for s in range(4):
+        states, controls = _upfront_simulate(prob, policy, 3, grid.time_steps, s)
+        cost = estimate_cost(prob, policy, 3, grid.time_steps, s)
+        assert cost == _ensemble_cost(prob, states, controls)
+
+
+def test_estimate_cost_holds_one_step_not_the_paths():
+    prob = portfolio_problem()
+    grid = portfolio_grid()
+    policy = _zero_policy(grid)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        estimate_cost(prob, policy, 10_000, grid.time_steps, 0)
+        cost_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        simulate(prob, policy, 10_000, grid.time_steps, 0)
+        simulate_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # simulate holds (M+1)·N·(d+k) doubles, 12.2 MB; the evaluation a few
+    # (N, d+k+n) arrays
+    assert simulate_peak > 12e6
+    assert cost_peak < simulate_peak / 4, (cost_peak, simulate_peak)
+
+
+def test_estimate_cost_warns_when_particles_leave_the_grid_box():
+    params = PortfolioParams(domain_hi=(6.0, 1.5))
+    grid = portfolio_grid(params, cells=10, time_steps=10)
+    with pytest.warns(RuntimeWarning, match=r"outside the grid box .* dimension 1"):
+        estimate_cost(portfolio_problem(params), _zero_policy(grid), 500, grid.time_steps, 0)

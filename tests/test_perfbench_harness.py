@@ -36,11 +36,13 @@ finally:
     tracer.restore()
 calls = {name: tracer.calls(name) for name in (
     "nag.run", "emreg.run_emreg", "emreg.regress_adjoint",
-    "fdsolver.build_operator", "particles.simulate",
+    "fdsolver.build_operator", "particles.simulate", "particles.estimate_cost",
 )}
+# one training simulation per iteration; the cost rows stream their own
 assert calls == {
     "nag.run": 1, "emreg.run_emreg": 0, "emreg.regress_adjoint": 2,
-    "fdsolver.build_operator": 0, "particles.simulate": 5,
+    "fdsolver.build_operator": 0, "particles.simulate": 2,
+    "particles.estimate_cost": 3,
 }, calls
 print("ok")
 """
