@@ -31,16 +31,31 @@ from .particles import estimate_cost, simulate  # noqa: F401
 
 
 def cell_index(grid: SpaceTimeGrid, x: np.ndarray) -> np.ndarray:
-    """Flat index of the grid cell containing each point (clamped to the box)."""
-    lo = np.array(grid.lo)
-    n = np.array(grid.nodes)
-    idx = np.floor((np.asarray(x) - lo) / grid.h).astype(np.int64)
-    np.clip(idx, 0, n - 2, out=idx)
-    ncells = n - 1
-    strides = np.ones(grid.state_dim, dtype=np.int64)
-    for i in range(grid.state_dim - 2, -1, -1):
-        strides[i] = strides[i + 1] * ncells[i + 1]
-    return idx @ strides
+    """Flat index of the grid cell containing each point (clamped to the box).
+
+    Cells are numbered in C order over the (n_i - 1) cells per dimension; a
+    point on an upper face lies in the last cell.  Each coordinate's cell
+    floor((x_i - lo_i) / h_i) is clamped to [0, n_i - 2] while still a float
+    and accumulated into the flat index one dimension at a time.
+    """
+    x = np.asarray(x)
+    flat = None
+    stride = 1
+    for i in range(grid.state_dim - 1, -1, -1):
+        u = x[:, i] - grid.lo[i]
+        u /= grid.h[i]
+        np.floor(u, out=u)
+        # ufuncs rather than np.clip, whose wrapper costs more than the clip
+        np.maximum(u, 0.0, out=u)
+        np.minimum(u, grid.nodes[i] - 2, out=u)
+        if flat is None:
+            flat = u
+        else:
+            u *= stride
+            flat += u
+        stride *= grid.nodes[i] - 1
+    # a sum of integers below 2^53 is exact in float64
+    return flat.astype(np.int64)
 
 
 def cell_regression(
@@ -71,16 +86,28 @@ def _cell_means(idx: np.ndarray, targets: np.ndarray, fallback: np.ndarray) -> n
 
 @dataclass
 class PiecewiseConstantAdjoint:
-    """Cell-constant adjoint approximation with the PDE-field protocol."""
+    """Cell-constant adjoint approximation with the PDE-field protocol.
+
+    u_at_points looks up each point's cell; mean_at gives only the mean of
+    those values over the points, from the count of points per cell.
+    """
 
     grid: SpaceTimeGrid
     cells: np.ndarray  # (M+1, num_cells, c)
 
     def u_at_points(self, j: int, x: np.ndarray) -> np.ndarray:
-        return self.cells[j][cell_index(self.grid, x)]
+        return self.cells[j].take(cell_index(self.grid, x), axis=0)
 
     def u_at_nodes(self, j: int) -> np.ndarray:
-        return self.cells[j][self._node_cells]
+        return self.cells[j].take(self._node_cells, axis=0)
+
+    def mean_at(self, j: int, x: np.ndarray) -> np.ndarray:
+        """u_at_points(j, x).mean(axis=0) up to summation order; shape (c,).
+
+        The mean is read off the histogram of the points over the cells.
+        """
+        counts = np.bincount(cell_index(self.grid, x), minlength=self.cells.shape[1])
+        return counts @ self.cells[j] / x.shape[0]
 
     @cached_property
     def _node_cells(self) -> np.ndarray:
@@ -151,7 +178,7 @@ def regress_adjoint(
     idx = cell_index(grid, ensemble.states[M])
     cells[M] = _cell_means(idx, term, fallback[M])
     for j in range(M, 0, -1):
-        u_here = cells[j][idx]
+        u_here = cells[j].take(idx, axis=0)
         src = _pointwise_source(
             problem, j * grid.dt, ensemble.measure(j), u_here,
             kernel_subsample=kernel_subsample,

@@ -5,7 +5,8 @@ multilinear tent-function interpolation in space (clamped to the bounding
 box) and, for policies, piecewise-constant evaluation in time on the Euler
 partition.  The interpolation weights are nonnegative, sum to one and are
 supported on the 2^d corners of the enclosing cell, which makes the
-operator monotone.
+operator monotone.  Its transpose, the cloud-in-cell deposit of points on
+the nodes, uses the same cells and weights.
 """
 
 from __future__ import annotations
@@ -121,21 +122,19 @@ class SpaceTimeGrid:
         return min(max(j, 0), self.time_steps)
 
 
-def multilinear_eval(grid: SpaceTimeGrid, slice_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Tent-function interpolation of one time slice at query points.
+def _cell_weights(grid: SpaceTimeGrid, x) -> tuple[np.ndarray, list]:
+    """Cells and tent weights of query points x, shape (P, d).
 
-    slice_values has shape (*grid.nodes, c); x has shape (P, d).  Points are
-    clamped componentwise to the bounding box before weights are computed,
-    so the field extends constantly outside the domain.
+    Returns the flat index of the lowest node of each point's cell, shape
+    (P,), and the weights of the cell's 2^d corners, a list of (P,) arrays
+    in the order of grid._corner_offsets.  Points are clamped componentwise
+    to the bounding box first; a point on an upper face lies in the last
+    cell.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
         bad = np.argwhere(~np.isfinite(x))[0]
         raise ValueError(f"non-finite query coordinate {bad[1]} at point {bad[0]}")
-    c = slice_values.shape[-1]
-    # c == 1 is evaluated on 1-D arrays; the arithmetic is the same
-    flat = slice_values.reshape(-1) if c == 1 else slice_values.reshape(-1, c)
-
     base = 0
     for i in range(grid.state_dim):
         # clamp to the box; with the bound as first operand, maximum and
@@ -158,8 +157,22 @@ def multilinear_eval(grid: SpaceTimeGrid, slice_values: np.ndarray, x: np.ndarra
             weights = [lower, frac]
         else:
             weights = [w * lower for w in weights] + [w * frac for w in weights]
+    return base, weights
 
-    out = np.zeros((x.shape[0],) + flat.shape[1:])
+
+def multilinear_eval(grid: SpaceTimeGrid, slice_values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Tent-function interpolation of one time slice at query points.
+
+    slice_values has shape (*grid.nodes, c); x has shape (P, d).  Points are
+    clamped componentwise to the bounding box before weights are computed,
+    so the field extends constantly outside the domain.
+    """
+    c = slice_values.shape[-1]
+    # c == 1 is evaluated on 1-D arrays; the arithmetic is the same
+    flat = slice_values.reshape(-1) if c == 1 else slice_values.reshape(-1, c)
+    base, weights = _cell_weights(grid, x)
+
+    out = np.zeros(base.shape + flat.shape[1:])
     index = np.empty_like(base)
     corner = np.empty_like(out)
     for w, offset in zip(weights, grid._corner_offsets):
@@ -168,6 +181,25 @@ def multilinear_eval(grid: SpaceTimeGrid, slice_values: np.ndarray, x: np.ndarra
         corner *= w if c == 1 else w[:, None]
         out += corner
     return out if c > 1 else out[:, None]
+
+
+def deposit(grid: SpaceTimeGrid, x: np.ndarray) -> np.ndarray:
+    """Cloud-in-cell deposit of the points x on the nodes, shape (num_nodes,).
+
+    Node k receives the tent weight of node k at every point: the transpose
+    of multilinear_eval, so for node values F of shape (num_nodes, c),
+    deposit(grid, x) @ F equals multilinear_eval(grid, F, x).sum(axis=0) up
+    to summation order.  The entries are nonnegative and sum to len(x).
+    """
+    base, weights = _cell_weights(grid, x)
+    P = grid.num_nodes
+    rho = np.zeros(P)
+    for w, offset in zip(weights, grid._corner_offsets):
+        # base + offset < P, so a corner's deposit is the weight count at
+        # the cell's lowest node shifted by the corner's offset; no
+        # per-point index array is formed
+        rho[offset:] += np.bincount(base, weights=w, minlength=P - offset)
+    return rho
 
 
 @dataclass

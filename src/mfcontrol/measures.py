@@ -115,6 +115,12 @@ class MeasureKernel:
             and self.contract_fn is None
         )
 
+    def const_contract(self, mean_weights: np.ndarray) -> np.ndarray:
+        """A constant kernel contracted against the carrier mean of the
+        weights, shape out_shape[mean_weights.ndim:]: the value that
+        mean_contract returns at every evaluation point."""
+        return np.tensordot(mean_weights, self.const, axes=mean_weights.ndim)
+
     def mean_contract(
         self,
         t: float,
@@ -139,7 +145,7 @@ class MeasureKernel:
         if self.const is not None:
             if weights is None:
                 return np.broadcast_to(self.const, (P,) + self.out_shape).copy()
-            contracted = np.tensordot(weights.mean(axis=0), self.const, axes=weights.ndim - 1)
+            contracted = self.const_contract(weights.mean(axis=0))
             return np.broadcast_to(contracted, (P,) + contracted.shape).copy()
 
         if self.carrier_fn is not None:

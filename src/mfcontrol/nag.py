@@ -43,8 +43,12 @@ def gradient_slice(
     Local part: (da b)^T u + da f at each node.  Nonlocal part: particle
     averages of the control-measure derivative kernels of the drift and the
     running cost, the drift kernel contracted against the adjoint field at
-    the particle locations.  Control-dependent diffusion adds the
-    corresponding contractions against v = (grad_x u) sigma.
+    the particle locations.  A constant drift kernel (the portfolio model's
+    lam * E[u]) needs only the mean of the adjoint over the particles,
+    which ``adjoint.mean_at`` reads off the node deposit or the cell
+    histogram of the particles, so the adjoint is not evaluated at each
+    particle for it.  Control-dependent diffusion adds the corresponding
+    contractions against v = (grad_x u) sigma.
     """
     grid = policy.grid
     t = j * grid.dt
@@ -58,7 +62,9 @@ def gradient_slice(
     grad += np.asarray(problem.da_running(t, X, psi, eta))
 
     eta_k = eta.strided(kernel_subsample)
-    if not problem.nu_drift.is_zero:
+    if problem.nu_drift.const is not None:
+        grad += problem.nu_drift.const_contract(adjoint.mean_at(j, eta_k.x))
+    elif not problem.nu_drift.is_zero:
         w = adjoint.u_at_points(j, eta_k.x)
         grad += problem.nu_drift.mean_contract(t, eta_k, X, psi, weights=w)
     if not problem.nu_running.is_zero:

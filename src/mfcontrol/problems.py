@@ -248,7 +248,8 @@ def _kernel_sums(
 
     W[p, l] = (1 + dx^2)^-q with dx = x[p] - atoms[l]; R has shape (L, r)
     and the result (P, r).  Rows are evaluated once per distinct value of x
-    and mapped back to the points.
+    and mapped back to the points (a row gather with take, which gives the
+    bits of fancy indexing in a tenth of its time on (P, 2) arrays).
 
     When there are no more distinct values than interpolation nodes (51 on
     a 51 x 51 node lattice, or clouds with repeated x), every distinct
@@ -272,7 +273,7 @@ def _kernel_sums(
     ux, inverse = np.unique(x, return_inverse=True)
     nodes = _cheb_nodes(ux[0], ux[-1], q)
     if ux.size <= nodes.size:
-        return _direct_sums(ux, atoms, R, q, dx_moment)[inverse]
+        return _direct_sums(ux, atoms, R, q, dx_moment).take(inverse, axis=0)
 
     xs = nodes.ravel()
     fs = _direct_sums(xs, atoms, R, q, dx_moment)
@@ -296,7 +297,7 @@ def _kernel_sums(
     j = np.minimum(np.searchsorted(xs, ux), xs.size - 1)
     on = xs[j] == ux
     out[on] = fs[j[on]]
-    return out[inverse]
+    return out.take(inverse, axis=0)
 
 
 def cs2d_problem(params: CuckerSmaleParams = CuckerSmaleParams()) -> MfcProblem:

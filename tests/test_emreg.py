@@ -32,6 +32,38 @@ def test_cell_index_layout(grid):
     assert cell_index(grid, np.array([[5.0, -3.0]]))[0] == 12
 
 
+def _cell_index_matmul(grid, x):
+    """Cell lookup by an (N, d) integer matrix product: floor, clip to the
+    cells, then the flat index as idx @ strides over the cell lattice."""
+    lo = np.array(grid.lo)
+    n = np.array(grid.nodes)
+    idx = np.floor((np.asarray(x) - lo) / grid.h).astype(np.int64)
+    np.clip(idx, 0, n - 2, out=idx)
+    ncells = n - 1
+    strides = np.ones(grid.state_dim, dtype=np.int64)
+    for i in range(grid.state_dim - 2, -1, -1):
+        strides[i] = strides[i + 1] * ncells[i + 1]
+    return idx @ strides
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cell_index_matches_matmul_formula_bitwise(d):
+    rng = np.random.default_rng(20 + d)
+    lo = np.array([-1.5, 0.0, 0.3])[:d]
+    hi = np.array([2.5, 3.0, 1.1])[:d]
+    grid = SpaceTimeGrid(1.0, 2, tuple(lo), tuple(hi), (7, 5, 4)[:d])
+    inside = rng.uniform(lo, hi, (500, d))
+    faces = inside.copy()
+    for i in range(d):
+        faces[i::2 * d, i] = hi[i]
+        faces[i + d :: 2 * d, i] = lo[i]
+    outside = rng.uniform(lo - 3.0, hi + 3.0, (500, d))
+    for pts in (grid.node_coords(), inside, faces, outside):
+        got = cell_index(grid, pts)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _cell_index_matmul(grid, pts))
+
+
 def test_cell_regression_matches_dense_least_squares(grid):
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, (300, 2))

@@ -13,15 +13,19 @@ from mfcontrol import (
     CuckerSmaleParams,
     EmpiricalMeasure,
     PolicyField,
+    backward_sweep,
     build_operator,
     cs2d_grid,
     cs2d_problem,
     estimate_cost,
+    gradient_field,
     multilinear_eval,
     portfolio_grid,
     portfolio_problem,
+    regress_adjoint,
     simulate,
 )
+from mfcontrol.emreg import cell_index
 
 pytest.importorskip("pytest_benchmark")
 
@@ -75,6 +79,41 @@ def test_estimate_cost_portfolio_10k_particles(benchmark):
         rounds=3, iterations=1, warmup_rounds=1,
     )
     assert np.isfinite(cost) and stderr > 0
+
+
+@pytest.fixture(scope="module")
+def portfolio_iteration():
+    # the inputs of the gradient of a first portfolio iteration at the
+    # README's size: N = 10 000 particles, 51 x 51 nodes, M = 50
+    problem, grid = portfolio_problem(), portfolio_grid()
+    policy = PolicyField.zeros(grid, 1)
+    ensemble = simulate(problem, policy, 10_000, grid.time_steps, 0)
+    return problem, grid, policy, ensemble
+
+
+@pytest.mark.parametrize("method", ["fipde", "emreg"])
+def test_gradient_field_portfolio_iteration(benchmark, portfolio_iteration, method):
+    # 51 gradient slices; the lam * E[u] term reads the particle mean of
+    # the adjoint off the node deposit (fipde) or the cell histogram (emreg)
+    problem, grid, policy, ensemble = portfolio_iteration
+    if method == "emreg":
+        adjoint = regress_adjoint(problem, ensemble, grid)
+    else:
+        adjoint = backward_sweep(problem, policy, ensemble, grid)
+    grad = benchmark.pedantic(
+        gradient_field, args=(problem, policy, ensemble, adjoint),
+        rounds=5, iterations=1, warmup_rounds=1,
+    )
+    assert grad.values.shape == (grid.time_steps + 1,) + grid.nodes + (1,)
+
+
+def test_cell_index_10k_points(benchmark):
+    grid = portfolio_grid()
+    x = np.random.default_rng(0).uniform(grid.lo, grid.hi, (10_000, grid.state_dim))
+    idx = benchmark.pedantic(
+        cell_index, args=(grid, x), rounds=20, iterations=5, warmup_rounds=1
+    )
+    assert idx.shape == (10_000,) and idx.max() < 50 * 50
 
 
 def _cs_measure(n, seed):

@@ -7,8 +7,10 @@ from mfcontrol import (
     affine_fit_check,
     closed_loop_mean_velocity,
     cs2d_grid,
+    cs2d_problem,
     cs_lq_feedback,
     riccati_steady_state,
+    simulate,
     solve_cs_riccati,
 )
 from mfcontrol.problems import CuckerSmaleParams
@@ -86,6 +88,19 @@ def test_closed_loop_mean_velocity_is_stationary(sol):
     # the initial mixture mean is 1.5 and both the alignment and the control
     # are centered on the running mean, so it stays put up to MC noise
     np.testing.assert_allclose(means, 1.5, atol=0.01)
+
+
+@pytest.mark.parametrize("num_particles", [1, 3, 257, 5000])
+def test_closed_loop_mean_velocity_streams_the_simulated_means(sol, num_particles):
+    # the streamed per-step means equal, bit for bit, the means of the
+    # velocity column of the paths that simulate keeps
+    params = CuckerSmaleParams()
+    grid = cs2d_grid(params, cells=20, time_steps=20)
+    means = closed_loop_mean_velocity(params, sol, grid, num_particles=num_particles, seed=4)
+    policy = cs_lq_feedback(sol, grid, np.full(grid.time_steps + 1, 1.5))
+    ens = simulate(cs2d_problem(params), policy, num_particles, grid.time_steps, 4)
+    want = ens.states[:, :, 1].mean(axis=1)
+    np.testing.assert_array_equal(means.view(np.int64), want.view(np.int64))
 
 
 def test_affine_fit_mask_restricts_nodes(sol):
