@@ -150,14 +150,10 @@ def regress_adjoint(
 
     Cell values at slice j-1 are the per-cell means over particles X_{j-1}
     of Y_j(X_j) + dt * source(t_j, X_j), mirroring the explicit source
-    treatment of the grid scheme.  Requires a state-independent diffusion
-    (no gradient term enters the targets then).  The source reads the
+    treatment of the grid scheme.  The diffusion does not depend on the
+    state, so no gradient term enters the targets.  The source reads the
     controls stored in the ensemble.
     """
-    if problem.diffusion_state_dependent:
-        raise NotImplementedError(
-            "the regression baseline supports state-independent diffusion only"
-        )
     M = grid.time_steps
     d = problem.state_dim
     ncells = int(np.prod(np.array(grid.nodes) - 1))

@@ -4,8 +4,8 @@ The coupled nonlocal linear system for the adjoint decoupling field u is
 discretized with implicit timestepping for the local generator (upwind
 first-order terms, central second-order terms, all stencil weights
 nonnegative) and explicit timestepping for the nonlocal source.  Boundary
-nodes of the truncated box hold Dirichlet data (the terminal condition by
-default).  Each interior step solves a sparse M-matrix system per solution
+nodes of the truncated box hold the terminal condition as Dirichlet data.
+Each interior step solves a sparse M-matrix system per solution
 component.
 """
 
@@ -21,7 +21,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .grids import GridField, PolicyField, SpaceTimeGrid, _read_only, deposit, multilinear_eval
-from .measures import EmpiricalMeasure
 from .particles import ParticleEnsemble
 from .problem import MfcProblem
 
@@ -78,7 +77,6 @@ class MonotoneOperator:
 
     grid: SpaceTimeGrid
     system: sp.csr_matrix
-    boundary: np.ndarray  # (num_nodes,) bool
     _lu: object = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -120,7 +118,7 @@ class MonotoneOperator:
 
 @dataclass
 class AdjointField:
-    """Adjoint decoupling field u (and v = (grad_x u) sigma when materialized).
+    """Adjoint decoupling field u on the grid.
 
     u_at_points interpolates slice j at each point; mean_at gives only the
     mean of that interpolant over the points, read off the node deposit of
@@ -128,7 +126,6 @@ class AdjointField:
     """
 
     u: GridField
-    v: Optional[GridField] = None
 
     def u_at_nodes(self, j: int) -> np.ndarray:
         return self.u.slice_flat(j)
@@ -139,12 +136,6 @@ class AdjointField:
     def mean_at(self, j: int, x: np.ndarray) -> np.ndarray:
         """u_at_points(j, x).mean(axis=0) up to summation order; shape (c,)."""
         return _node_mean(self.u.grid, self.u_at_nodes(j), x)
-
-    def v_at_nodes(self, j: int) -> Optional[np.ndarray]:
-        return None if self.v is None else self.v.slice_flat(j)
-
-    def v_at_points(self, j: int, x: np.ndarray) -> Optional[np.ndarray]:
-        return None if self.v is None else self.v.eval_slice(j, x)
 
 
 def _node_mean(grid: SpaceTimeGrid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -230,11 +221,7 @@ def build_operator(
     # 0 - dt*x and 1 + x * -dt equals 1 - dt*x, bit for bit
     system = L * -grid.dt
     system[:, d] += 1.0
-    return MonotoneOperator(
-        grid=grid,
-        system=_pattern_csr(system, cols),
-        boundary=boundary,
-    )
+    return MonotoneOperator(grid=grid, system=_pattern_csr(system, cols))
 
 
 def terminal_data(problem: MfcProblem, ensemble: ParticleEnsemble, grid: SpaceTimeGrid) -> np.ndarray:
@@ -262,9 +249,8 @@ def assemble_source(
     interpolant of U at the particle locations.  A constant drift kernel
     (Cucker-Smale at beta = 0) is contracted against the mean of that
     interpolant over the particles, read off their node deposit, so U is
-    not interpolated at the particles for it.  When the diffusion depends
-    on the state, the extra first-order terms are added with upwind
-    differences split by coefficient sign.
+    not interpolated at the particles for it.  The diffusion does not
+    depend on the state, so it adds no source term.
     """
     t, X, psi, eta = _node_inputs(policy, ensemble, grid, j)
     Jb = np.asarray(problem.dx_drift(t, X, psi, eta))
@@ -280,82 +266,10 @@ def assemble_source(
     if not problem.mu_running.is_zero:
         src += problem.mu_running.mean_contract(t, eta_k, X, psi)
 
-    if problem.diffusion_state_dependent:
-        sig = problem.diffusion(t, X, psi, eta)
-        src += _assemble_fex(
-            problem, t, X, psi, eta_k, sig, U_next, grid, deriv="x", kernel=problem.mu_diffusion
-        )
     if not np.all(np.isfinite(src)):
         p = int(np.argwhere(~np.isfinite(src).all(axis=1))[0][0])
         raise FloatingPointError(f"non-finite adjoint source at slice {j}, node {p}")
     return src
-
-
-def _grid_diffs(values: np.ndarray, grid: SpaceTimeGrid):
-    """One-sided forward/backward differences of flattened node values per dim.
-
-    Returns (fwd, bwd) of shape (num_nodes, c, d); at box faces the
-    outward-pointing difference is zero (consistent with the constant
-    extension used by the clamped interpolation).
-    """
-    d = grid.state_dim
-    c = values.shape[-1]
-    full = values.reshape(grid.nodes + (c,))
-    fwd = np.zeros(grid.nodes + (c, d))
-    bwd = np.zeros(grid.nodes + (c, d))
-    for i in range(d):
-        sl_all = [slice(None)] * d
-        lo, hi = sl_all.copy(), sl_all.copy()
-        lo[i], hi[i] = slice(0, -1), slice(1, None)
-        diff = (full[tuple(hi)] - full[tuple(lo)]) / grid.h[i]
-        fwd[tuple(lo) + (Ellipsis, i)] = diff
-        bwd[tuple(hi) + (Ellipsis, i)] = diff
-    return fwd.reshape(-1, c, d), bwd.reshape(-1, c, d)
-
-
-def _assemble_fex(problem, t, X, psi, eta, sig, U_next, grid, deriv, kernel):
-    """Extra source terms for state-dependent diffusion, upwind discretized.
-
-    deriv='x' uses dx_diffusion (adjoint source), deriv='a' uses
-    da_diffusion (gradient map); the kernel argument supplies the matching
-    measure-derivative contribution.
-    """
-    d = grid.state_dim
-    dsig_fn = problem.dx_diffusion if deriv == "x" else problem.da_diffusion
-    dsig = np.asarray(dsig_fn(t, X, psi, eta))  # (P, d, n, m)
-    # coefficient of d u_i / d x_l in direction m: sum_r dsig[p,i,r,m] sig[p,l,r]
-    coef = np.einsum("pirm,plr->pilm", dsig, sig)
-    fwd, bwd = _grid_diffs(U_next, grid)
-    out = np.einsum("pilm,pil->pm", np.maximum(coef, 0.0), fwd)
-    out += np.einsum("pilm,pil->pm", np.minimum(coef, 0.0), bwd)
-
-    if kernel is not None and not kernel.is_zero:
-        # v = (grad_x u) sigma at the particles, built from the centered
-        # average of the two one-sided difference fields interpolated at the
-        # particle locations.
-        fwd_p = multilinear_eval(grid, fwd.reshape(grid.nodes + (-1,)), eta.x)
-        bwd_p = multilinear_eval(grid, bwd.reshape(grid.nodes + (-1,)), eta.x)
-        grad_u = 0.5 * (fwd_p + bwd_p).reshape(eta.size, -1, d)  # (L, d, d)
-        sig_p = problem.diffusion(t, eta.x, eta.a, eta)  # (L, d, n)
-        v_p = np.einsum("pil,plr->pir", grad_u, sig_p)  # (L, d, n)
-        out += kernel.mean_contract(t, eta, X, psi, weights=v_p)
-    return out
-
-
-def materialize_v(problem: MfcProblem, u: GridField, policy: PolicyField, ensemble) -> GridField:
-    """v = (grad_x u) sigma on the grid (central interior differences)."""
-    grid = u.grid
-    d, n = problem.state_dim, problem.noise_dim
-    vals = np.empty((grid.time_steps + 1,) + grid.nodes + (d * n,))
-    X = grid.node_coords()
-    for j in range(grid.time_steps + 1):
-        fwd, bwd = _grid_diffs(u.slice_flat(j), grid)
-        grad = 0.5 * (fwd + bwd)  # (P, d, d)
-        psi = policy.slice_flat(j)
-        sig = problem.diffusion(j * grid.dt, X, psi, ensemble.measure(j))
-        v = np.einsum("pil,plr->pir", grad, sig)
-        vals[j] = v.reshape(grid.nodes + (d * n,))
-    return GridField(grid, vals)
 
 
 def backward_sweep(
@@ -368,9 +282,9 @@ def backward_sweep(
     """Solve the adjoint PDE system backward on the grid.
 
     Terminal slice is the discretized terminal condition; boundary nodes
-    hold Dirichlet data for all times (the terminal data unless the problem
-    overrides it); each interior step solves (I - dt L) U^{j-1} = U^j + dt f
-    per component with a shared sparse factorization.
+    hold the terminal data as Dirichlet data for all times; each interior
+    step solves (I - dt L) U^{j-1} = U^j + dt f per component with a shared
+    sparse factorization.
     """
     d = problem.state_dim
     dt, h = grid.dt, grid.h
@@ -383,28 +297,16 @@ def backward_sweep(
     M = grid.time_steps
     term = terminal_data(problem, ensemble, grid)
     boundary = grid.boundary_mask()
-    Xb = grid.node_coords()[boundary]
-    mu_T = ensemble.measure(M)
-
-    def dirichlet(t: float) -> np.ndarray:
-        if problem.boundary_values is None:
-            return term[boundary]
-        return np.asarray(problem.boundary_values(t, Xb, mu_T))
 
     U = np.empty((M + 1, grid.num_nodes, d))
     U[M] = term
-    U[M][boundary] = dirichlet(M * dt)
     for j in range(M, 0, -1):
         op = build_operator(problem, policy, ensemble, grid, j - 1)
         src = assemble_source(
             problem, policy, ensemble, U[j], grid, j, kernel_subsample=kernel_subsample
         )
         rhs = U[j] + dt * src
-        rhs[boundary] = dirichlet((j - 1) * dt)
+        rhs[boundary] = term[boundary]
         U[j - 1] = op.solve(rhs)
 
-    u_field = GridField(grid, U.reshape((M + 1,) + grid.nodes + (d,)))
-    v_field = None
-    if problem.diffusion_state_dependent:
-        v_field = materialize_v(problem, u_field, policy, ensemble)
-    return AdjointField(u=u_field, v=v_field)
+    return AdjointField(u=GridField(grid, U.reshape((M + 1,) + grid.nodes + (d,))))

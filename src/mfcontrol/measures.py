@@ -36,16 +36,8 @@ class EmpiricalMeasure:
         return self.x.shape[0]
 
     @property
-    def mean_x(self) -> np.ndarray:
-        return self.x.mean(axis=0)
-
-    @property
     def mean_a(self) -> np.ndarray:
         return self.a.mean(axis=0)
-
-    def expect(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-        """Arithmetic mean of fn(x, a) over the atoms."""
-        return np.asarray(fn(self.x, self.a)).mean(axis=0)
 
     def stride(self, max_atoms: Optional[int]) -> int:
         """Step of the subsample kept by strided(max_atoms): ceil(N/max_atoms),
@@ -73,19 +65,14 @@ class MeasureKernel:
     The kernel value at (carrier, evaluation) has shape ``out_shape``; the
     leading axis of ``out_shape`` indexes the coefficient component at the
     carrier, trailing axes index derivative directions at the evaluation
-    point.  Exactly one of the four representations is populated:
+    point.  At most one of the three representations is populated:
 
     * ``const``       -- kernel independent of carrier and evaluation point;
     * ``carrier_fn``  -- depends on the carrier only,
       signature ``(t, cx, ca, measure) -> (L, *out_shape)``;
-    * ``pair_fn``     -- full dependence, signature
-      ``(t, cx, ca, ex, ea, measure) -> (P, L, *out_shape)`` with carrier
-      arrays broadcast as ``(1, L, .)`` and evaluation arrays ``(P, 1, .)``;
     * ``contract_fn`` -- full dependence in contracted form, signature
       ``(t, measure, eval_x, eval_a, weights)``, returning what
-      :meth:`mean_contract` returns for the same arguments; for kernels
-      whose carrier averages are cheaper than the (P, L) table of
-      ``pair_fn``.
+      :meth:`mean_contract` returns for the same arguments.
 
     A kernel with no representation is identically zero.
     """
@@ -93,9 +80,9 @@ class MeasureKernel:
     out_shape: tuple
     const: Optional[np.ndarray] = None
     carrier_fn: Optional[Callable] = None
-    pair_fn: Optional[Callable] = None
     contract_fn: Optional[Callable] = None
-    eval_chunk: int = 256
+    # not a field: perfbench/run.py reads it to count pairwise evaluations
+    pair_fn = None
 
     @classmethod
     def zero(cls, out_shape: tuple) -> "MeasureKernel":
@@ -111,7 +98,6 @@ class MeasureKernel:
         return (
             self.const is None
             and self.carrier_fn is None
-            and self.pair_fn is None
             and self.contract_fn is None
         )
 
@@ -157,24 +143,7 @@ class MeasureKernel:
                 avg = _contract_carrier(K, weights)
             return np.broadcast_to(avg, (P,) + avg.shape).copy()
 
-        if self.contract_fn is not None:
-            return np.asarray(self.contract_fn(t, measure, eval_x, eval_a, weights))
-
-        out = None
-        for lo in range(0, P, self.eval_chunk):
-            hi = min(lo + self.eval_chunk, P)
-            ex = eval_x[lo:hi, None, :]
-            ea = None if eval_a is None else eval_a[lo:hi, None, :]
-            K = np.asarray(self.pair_fn(t, measure.x[None], measure.a[None], ex, ea, measure))
-            K = np.broadcast_to(K, (hi - lo, L) + self.out_shape)
-            if weights is None:
-                chunk = K.mean(axis=1)
-            else:
-                chunk = _contract_pair(K, weights)
-            if out is None:
-                out = np.empty((P,) + chunk.shape[1:])
-            out[lo:hi] = chunk
-        return out
+        return np.asarray(self.contract_fn(t, measure, eval_x, eval_a, weights))
 
 
 def _contract_carrier(K: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -185,11 +154,3 @@ def _contract_carrier(K: np.ndarray, weights: np.ndarray) -> np.ndarray:
     expr = f"l{letters},l{letters}{rest}->{rest}"
     return np.einsum(expr, weights, K) / K.shape[0]
 
-
-def _contract_pair(K: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """mean_l sum over leading kernel axes of weights[l] * K[p, l]."""
-    naxes = weights.ndim - 1
-    letters = "ijk"[:naxes]
-    rest = "mn"[: K.ndim - 2 - naxes]
-    expr = f"l{letters},pl{letters}{rest}->p{rest}"
-    return np.einsum(expr, weights, K) / K.shape[1]

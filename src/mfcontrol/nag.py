@@ -19,8 +19,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .fdsolver import AdjointField, backward_sweep
-from .grids import GridField, PolicyField, SpaceTimeGrid, multilinear_eval
-from .measures import EmpiricalMeasure
+from .grids import GridField, PolicyField, SpaceTimeGrid
 from .particles import ParticleEnsemble, estimate_cost, simulate
 from .problem import MfcProblem
 from .prox import prox_apply
@@ -47,8 +46,8 @@ def gradient_slice(
     lam * E[u]) needs only the mean of the adjoint over the particles,
     which ``adjoint.mean_at`` reads off the node deposit or the cell
     histogram of the particles, so the adjoint is not evaluated at each
-    particle for it.  Control-dependent diffusion adds the corresponding
-    contractions against v = (grad_x u) sigma.
+    particle for it.  The diffusion does not depend on the control, so it
+    adds no term.
     """
     grid = policy.grid
     t = j * grid.dt
@@ -69,17 +68,6 @@ def gradient_slice(
         grad += problem.nu_drift.mean_contract(t, eta_k, X, psi, weights=w)
     if not problem.nu_running.is_zero:
         grad += problem.nu_running.mean_contract(t, eta_k, X, psi)
-
-    if problem.diffusion_state_dependent and problem.da_diffusion is not None:
-        V = adjoint.v_at_nodes(j)
-        if V is not None:
-            n = problem.noise_dim
-            v3 = V.reshape(-1, problem.state_dim, n)
-            dsig = np.asarray(problem.da_diffusion(t, X, psi, eta))  # (P,d,n,k)
-            grad += np.einsum("pirm,pir->pm", dsig, v3)
-            if problem.nu_diffusion is not None and not problem.nu_diffusion.is_zero:
-                vp = adjoint.v_at_points(j, eta_k.x).reshape(eta_k.size, -1, n)
-                grad += problem.nu_diffusion.mean_contract(t, eta_k, X, psi, weights=vp)
     return grad
 
 

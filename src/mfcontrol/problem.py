@@ -11,7 +11,7 @@ instances, and measure derivatives are supplied analytically as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -25,14 +25,16 @@ class MfcProblem:
 
     Shape conventions (P = batch of points, L = measure atoms):
       drift(t, x(P,d), a(P,k), eta) -> (P,d)
-      diffusion(t, x, a, eta) -> (P,d,n)
+      diffusion(t, x, a, eta) -> (P,d,n), independent of x and a, with
+        sigma sigma^T diagonal
       running_cost(t, x, a, eta) -> (P,)
       terminal_cost(x, mu) -> (P,)
       dx_drift -> (P,d,d) with [p,i,l] = d b_i / d x_l;  da_drift -> (P,d,k)
       dx_running -> (P,d);  da_running -> (P,k);  dx_terminal -> (P,d)
     Measure kernels follow the carrier/evaluation convention of MeasureKernel
     with out_shape (d,d) for mu_drift, (d,k) for nu_drift, (d,) for
-    mu_running / mu_terminal and (k,) for nu_running.
+    mu_running / mu_terminal and (k,) for nu_running.  The adjoint solver
+    holds the terminal data on the boundary of its truncated box.
     """
 
     state_dim: int
@@ -55,16 +57,9 @@ class MfcProblem:
     mu_terminal: MeasureKernel
     initial_sampler: Callable[[int, np.random.Generator], np.ndarray]
     nonsmooth_cost: ProxSpec = field(default_factory=ProxSpec.none)
-    diffusion_state_dependent: bool = False
-    # required only when diffusion_state_dependent is true
-    dx_diffusion: Optional[Callable] = None  # (P,d,n,d): d sigma_{ir} / d x_l
-    da_diffusion: Optional[Callable] = None  # (P,d,n,k)
-    mu_diffusion: Optional[MeasureKernel] = None  # out_shape (d,n,d)
-    nu_diffusion: Optional[MeasureKernel] = None  # out_shape (d,n,k)
-    # Dirichlet data override for the truncated PDE domain; default is the
-    # terminal condition held fixed in time.
-    boundary_values: Optional[Callable] = None  # (t, x(P,d), mu_T) -> (P,d)
     name: str = "problem"
+    # not fields: perfbench/run.py reads them when it traces the callbacks
+    dx_diffusion = da_diffusion = boundary_values = None
 
     def __post_init__(self) -> None:
         for attr in ("state_dim", "control_dim", "noise_dim"):
@@ -72,10 +67,6 @@ class MfcProblem:
                 raise ValueError(f"{attr} must be a positive integer")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.diffusion_state_dependent and self.dx_diffusion is None:
-            raise ValueError(
-                "state-dependent diffusion requires the sigma derivative callbacks"
-            )
 
 
 @dataclass
@@ -110,8 +101,10 @@ def validate_derivatives(
 
     Random points (t, x, a) are drawn around the initial law; the measure
     argument is held fixed while x or a is perturbed, so only pointwise
-    derivatives are exercised.  Returns the worst relative error per
-    derivative and flags any exceeding `tolerance`.
+    derivatives are exercised.  The x- and a-differences of sigma are
+    checked against zero under the names dx_diffusion and da_diffusion,
+    since the solver assumes sigma independent of both.  Returns the worst
+    relative error per derivative and flags any exceeding `tolerance`.
     """
     if not 0 < step <= 1e-3:
         raise ValueError("finite-difference step must lie in (0, 1e-3]")
@@ -163,14 +156,16 @@ def validate_derivatives(
 
     errors["dx_terminal"] = _check("dx_terminal", g_base, g_deriv, "x")
 
-    if problem.dx_diffusion is not None:
-        errors["dx_diffusion"] = _check(
-            "dx_diffusion", problem.diffusion, problem.dx_diffusion, "x"
-        )
-    if problem.da_diffusion is not None:
-        errors["da_diffusion"] = _check(
-            "da_diffusion", problem.diffusion, problem.da_diffusion, "a"
-        )
+    # the solver takes sigma independent of x and a: its derivatives must be 0
+    def zero_derivative(wrt):
+        def deriv(t, x, a, m):
+            arg = x if wrt == "x" else a
+            return np.zeros(np.shape(problem.diffusion(t, x, a, m)) + (arg.shape[1],))
+
+        return deriv
+
+    errors["dx_diffusion"] = _check("dx_diffusion", problem.diffusion, zero_derivative("x"), "x")
+    errors["da_diffusion"] = _check("da_diffusion", problem.diffusion, zero_derivative("a"), "a")
 
     flagged = {name: err for name, err in errors.items() if err > tolerance}
     return DerivativeReport(max_rel_error=errors, flagged=flagged, tolerance=tolerance)

@@ -164,17 +164,6 @@ def test_regress_adjoint_matches_reference_loop_bitwise(model):
         )
 
 
-def test_state_dependent_diffusion_unsupported():
-    prob = portfolio_problem()
-    prob.diffusion_state_dependent = True
-    prob.dx_diffusion = lambda t, x, a, eta: np.zeros((x.shape[0], 2, 1, 2))
-    grid = portfolio_grid(cells=10, time_steps=10)
-    policy = PolicyField.zeros(grid, 1)
-    ens = simulate(portfolio_problem(), policy, 50, grid.time_steps, 0)
-    with pytest.raises(NotImplementedError):
-        regress_adjoint(prob, ens, grid)
-
-
 def test_run_emreg_mirrors_driver_interface():
     prob = portfolio_problem()
     grid = portfolio_grid(cells=10, time_steps=10)

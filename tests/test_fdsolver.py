@@ -28,9 +28,7 @@ from mfcontrol import fdsolver
 from mfcontrol.fdsolver import MonotoneOperator, terminal_data
 
 
-def _linear_1d_problem(
-    b=0.0, sigma=np.sqrt(2.0), source=None, terminal=None, boundary=None
-):
+def _linear_1d_problem(b=0.0, sigma=np.sqrt(2.0), source=None, terminal=None):
     """Scalar state, constant coefficients, no measure interaction."""
 
     def drift(t, x, a, eta):
@@ -65,7 +63,6 @@ def _linear_1d_problem(
         mu_running=MeasureKernel.zero((1,)), nu_running=MeasureKernel.zero((1,)),
         mu_terminal=MeasureKernel.zero((1,)),
         initial_sampler=lambda n, rng: rng.uniform(0.3, 0.7, (n, 1)),
-        boundary_values=boundary,
     )
 
 
@@ -150,7 +147,7 @@ def test_m_matrix_inverse_nonnegativity():
     rng = np.random.default_rng(0)
     for _ in range(10):
         rhs = rng.uniform(0.0, 1.0, (grid.num_nodes, 1))
-        rhs[op.boundary] = 0.0
+        rhs[grid.boundary_mask()] = 0.0
         sol = op.solve(rhs)
         assert sol.min() >= -1e-12
 
@@ -214,9 +211,7 @@ def test_system_matches_coo_assembly_bitwise_1d():
 def test_singular_system_raises_promptly():
     grid = _grid_1d(nodes=21)
     P = grid.num_nodes
-    op = MonotoneOperator(
-        grid=grid, system=sp.csr_matrix((P, P)), boundary=grid.boundary_mask(),
-    )
+    op = MonotoneOperator(grid=grid, system=sp.csr_matrix((P, P)))
     tic = time.perf_counter()
     with pytest.raises(RuntimeError, match="sparse LU"):
         op.solve(np.ones((P, 1)))
@@ -359,29 +354,6 @@ def test_manufactured_solution_convergence_order():
     order1 = np.log2(errors[0] / errors[1])
     order2 = np.log2(errors[1] / errors[2])
     assert min(order1, order2) >= 0.9, errors
-
-
-def test_affine_data_transported_exactly_with_boundary_override():
-    # for constant drift, zero source and affine terminal data the exact
-    # solution stays affine and both difference stencils are exact on it
-    b, sigma, c, e = 0.8, 0.4, 1.5, -0.3
-
-    def exact(t, x):
-        return c * (x + b * (1.0 - t)) + e
-
-    prob = _linear_1d_problem(
-        b=b, sigma=sigma,
-        terminal=lambda x: exact(1.0, x),
-        boundary=lambda t, xb, mu: exact(t, xb),
-    )
-    grid = _grid_1d(nodes=26, time_steps=40)
-    policy, ens = _setup(prob, grid)
-    adj = backward_sweep(prob, policy, ens, grid)
-    for j in (0, 20, 40):
-        t = grid.times[j]
-        np.testing.assert_allclose(
-            adj.u.slice_flat(j), exact(t, grid.node_coords()), atol=1e-9
-        )
 
 
 def test_portfolio_source_and_terminal_data():

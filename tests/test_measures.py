@@ -13,12 +13,7 @@ def measure():
 
 
 def test_means_and_expect(measure):
-    np.testing.assert_allclose(measure.mean_x, measure.x.mean(axis=0))
     np.testing.assert_allclose(measure.mean_a, measure.a.mean(axis=0))
-    np.testing.assert_allclose(
-        measure.expect(lambda x, a: x[:, 0] * a[:, 0]),
-        (measure.x[:, 0] * measure.a[:, 0]).mean(),
-    )
 
 
 def test_atom_count_validation():
@@ -72,26 +67,3 @@ def test_carrier_kernel_matches_brute_force(measure):
     K = np.stack([measure.x[:, 0], 2.0 * measure.x[:, 1]], axis=1)
     np.testing.assert_allclose(outw, np.full(P, (w * K).sum(axis=1).mean()), atol=1e-14)
 
-
-def test_pair_kernel_matches_brute_force(measure):
-    def pair(t, cx, ca, ex, ea, eta):
-        # kernel value exp(-|ex - cx|^2) times carrier control, shape (P, L, 1)
-        d2 = ((ex - cx) ** 2).sum(axis=-1)
-        return (np.exp(-d2) * ca[..., 0])[..., None]
-
-    kern = MeasureKernel(out_shape=(1,), pair_fn=pair, eval_chunk=3)
-    rng = np.random.default_rng(3)
-    pts = rng.standard_normal((11, 2))
-    out = kern.mean_contract(0.0, measure, pts, None)
-    brute = np.empty((11, 1))
-    for p in range(11):
-        d2 = ((pts[p] - measure.x) ** 2).sum(axis=1)
-        brute[p, 0] = (np.exp(-d2) * measure.a[:, 0]).mean()
-    np.testing.assert_allclose(out, brute, atol=1e-14)
-
-    w = rng.standard_normal((measure.size, 1))
-    outw = kern.mean_contract(0.0, measure, pts, None, weights=w)
-    for p in range(11):
-        d2 = ((pts[p] - measure.x) ** 2).sum(axis=1)
-        expected = (np.exp(-d2) * measure.a[:, 0] * w[:, 0]).mean()
-        np.testing.assert_allclose(outw[p], expected, atol=1e-14)

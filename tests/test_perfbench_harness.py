@@ -32,18 +32,32 @@ try:
         problem="portfolio", method="emreg", cells=10, time_steps=10,
         particles=200, iterations=2,
     ))
+    names = (
+        "nag.run", "emreg.run_emreg", "emreg.regress_adjoint",
+        "fdsolver.build_operator", "particles.simulate", "particles.estimate_cost",
+    )
+    calls = {name: tracer.calls(name) for name in names}
+    # the PDE sweep: its counters read the operator's system matrix, the
+    # measure kernels and the problem callbacks the run builds
+    experiments.execute_run(RunConfig(
+        problem="portfolio", method="fipde", cells=10, time_steps=10,
+        particles=200, iterations=1,
+    ))
 finally:
     tracer.restore()
-calls = {name: tracer.calls(name) for name in (
-    "nag.run", "emreg.run_emreg", "emreg.regress_adjoint",
-    "fdsolver.build_operator", "particles.simulate", "particles.estimate_cost",
-)}
 # one training simulation per iteration; the cost rows stream their own
 assert calls == {
     "nag.run": 1, "emreg.run_emreg": 0, "emreg.regress_adjoint": 2,
     "fdsolver.build_operator": 0, "particles.simulate": 2,
     "particles.estimate_cost": 3,
 }, calls
+pde = {name: tracer.calls(name) for name in (
+    "fdsolver.backward_sweep", "fdsolver.build_operator", "fdsolver.solve",
+    "measures.mean_contract", "problems.callbacks",
+)}
+assert pde["fdsolver.backward_sweep"] == 1, pde
+assert all(n > 0 for n in pde.values()), pde
+assert tracer.counts["fdsolver.system_nnz"] > 0, dict(tracer.counts)
 print("ok")
 """
 

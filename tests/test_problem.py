@@ -1,5 +1,7 @@
 """Problem definitions: derivative callbacks and model-specific values."""
 
+import dataclasses
+
 import numpy as np
 
 from mfcontrol import (
@@ -24,8 +26,25 @@ def test_cs2d_derivatives_match_finite_differences():
         assert report.ok, (beta, report.flagged)
 
 
+def test_state_or_control_dependent_diffusion_is_flagged():
+    # the solver takes sigma independent of x and a, so validation flags a
+    # sigma that depends on either, under the name of that derivative
+    base = portfolio_problem()
+
+    def x_dependent(t, x, a, eta):
+        return base.diffusion(t, x, a, eta) + 0.1 * x[:, 0, None, None]
+
+    def a_dependent(t, x, a, eta):
+        return base.diffusion(t, x, a, eta) + 0.1 * a[:, 0, None, None]
+
+    for diffusion, name in ((x_dependent, "dx_diffusion"), (a_dependent, "da_diffusion")):
+        report = validate_derivatives(dataclasses.replace(base, diffusion=diffusion))
+        assert set(report.flagged) == {name}, report.flagged
+        np.testing.assert_allclose(report.flagged[name], 0.1, rtol=1e-6)
+
+
 def check_diffusion_constant(problem, samples=16, seed=1):
-    """Spot-check that sigma ignores (x, a, eta) when declared state-independent."""
+    """Spot-check that sigma ignores (x, a, eta)."""
     rng = np.random.Generator(np.random.Philox(seed))
     d, k = problem.state_dim, problem.control_dim
     meas = EmpiricalMeasure(rng.standard_normal((8, d)), rng.standard_normal((8, k)))
