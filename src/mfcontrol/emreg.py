@@ -128,7 +128,15 @@ def _pointwise_source(
     """
     x, a = eta.x, eta.a
     Jb = np.asarray(problem.dx_drift(t, x, a, eta))
-    src = np.einsum("pil,pi->pl", Jb, u)
+    # (dx b)^T u one (N,) column product at a time, summed over i in order
+    # from +0.0 as einsum("pil,pi->pl", Jb, u) sums; the einsum's inner
+    # loop has length d
+    src = np.zeros(u.shape)
+    term = np.empty(u.shape[0])
+    for l in range(u.shape[1]):
+        for i in range(u.shape[1]):
+            np.multiply(Jb[:, i, l], u[:, i], out=term)
+            src[:, l] += term
     src += np.asarray(problem.dx_running(t, x, a, eta))
     eta_k = eta.strided(kernel_subsample)
     if not problem.mu_drift.is_zero:

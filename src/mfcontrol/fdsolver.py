@@ -170,9 +170,12 @@ def build_operator(
     """Assemble the monotone stencil at time slice j.
 
     First-order terms are discretized upwind (forward difference weighted by
-    b+, backward by b-), the diagonal of sigma sigma^T centrally.  Requires
-    a diagonal diffusion matrix; off-diagonal mass would produce negative
-    stencil weights and is rejected.
+    b+, backward by b-), the diagonal of sigma sigma^T centrally.  sigma
+    depends on t and the measure only, so it is read once per slice as one
+    (d, n) matrix at the first node, and checked against its value at the
+    last node (ValueError if they differ).  Requires a diagonal diffusion
+    matrix; off-diagonal mass would produce negative stencil weights and is
+    rejected.
 
     I - dt*L is written straight into CSR on the fixed (2d+1)-point row
     pattern, with exact zeros dropped: the same arrays, bit for bit, as
@@ -180,18 +183,17 @@ def build_operator(
     """
     t, X, psi, eta = _node_inputs(policy, ensemble, grid, j)
     b = problem.drift(t, X, psi, eta)
-    sig = problem.diffusion(t, X, psi, eta)
-    a2 = np.einsum("pir,plr->pil", sig, sig)
+    sig = problem.diffusion_matrix(t, X, psi, eta, check=True)
+    a2 = np.einsum("ir,lr->il", sig, sig)
     d = grid.state_dim
-    offdiag = a2 - np.einsum("pi,il->pil", np.einsum("pii->pi", a2), np.eye(d))
+    diag = np.diagonal(a2)
+    offdiag = a2 - np.diag(diag)
     scale = max(np.abs(a2).max(), 1.0)
     if np.abs(offdiag).max() > 1e-12 * scale:
-        p = int(np.argwhere(np.abs(offdiag) > 1e-12 * scale)[0][0])
         raise ValueError(
-            f"sigma sigma^T has off-diagonal mass at node {p}; the upwind/central "
-            "stencil is monotone only for diagonal diffusion"
+            "sigma sigma^T has off-diagonal mass; the upwind/central stencil "
+            "is monotone only for diagonal diffusion"
         )
-    diag = np.einsum("pii->pi", a2)
 
     P = grid.num_nodes
     h = grid.h
@@ -207,7 +209,7 @@ def build_operator(
     cols = np.arange(P)[:, None] + offsets
     L = np.zeros((P, 2 * d + 1))
     for i in range(d):
-        half_diffusion = 0.5 * diag[:, i] / h[i] ** 2
+        half_diffusion = 0.5 * diag[i] / h[i] ** 2
         up = np.maximum(b[:, i], 0.0) / h[i] + half_diffusion
         dn = np.maximum(-b[:, i], 0.0) / h[i] + half_diffusion
         if np.any((np.minimum(up, dn) < 0) & ~boundary):

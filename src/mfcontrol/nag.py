@@ -223,7 +223,7 @@ def run(
     dropped, so at most one ensemble is held at a time.  Row m = 0 echoes
     the cost of the initial policy; row m >= 1 reports the cost of phi^m
     together with the gradient norm and wall time of the iteration
-    producing it.  On failure a
+    producing it.  On failure, also in the cost row of the initial policy, a
     :class:`SolverError` carrying the partial report is raised.
     """
     # emreg imports this module, so it is imported here, and
@@ -259,11 +259,10 @@ def run(
     def eval_cost(policy: PolicyField) -> tuple[float, float]:
         return estimate_cost(problem, policy, num_particles, M, eval_seed)
 
-    cost0, err0 = eval_cost(state.phi)
-    report.records.append(IterationRecord(0, cost0, err0, float("nan"), 0.0))
-
     previous = None  # the regression's adjoint of the last iteration
     try:
+        cost0, err0 = eval_cost(state.phi)
+        report.records.append(IterationRecord(0, cost0, err0, float("nan"), 0.0))
         for m in range(iterations):
             tic = time.perf_counter()
             ensemble = simulate(problem, state.psi, num_particles, M, seed)

@@ -85,9 +85,19 @@ def _euler(
     so the paths are reproducible for a given (seed, N, M) regardless of
     scheduling.  Only one step is held, O(N·(d + k + n)) doubles.
 
-    When exhausted, warns if more than _OUT_OF_BOX_WARN of the
-    particle-steps lie outside the policy grid's box in some dimension; the
-    warning points at the caller of the function that iterates this one.
+    sigma depends on t and the measure only (see MfcProblem), so each step
+    evaluates it once, at the first particle, as one (d, n) matrix; at
+    j = 0 it is also evaluated at the last particle, and ValueError is
+    raised if the two differ.  State i gains the noise
+    sum_r sigma[i, r] dW[:, r], summed in r order from +0.0, which is the
+    order of the per-particle contraction einsum("pir,pr->pi") for n <= 2;
+    for n >= 3 numpy's einsum may group the sum differently.
+
+    A non-finite state raises FloatingPointError naming the step and the
+    first particle that holds one.  When exhausted, warns if more than
+    _OUT_OF_BOX_WARN of the particle-steps lie outside the policy grid's box
+    in some dimension; the warning points at the caller of the function that
+    iterates this one.
     """
     d, n = problem.state_dim, problem.noise_dim
     dt = problem.horizon / M
@@ -98,14 +108,25 @@ def _euler(
         raise ValueError("initial sampler returned a wrong shape")
     lo, hi = policy.grid.lo, policy.grid.hi
     outside = [0] * d
+    noise = np.empty(N)
 
     for j in range(M + 1):
-        # out-of-box tally: the extrema of each column, about 12 us each at
-        # N = 10 000, and a per-point mask only where a column leaves the
-        # box; an (N, d) broadcast compare took 0.2-0.35 ms per step
+        # out-of-box tally and finite check from the extrema of each column,
+        # about 20 us per column at N = 10 000, and a per-point mask only
+        # where a column leaves the box; NaN and inf reach the extrema.  An
+        # (N, d) broadcast compare took 0.2-0.35 ms per step, and
+        # x.min(axis=0) 0.25 ms, since their inner loops have length d
         for i in range(d):
             col = x[:, i]
-            if col.min() < lo[i] or col.max() > hi[i]:
+            col_min, col_max = col.min(), col.max()
+            if not (np.isfinite(col_min) and np.isfinite(col_max)):
+                l = int(np.argwhere(~np.isfinite(x).all(axis=1))[0][0])
+                hint = (
+                    "check the initial sampler" if j == 0
+                    else "check drift/diffusion growth or the time step"
+                )
+                raise FloatingPointError(f"non-finite state at step {j}, particle {l}; {hint}")
+            if col_min < lo[i] or col_max > hi[i]:
                 outside[i] += int(np.count_nonzero((col < lo[i]) | (col > hi[i])))
         a = policy.eval_slice(j, x)
         yield j, x, a
@@ -113,15 +134,22 @@ def _euler(
             break
         eta = EmpiricalMeasure(x, a)
         b = problem.drift(j * dt, x, a, eta)
-        sig = problem.diffusion(j * dt, x, a, eta)
-        dW = rng_noise.standard_normal((N, n)) * sqrt_dt
-        nxt = x + b * dt + np.einsum("pir,pr->pi", sig, dW)
-        if not np.all(np.isfinite(nxt)):
-            l = int(np.argwhere(~np.isfinite(nxt).all(axis=1))[0][0])
-            raise FloatingPointError(
-                f"non-finite state at step {j + 1}, particle {l}; "
-                "check drift/diffusion growth or the time step"
-            )
+        sig = problem.diffusion_matrix(j * dt, x, a, eta, check=(j == 0))
+        dW = rng_noise.standard_normal((N, n))
+        dW *= sqrt_dt
+        nxt = b * dt
+        nxt += x
+        # one (N,) column at a time: at N = 10 000 an (N, 1) by (d,)
+        # broadcast took 100 us and the (N, d, n) sigma with its einsum
+        # 120 us, against 7 us for two column products
+        for i in range(d):
+            np.multiply(dW[:, 0], sig[i, 0], out=noise)
+            for r in range(1, n):
+                noise += dW[:, r] * sig[i, r]
+            # the per-particle einsum summed from +0.0, which turns a noise
+            # of -0.0 into +0.0; so does this
+            noise += 0.0
+            nxt[:, i] += noise
         x = nxt
 
     for i in range(d):
@@ -147,6 +175,9 @@ def simulate(
 
     Records every step of the particle loop (see _euler): the paths are
     bitwise reproducible for a given (seed, N, M) regardless of scheduling.
+    sigma is read once per step at one particle, so a diffusion that
+    depends on x or a raises ValueError, and a non-finite state raises
+    FloatingPointError naming its step and particle.
 
     Memory: the states and the controls of all steps, plus one step's
     noise, (M+1)·N·(d + k) + N·n doubles, that is O(M·N·(d + k)); about

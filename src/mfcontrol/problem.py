@@ -68,6 +68,23 @@ class MfcProblem:
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
 
+    def diffusion_matrix(self, t: float, x, a, eta, check: bool = False) -> np.ndarray:
+        """sigma at time t as one (d, n) matrix, read at the first point of (x, a).
+
+        sigma may depend on t and the measure only.  With `check` it is also
+        read at the last point, and ValueError is raised if the two differ.
+        """
+        sig = np.asarray(self.diffusion(t, x[:1], a[:1], eta))[0]
+        if check:
+            last = np.asarray(self.diffusion(t, x[-1:], a[-1:], eta))[0]
+            if not np.array_equal(sig, last, equal_nan=True):
+                raise ValueError(
+                    f"diffusion differs between the first and the last of "
+                    f"{len(x)} points at t={t}; sigma may depend on t and the "
+                    "measure, not on x or a"
+                )
+        return sig
+
 
 @dataclass
 class DerivativeReport:

@@ -105,6 +105,25 @@ def test_dumps_simulate_the_training_ensemble_once(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "trajectories.csv").is_file()
 
 
+def test_failed_initial_cost_row_writes_header_only_report(tmp_path, monkeypatch, capsys):
+    build = RunConfig.build
+
+    def exploding_build(config):
+        problem, grid = build(config)
+        problem.drift = lambda t, x, a, eta: np.full_like(x, np.inf)
+        return problem, grid
+
+    monkeypatch.setattr(RunConfig, "build", exploding_build)
+    config = replace(
+        RunConfig(problem="portfolio", cells=10, time_steps=10, particles=200, iterations=2),
+        output=str(tmp_path / "out"),
+    )
+    assert experiments.run_experiment(config) == 1
+    assert "iteration 0 failed: non-finite state" in capsys.readouterr().out
+    report = (tmp_path / "out" / "report.csv").read_text().splitlines()
+    assert report == ["m,J,stderr,grad_norm,wall_ms"]
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     cfg = _cfg(tmp_path, "problem = nonsense\n")
     assert main(["run", cfg]) == 2

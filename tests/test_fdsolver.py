@@ -139,6 +139,22 @@ def test_off_diagonal_diffusion_rejected():
         build_operator(prob, policy, ens, grid, 0)
 
 
+@pytest.mark.parametrize("depends_on", ["x", "a"])
+def test_diffusion_depending_on_state_or_control_rejected(depends_on):
+    base, grid = portfolio_problem(), portfolio_grid()
+    rng = np.random.default_rng(5)
+    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
+    ens = simulate(base, policy, 64, grid.time_steps, 0)
+
+    def diffusion(t, x, a, eta):
+        arg = x[:, 1] if depends_on == "x" else a[:, 0]
+        return base.diffusion(t, x, a, eta) * (1.0 + 0.1 * arg[:, None, None])
+
+    prob = dataclasses.replace(base, diffusion=diffusion)
+    with pytest.raises(ValueError, match="diffusion differs"):
+        build_operator(prob, policy, ens, grid, 10)
+
+
 def test_m_matrix_inverse_nonnegativity():
     prob = portfolio_problem()
     grid = portfolio_grid()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfcontrol import (
     GridField,
@@ -12,6 +14,7 @@ from mfcontrol import (
     max_principle_check,
     multilinear_eval,
 )
+from mfcontrol.grids import _cell_weights
 
 
 @pytest.fixture
@@ -126,6 +129,57 @@ def test_interpolation_matches_corner_loop_bitwise(d, c):
         want = _corner_loop_eval(grid, vals, pts)
         assert got.shape == want.shape
         # compare bit patterns, which also tells -0.0 from 0.0
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _integer_cell_weights(grid, x):
+    """The cell lookup with an int64 cell per dimension: the reference that
+    _cell_weights, which floors and clamps the cell as a float, must
+    reproduce bit for bit."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    base = 0
+    for i in range(grid.state_dim):
+        u = np.maximum(grid.lo[i], x[:, i])
+        np.minimum(grid.hi[i], u, out=u)
+        u -= grid.lo[i]
+        u /= grid.h[i]
+        cell = u.astype(np.int64)
+        np.minimum(cell, grid.nodes[i] - 2, out=cell)
+        frac = u - cell
+        np.minimum(1.0, frac, out=frac)
+        base = base + cell * grid.strides[i]
+        lower = 1.0 - frac
+        if i == 0:
+            weights = [lower, frac]
+        else:
+            weights = [w * lower for w in weights] + [w * frac for w in weights]
+    return base, weights
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300))
+def test_cell_weights_match_integer_cells_bitwise(d, seed, n):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-2.0, 1.0, d)
+    hi = lo + rng.uniform(0.5, 3.0, d)
+    grid = SpaceTimeGrid(1.0, 3, tuple(lo), tuple(hi), tuple(int(v) for v in rng.integers(2, 9, d)))
+    # points inside the box and outside it, then some coordinates pinned to
+    # the box's faces and to the interior node lines, where u is an integer
+    x = rng.uniform(lo - 1.0, hi + 1.0, (n, d))
+    inside = rng.random(n) < 0.5
+    x[inside] = rng.uniform(lo, hi, (int(inside.sum()), d))
+    nodes = grid.node_coords()[rng.integers(0, grid.num_nodes, n)]
+    pick = rng.random((n, d))
+    x = np.where(pick < 0.15, hi, x)
+    x = np.where(pick > 0.9, lo, x)
+    x = np.where((pick > 0.8) & (pick <= 0.9), nodes, x)
+    base, weights = _cell_weights(grid, x)
+    want_base, want_weights = _integer_cell_weights(grid, x)
+    assert base.dtype == np.int64
+    np.testing.assert_array_equal(base, want_base)
+    assert len(weights) == len(want_weights) == 1 << d
+    for got, want in zip(weights, want_weights):
+        # bit patterns, which also tell -0.0 from 0.0
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 

@@ -81,6 +81,18 @@ def test_estimate_cost_portfolio_10k_particles(benchmark):
     assert np.isfinite(cost) and stderr > 0
 
 
+def test_simulate_portfolio_10k_particles(benchmark):
+    # the training ensemble of a portfolio iteration: the same Euler loop
+    # at N = 10 000, M = 50, storing every step's states and controls
+    problem, grid = portfolio_problem(), portfolio_grid()
+    policy = PolicyField.zeros(grid, 1)
+    ensemble = benchmark.pedantic(
+        simulate, args=(problem, policy, 10_000, grid.time_steps, 0),
+        rounds=3, iterations=1, warmup_rounds=1,
+    )
+    assert ensemble.states.shape == (grid.time_steps + 1, 10_000, 2)
+
+
 @pytest.fixture(scope="module")
 def portfolio_iteration():
     # the inputs of the gradient of a first portfolio iteration at the

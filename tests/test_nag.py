@@ -1,5 +1,6 @@
 """Proximal-gradient driver: updates, gradient assembly, run reports."""
 
+import dataclasses
 import gc
 
 import numpy as np
@@ -201,6 +202,18 @@ def test_failure_carries_partial_report():
         run(base, grid, iterations=2, num_particles=100, seed=0)
     partial = info.value.partial_report
     assert len(partial.records) == 1
+    assert partial.policy is not None
+
+
+def test_failure_in_the_initial_cost_row_carries_empty_report():
+    prob = dataclasses.replace(
+        portfolio_problem(), drift=lambda t, x, a, eta: np.full_like(x, np.inf)
+    )
+    grid = portfolio_grid(cells=10, time_steps=10)
+    with pytest.raises(SolverError, match="non-finite state") as info:
+        run(prob, grid, iterations=2, num_particles=100)
+    partial = info.value.partial_report
+    assert partial.records == []
     assert partial.policy is not None
 
 

@@ -1,5 +1,6 @@
 """Particle simulation: exactness, statistics, reproducibility, failures."""
 
+import dataclasses
 import os
 import tracemalloc
 import warnings
@@ -281,3 +282,67 @@ def test_estimate_cost_warns_when_particles_leave_the_grid_box():
     grid = portfolio_grid(params, cells=10, time_steps=10)
     with pytest.warns(RuntimeWarning, match=r"outside the grid box .* dimension 1"):
         estimate_cost(portfolio_problem(params), _zero_policy(grid), 500, grid.time_steps, 0)
+
+
+# ---------------------------------------------------------------------------
+# one sigma per step against the per-particle contraction it replaced
+# ---------------------------------------------------------------------------
+
+
+def _rotated_noise_problem():
+    """Portfolio with two Brownian motions through a scaled rotation: sigma
+    has nonzero off-diagonal entries, and sigma sigma^T is diagonal."""
+    sig = np.array([[0.6137, 0.2718], [-0.2718, 0.6137]])
+
+    def diffusion(t, x, a, eta):
+        return np.broadcast_to(sig, (x.shape[0], 2, 2)).copy()
+
+    return dataclasses.replace(portfolio_problem(), noise_dim=2, diffusion=diffusion)
+
+
+def test_two_noise_step_matches_per_particle_einsum_bitwise():
+    # _upfront_simulate contracts an (N, d, n) sigma per particle with
+    # einsum("pir,pr->pi"), as the particle loop did
+    prob, grid = _rotated_noise_problem(), portfolio_grid()
+    policy = _wavy_policy(grid, 1)
+    states, controls = _upfront_simulate(prob, policy, 2_000, grid.time_steps, 5)
+    ens = simulate(prob, policy, 2_000, grid.time_steps, 5)
+    assert ens.states.tobytes() == states.tobytes()
+    assert ens.controls.tobytes() == controls.tobytes()
+
+
+def test_non_finite_state_names_its_step_and_first_particle():
+    base = portfolio_problem()
+    grid = portfolio_grid()
+    dt = grid.dt
+
+    def drift(t, x, a, eta):
+        out = base.drift(t, x, a, eta)
+        if abs(t - 2 * dt) < 1e-12:  # the step from t_2 to t_3
+            out[9, 0] = np.inf
+            out[7, 1] = np.nan
+        return out
+
+    prob = dataclasses.replace(base, drift=drift)
+    with pytest.raises(FloatingPointError, match=r"step 3, particle 7;"):
+        simulate(prob, _zero_policy(grid), 20, grid.time_steps, 0)
+    with pytest.raises(FloatingPointError, match=r"step 3, particle 7;"):
+        estimate_cost(prob, _zero_policy(grid), 20, grid.time_steps, 0)
+
+
+@pytest.mark.parametrize("depends_on", ["x", "a"])
+def test_diffusion_depending_on_state_or_control_is_rejected(depends_on):
+    base = portfolio_problem()
+    grid = portfolio_grid()
+
+    def diffusion(t, x, a, eta):
+        arg = x[:, 1] if depends_on == "x" else a[:, 0]
+        return base.diffusion(t, x, a, eta) * (1.0 + 0.1 * arg[:, None, None])
+
+    prob = dataclasses.replace(base, diffusion=diffusion)
+    # the wavy policy takes different values at the first and the last particle
+    policy = _wavy_policy(grid, 1)
+    with pytest.raises(ValueError, match="diffusion differs"):
+        simulate(prob, policy, 50, grid.time_steps, 0)
+    with pytest.raises(ValueError, match="diffusion differs"):
+        estimate_cost(prob, policy, 50, grid.time_steps, 0)
