@@ -250,8 +250,3 @@ def parse_config(path) -> RunConfig:
             key, _, value = line.partition("=")
             items.append((key.strip(), value.strip(), lineno))
     return parse_items(items)
-
-
-def config_from_mapping(mapping: Dict[str, str]) -> RunConfig:
-    """Parse a flat key -> value-string mapping (e.g. a report.json echo)."""
-    return parse_items([(k, v, 0) for k, v in mapping.items()])

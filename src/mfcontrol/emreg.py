@@ -58,21 +58,15 @@ def cell_index(grid: SpaceTimeGrid, x: np.ndarray) -> np.ndarray:
     return flat.astype(np.int64)
 
 
-def cell_regression(
-    grid: SpaceTimeGrid, x: np.ndarray, targets: np.ndarray, fallback: np.ndarray
-) -> np.ndarray:
+def _cell_means(idx: np.ndarray, targets: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Least-squares fit of targets on the indicator basis of the grid cells.
 
     For an orthogonal indicator basis the normal equations decouple and the
-    solution is the target mean per cell.  Cells containing no sample keep
-    the corresponding `fallback` row.  Shapes: x (N, d), targets (N, c),
-    fallback (num_cells, c); returns (num_cells, c).
+    solution is the target mean per cell.  `idx` holds the cell of each
+    sample (cell_index); cells containing no sample keep the corresponding
+    `fallback` row.  Shapes: idx (N,), targets (N, c), fallback
+    (num_cells, c); returns (num_cells, c).
     """
-    return _cell_means(cell_index(grid, x), targets, fallback)
-
-
-def _cell_means(idx: np.ndarray, targets: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """cell_regression on precomputed cell indices `idx` of the samples."""
     ncells = fallback.shape[0]
     counts = np.bincount(idx, minlength=ncells)
     out = fallback.copy()

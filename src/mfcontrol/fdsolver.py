@@ -6,7 +6,15 @@ first-order terms, central second-order terms, all stencil weights
 nonnegative) and explicit timestepping for the nonlocal source.  Boundary
 nodes of the truncated box hold the terminal condition as Dirichlet data.
 Each interior step solves a sparse M-matrix system per solution
-component.
+component, factored once per slice by a sparse LU without pivoting.
+
+The elimination order is block-triangular.  A model that diffuses in only
+some dimensions has only upwind advection in the others, so the graph of
+I - dt*L splits into many strongly connected components, and sorting the
+nodes by component makes the system block lower-triangular: the LU fills
+only the diagonal blocks.  Within a component the nodes keep the lattice's
+fill-reducing order.  A sweep whose operator does not change from one slice
+to the next (the zero policy of a first iteration) factors it once.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .grids import GridField, PolicyField, SpaceTimeGrid, _read_only, deposit, multilinear_eval
@@ -27,7 +36,7 @@ from .problem import MfcProblem
 _SOLVE_TOL = 1e-10  # on the residual relative to max(1, |rhs|_inf)
 
 # SuperLU settings of the per-slice factorisation.  The matrix arrives in a
-# fixed fill-reducing order (_fill_order), so no column ordering is computed
+# fill-reducing order (_elimination_order), so no column ordering is computed
 # ("NATURAL"), and the diagonal pivot is always taken (threshold 0).  Small
 # supernodes (relax, panel_size) cut the factor time of a 51 x 51 portfolio
 # slice by a quarter to two thirds against SuperLU's defaults.
@@ -44,11 +53,12 @@ _LU_OPTIONS = dict(
 def _fill_order(nodes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Fill-reducing elimination order of the (2d+1)-point node lattice.
 
-    Returns (order, rank), read-only: order lists the flat node indices in
-    elimination order and rank is its inverse, rank[order[k]] = k.  The
-    order comes from SuperLU's minimum degree on A + A^T for a strictly
-    diagonally dominant matrix on the full lattice stencil, whose pattern
-    contains that of every I - dt*L on these nodes.  SuperLU's perm_c maps
+    _elimination_order keeps it within each strongly connected component
+    of a slice's system.  Returns (order, rank), read-only: order lists
+    the flat node indices in elimination order and rank is its inverse,
+    rank[order[k]] = k.  The order comes from SuperLU's minimum degree on
+    A + A^T for a strictly diagonally dominant matrix on the full lattice
+    stencil, whose pattern contains that of every I - dt*L on these nodes.  SuperLU's perm_c maps
     a column to its position, so it is the rank and its inverse the order.
     """
     lattice = None
@@ -66,6 +76,20 @@ def _fill_order(nodes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.argsort(rank)), _read_only(rank)
 
 
+def _elimination_order(system: sp.csr_matrix, lattice_rank: np.ndarray) -> np.ndarray:
+    """Block-triangular elimination order of one slice's system.
+
+    Nodes are sorted by their strongly connected component in the graph of
+    the system (an edge r -> c for each nonzero (r, c)), ties broken by
+    their rank in the lattice's fill order.  scipy numbers the components
+    so that comp[r] >= comp[c] for every nonzero, which makes the reordered
+    system block lower-triangular.
+    """
+    _, comp = connected_components(system, directed=True, connection="strong")
+    # unique keys: component first, then lattice rank
+    return np.argsort(comp.astype(np.int64) * lattice_rank.size + lattice_rank)
+
+
 @dataclass
 class MonotoneOperator:
     """Implicit step for the monotone stencil L of one time slice.
@@ -78,21 +102,30 @@ class MonotoneOperator:
     grid: SpaceTimeGrid
     system: sp.csr_matrix
     _lu: object = None
+    _order: Optional[np.ndarray] = None
+    _rank: Optional[np.ndarray] = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Direct sparse solve of (I - dt L) u = rhs with a cached LU factor.
 
-        The system is factored as B = Q^T (I - dt L) Q, Q the lattice's
-        fill-reducing order (_fill_order), without pivoting.  That is safe:
-        I - dt L is a nonsingular M-matrix (nonpositive off-diagonal entries,
-        row sums 1, hence strictly diagonally dominant), every symmetric
-        permutation of an M-matrix is one, and so is every Schur complement
-        of one, so each pivot of the elimination is positive.  A failed
-        factorisation (a zero pivot on a system not built by build_operator)
-        or a residual above tolerance raises RuntimeError at once.
+        The system is factored as B = Q^T (I - dt L) Q without pivoting, Q
+        the block-triangular order of _elimination_order: nodes sorted by
+        strongly connected component, each component in the lattice's
+        fill-reducing order (_fill_order).  B is block lower-triangular, so
+        the factor fills only its diagonal blocks.  Skipping the pivoting
+        is safe: I - dt L is a nonsingular M-matrix (nonpositive
+        off-diagonal entries, row sums 1, hence strictly diagonally
+        dominant), every symmetric permutation of an M-matrix is one, and
+        so is every Schur complement of one, so each pivot of the
+        elimination is positive, whatever the order.  A failed
+        factorisation (a zero pivot on a system not built by
+        build_operator) or a residual above tolerance raises RuntimeError
+        at once.
         """
-        order, rank = _fill_order(self.grid.nodes)
         if self._lu is None:
+            order = _elimination_order(self.system, _fill_order(self.grid.nodes)[1])
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
             # rows in elimination order, then columns relabelled by rank;
             # tocsc sorts each column's row indices
             permuted = self.system[order]
@@ -102,10 +135,11 @@ class MonotoneOperator:
                 self._lu = splu(permuted.tocsc(), **_LU_OPTIONS)
             except RuntimeError as exc:
                 raise RuntimeError(f"sparse LU of I - dt L failed: {exc}") from exc
+            self._order, self._rank = order, rank
         # take gathers rows with the bits of fancy indexing in a tenth of its
         # time on (n, c) arrays; rank, the inverse of order, returns the
         # solution to node order
-        sol = self._lu.solve(rhs.take(order, axis=0)).take(rank, axis=0)
+        sol = self._lu.solve(rhs.take(self._order, axis=0)).take(self._rank, axis=0)
         res = np.abs(self.system @ sol - rhs).max()
         tol = _SOLVE_TOL * max(1.0, np.abs(rhs).max())
         if not res <= tol:
@@ -158,6 +192,15 @@ def _pattern_csr(data: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(n, n))
+
+
+def _same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """Whether two CSR matrices hold equal indptr, indices and data arrays."""
+    return (
+        np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
 
 
 def build_operator(
@@ -286,7 +329,11 @@ def backward_sweep(
     Terminal slice is the discretized terminal condition; boundary nodes
     hold the terminal data as Dirichlet data for all times; each interior
     step solves (I - dt L) U^{j-1} = U^j + dt f per component with a shared
-    sparse factorization.
+    sparse factorization.  A slice whose system has the CSR arrays of the
+    previous slice's (indptr, indices and data all equal) reuses that
+    operator and its factor, so the result is the same, bit for bit, as
+    factoring every slice: under the zero policy of a first iteration all
+    M slices share one factor.
     """
     d = problem.state_dim
     dt, h = grid.dt, grid.h
@@ -302,8 +349,11 @@ def backward_sweep(
 
     U = np.empty((M + 1, grid.num_nodes, d))
     U[M] = term
+    op = None
     for j in range(M, 0, -1):
-        op = build_operator(problem, policy, ensemble, grid, j - 1)
+        new_op = build_operator(problem, policy, ensemble, grid, j - 1)
+        if op is None or not _same_csr(new_op.system, op.system):
+            op = new_op
         src = assemble_source(
             problem, policy, ensemble, U[j], grid, j, kernel_subsample=kernel_subsample
         )

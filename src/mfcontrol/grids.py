@@ -116,11 +116,6 @@ class SpaceTimeGrid:
             for corner in range(1 << self.state_dim)
         )
 
-    def time_index(self, t: float) -> int:
-        """floor(t / dt), capped at M; robust against roundoff at grid times."""
-        j = int(np.floor(t / self.dt + 1e-12))
-        return min(max(j, 0), self.time_steps)
-
 
 def _cell_weights(grid: SpaceTimeGrid, x) -> tuple[np.ndarray, list]:
     """Cells and tent weights of query points x, shape (P, d).
@@ -242,10 +237,6 @@ class GridField:
     def eval_slice(self, j: int, x: np.ndarray) -> np.ndarray:
         """Multilinear evaluation of time slice j at points x."""
         return multilinear_eval(self.grid, self.values[j], x)
-
-    def interpolate(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Evaluate at (t, x): multilinear in space, slice floor(t/dt) in time."""
-        return self.eval_slice(self.grid.time_index(t), x)
 
 
 class PolicyField(GridField):

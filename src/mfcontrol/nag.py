@@ -164,6 +164,8 @@ class RunReport:
                 )
 
     def to_json(self, path) -> None:
+        """Write the report as strict JSON: a non-finite number (the NaN
+        gradient norm of row 0) is written as null."""
         payload = {
             "method": self.method,
             "problem": self.problem_name,
@@ -180,8 +182,19 @@ class RunReport:
             ],
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(_finite_or_null(payload), fh, indent=2, allow_nan=False)
             fh.write("\n")
+
+
+def _finite_or_null(obj):
+    """obj with every non-finite float, also in nested dicts and lists, as None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
 
 
 class SolverError(RuntimeError):

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from mfcontrol import (
@@ -315,6 +316,84 @@ def test_solve_obeys_discrete_maximum_principle():
     sol = op.solve(rhs)
     assert np.all(sol >= rhs.min(axis=0) - 1e-12)
     assert np.all(sol <= rhs.max(axis=0) + 1e-12)
+
+
+def _liquidating_policy(grid):
+    """Smooth, time-varying policy a = (0.5 - q)(1 + t): the inventory
+    drift is negative on 7/8 of the box, so the advection-only inventory
+    dimension splits the lattice into many strongly connected components."""
+    q = grid.node_coords()[:, 1]
+    vals = np.outer(1.0 + grid.times, 0.5 - q)
+    return PolicyField(grid, vals.reshape((grid.time_steps + 1,) + grid.nodes + (1,)))
+
+
+def _liquidating_portfolio_slice(j=17):
+    prob, grid = portfolio_problem(), portfolio_grid()
+    policy = _liquidating_policy(grid)
+    ens = simulate(prob, policy, 256, grid.time_steps, 0)
+    return build_operator(prob, policy, ens, grid, j)
+
+
+@pytest.mark.parametrize("make_slice", [_liquidating_portfolio_slice, _cs2d_slice])
+def test_elimination_order_is_block_triangular(make_slice):
+    op = make_slice()
+    P = op.grid.num_nodes
+    op.solve(np.ones((P, 1)))
+    ncomp, comp = connected_components(op.system, directed=True, connection="strong")
+    assert ncomp > 200
+    # scipy's labels order the components topologically: the system is
+    # block lower-triangular in the order of increasing label
+    coo = op.system.tocoo()
+    assert np.all(comp[coo.row] >= comp[coo.col])
+    # the order sorts by component, and within one by lattice rank
+    lattice, lattice_rank = fdsolver._fill_order(op.grid.nodes)
+    key = comp[op._order].astype(np.int64) * P + lattice_rank[op._order]
+    assert np.all(np.diff(key) > 0)
+    np.testing.assert_array_equal(op._rank[op._order], np.arange(P))
+    # the factor fills only the diagonal blocks: far less than the lattice
+    # order alone
+    in_lattice_order = splu(op.system[lattice][:, lattice].tocsc(), **fdsolver._LU_OPTIONS)
+    lattice_fill = in_lattice_order.L.nnz + in_lattice_order.U.nnz
+    assert op._lu.L.nnz + op._lu.U.nnz <= 0.8 * lattice_fill
+
+
+def _counting_splu(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(fdsolver, "splu", counted)
+    return calls
+
+
+@pytest.mark.parametrize("policy_kind, factors", [("zero", 1), ("liquidating", 10)])
+def test_sweep_factors_once_per_distinct_operator(monkeypatch, policy_kind, factors):
+    # under the zero policy every slice has b = 0 and the same sigma, so
+    # all M slices share one operator; a time-varying policy changes it
+    prob, grid = portfolio_problem(), portfolio_grid(cells=20, time_steps=10)
+    if policy_kind == "zero":
+        policy = PolicyField.zeros(grid, 1)
+    else:
+        policy = _liquidating_policy(grid)
+    ens = simulate(prob, policy, 256, grid.time_steps, 0)
+    fdsolver._fill_order(grid.nodes)  # its own splu call stays out of the count
+    calls = _counting_splu(monkeypatch)
+    backward_sweep(prob, policy, ens, grid)
+    assert len(calls) == factors
+
+
+def test_reused_factor_matches_a_factor_per_slice_bitwise(monkeypatch):
+    prob, grid = portfolio_problem(), portfolio_grid()
+    policy = PolicyField.zeros(grid, 1)
+    ens = simulate(prob, policy, 256, grid.time_steps, 0)
+    reused = backward_sweep(prob, policy, ens, grid).u.values
+    monkeypatch.setattr(fdsolver, "_same_csr", lambda a, b: False)
+    calls = _counting_splu(monkeypatch)
+    fresh = backward_sweep(prob, policy, ens, grid).u.values
+    assert len(calls) == grid.time_steps
+    np.testing.assert_array_equal(reused.view(np.int64), fresh.view(np.int64))
 
 
 def test_fill_order_is_one_permutation_per_node_lattice():

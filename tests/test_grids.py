@@ -203,12 +203,9 @@ def test_policy_field_time_is_piecewise_constant(grid):
     for j in range(5):
         vals[j] = float(j)
     pol = PolicyField(grid, vals)
-    x = np.array([[0.0, 2.0]])
-    assert pol.interpolate(0.0, x)[0, 0] == 0.0
-    assert pol.interpolate(0.1, x)[0, 0] == 0.0
-    assert pol.interpolate(0.25, x)[0, 0] == 1.0
-    assert pol.interpolate(0.9999, x)[0, 0] == 3.0
-    assert pol.interpolate(1.0, x)[0, 0] == 4.0
+    x = np.array([[0.0, 2.0], [-2.0, 4.0]])
+    for j in range(5):
+        np.testing.assert_array_equal(pol.eval_slice(j, x), [[float(j)]] * 2)
 
 
 def test_field_shape_validation(grid):

@@ -55,12 +55,34 @@ def test_build_operator_portfolio_slice(benchmark):
 
 def test_factor_and_solve_portfolio_slice(benchmark):
     # one implicit step of the adjoint sweep on a coupled slice (a policy of
-    # mixed sign keeps every stencil entry): assembly, LU factor and solve
+    # mixed sign keeps every stencil entry): assembly, LU factor and solve.
+    # The random signs merge the lattice into one strongly connected
+    # component, so this is the worst case of the block-triangular order.
     problem, grid = portfolio_problem(), portfolio_grid()
     rng = np.random.default_rng(1)
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ensemble = simulate(problem, policy, 1000, grid.time_steps, 0)
     rhs = rng.standard_normal((grid.num_nodes, 2))
+
+    def step():
+        return build_operator(problem, policy, ensemble, grid, 10).solve(rhs)
+
+    out = benchmark.pedantic(step, rounds=10, iterations=2, warmup_rounds=1)
+    assert out.shape == (grid.num_nodes, 2)
+
+
+def test_factor_and_solve_portfolio_liquidating_slice(benchmark):
+    # the same step under a smooth policy that sells on most of the box,
+    # a = (0.5 - q)(1 + t), as a solved liquidation policy does: the
+    # inventory dimension, advected but not diffused, splits the lattice
+    # into about 250 strongly connected components, and the LU fills only
+    # their diagonal blocks
+    problem, grid = portfolio_problem(), portfolio_grid()
+    q = grid.node_coords()[:, 1]
+    vals = np.outer(1.0 + grid.times, 0.5 - q)
+    policy = PolicyField(grid, vals.reshape((grid.time_steps + 1,) + grid.nodes + (1,)))
+    ensemble = simulate(problem, policy, 1000, grid.time_steps, 0)
+    rhs = np.random.default_rng(1).standard_normal((grid.num_nodes, 2))
 
     def step():
         return build_operator(problem, policy, ensemble, grid, 10).solve(rhs)

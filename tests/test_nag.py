@@ -233,3 +233,26 @@ def test_report_serialization(tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["method"] == "fipde"
     assert len(payload["iterations"]) == 2
+
+
+def test_report_json_is_strict(tmp_path):
+    # row 0 has no gradient: its NaN norm is written as null, since strict
+    # parsers reject the NaN token
+    import json
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    rep = run(portfolio_problem(), portfolio_grid(cells=10, time_steps=10), iterations=1,
+              num_particles=100, seed=0)
+    rep.records[1].stderr = float("inf")
+    rep.settings["tau"] = float("-inf")
+    json_path = tmp_path / "report.json"
+    rep.to_json(json_path)
+    payload = json.loads(json_path.read_text(), parse_constant=reject)
+    rows = payload["iterations"]
+    assert rows[0]["grad_norm"] is None and rows[1]["stderr"] is None
+    assert rows[1]["grad_norm"] == rep.records[1].grad_norm
+    assert rows[0]["J"] == rep.records[0].cost
+    assert payload["settings"]["tau"] is None
+    assert payload["settings"]["grid_nodes"] == [11, 11]

@@ -70,7 +70,7 @@ def test_feedback_field_is_affine_in_velocity(sol):
     )
     assert report.residuals.max() <= 1e-9
     # the feedback vanishes at the consensus velocity
-    mid = policy.interpolate(0.5, np.array([[2.0, 1.5]]))
+    mid = policy.eval_slice(grid.time_steps // 2, np.array([[2.0, 1.5]]))
     np.testing.assert_allclose(mid, [[0.0]], atol=1e-12)
 
 
