@@ -14,7 +14,6 @@ from .grids import (
     SpaceTimeGrid,
     field_from_csv,
     field_to_csv,
-    max_principle_check,
     multilinear_eval,
 )
 from .measures import EmpiricalMeasure, MeasureKernel
@@ -87,7 +86,6 @@ __all__ = [
     "field_to_csv",
     "gradient_field",
     "gradient_slice",
-    "max_principle_check",
     "multilinear_eval",
     "nag_step",
     "parse_config",

@@ -11,6 +11,7 @@ offending line number.
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -71,8 +72,11 @@ class RunConfig:
         ):
             if value < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
+        # NaN fails every comparison, so it would pass `tau <= 0`
+        if not 0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be positive and finite, got {self.tau!r}")
+        if self.momentum_cap is not None and math.isnan(self.momentum_cap):
+            raise ConfigError("momentum_cap must be a number, got nan")
         if self.kernel_subsample is not None and self.kernel_subsample < 1:
             raise ConfigError("kernel_subsample must be a positive atom count")
         if self.sweep_steps < 1:

@@ -13,6 +13,7 @@ the value from the previous outer iteration (zero initially).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -58,17 +59,19 @@ def cell_index(grid: SpaceTimeGrid, x: np.ndarray) -> np.ndarray:
     return flat.astype(np.int64)
 
 
-def _cell_means(idx: np.ndarray, targets: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+def _cell_means(
+    idx: np.ndarray, counts: np.ndarray, targets: np.ndarray, fallback: np.ndarray
+) -> np.ndarray:
     """Least-squares fit of targets on the indicator basis of the grid cells.
 
     For an orthogonal indicator basis the normal equations decouple and the
     solution is the target mean per cell.  `idx` holds the cell of each
-    sample (cell_index); cells containing no sample keep the corresponding
-    `fallback` row.  Shapes: idx (N,), targets (N, c), fallback
-    (num_cells, c); returns (num_cells, c).
+    sample (cell_index) and `counts` the samples per cell,
+    np.bincount(idx, minlength=num_cells); cells containing no sample keep
+    the corresponding `fallback` row.  Shapes: idx (N,), targets (N, c),
+    fallback (num_cells, c); returns (num_cells, c).
     """
     ncells = fallback.shape[0]
-    counts = np.bincount(idx, minlength=ncells)
     out = fallback.copy()
     filled = counts > 0
     sums = np.empty((ncells, targets.shape[1]))
@@ -78,16 +81,26 @@ def _cell_means(idx: np.ndarray, targets: np.ndarray, fallback: np.ndarray) -> n
     return out
 
 
+def _histogram_mean(counts: np.ndarray, cell_values: np.ndarray) -> np.ndarray:
+    """Mean over points of their cell values, from the points per cell."""
+    return counts @ cell_values / counts.sum()
+
+
 @dataclass
 class PiecewiseConstantAdjoint:
     """Cell-constant adjoint approximation with the PDE-field protocol.
 
     u_at_points looks up each point's cell; mean_at gives only the mean of
     those values over the points, from the count of points per cell.
+    `atom_means` is set by regress_adjoint: a weak reference to the
+    ensemble's states (M+1, N, d), a stride s and the read-only means
+    (M+1, c) over the particles states[j, ::s], which mean_at returns for
+    exactly those particles instead of looking them up again.
     """
 
     grid: SpaceTimeGrid
     cells: np.ndarray  # (M+1, num_cells, c)
+    atom_means: Optional[tuple] = None
 
     def u_at_points(self, j: int, x: np.ndarray) -> np.ndarray:
         return self.cells[j].take(cell_index(self.grid, x), axis=0)
@@ -98,14 +111,33 @@ class PiecewiseConstantAdjoint:
     def mean_at(self, j: int, x: np.ndarray) -> np.ndarray:
         """u_at_points(j, x).mean(axis=0) up to summation order; shape (c,).
 
-        The mean is read off the histogram of the points over the cells.
+        The mean is read off the histogram of the points over the cells;
+        for the regression's own particles it was stored as it was
+        regressed, with the same bits.
         """
+        if self.atom_means is not None:
+            states_ref, stride, means = self.atom_means
+            states = states_ref()
+            # x must view the very memory of states[j, ::stride], which the
+            # weak reference keeps from being another array's
+            if states is not None and _same_view(x, states[j, ::stride]):
+                return means[j]
         counts = np.bincount(cell_index(self.grid, x), minlength=self.cells.shape[1])
-        return counts @ self.cells[j] / x.shape[0]
+        return _histogram_mean(counts, self.cells[j])
 
     @cached_property
     def _node_cells(self) -> np.ndarray:
         return cell_index(self.grid, self.grid.node_coords())
+
+
+def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b view the same elements of memory in the same layout."""
+    return (
+        a.shape == b.shape
+        and a.strides == b.strides
+        and a.dtype == b.dtype
+        and a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+    )
 
 
 def _pointwise_source(
@@ -155,6 +187,11 @@ def regress_adjoint(
     treatment of the grid scheme.  The diffusion does not depend on the
     state, so no gradient term enters the targets.  The source reads the
     controls stored in the ensemble.
+
+    The returned adjoint also holds the mean of each slice's cell values
+    over the particles of the control gradient, the ensemble's atoms
+    subsampled by kernel_subsample, read off the cell counts that the
+    regression computes anyway (see PiecewiseConstantAdjoint.atom_means).
     """
     M = grid.time_steps
     d = problem.state_dim
@@ -166,7 +203,17 @@ def regress_adjoint(
     )
 
     cells = np.empty((M + 1, ncells, d))
+    means = np.empty((M + 1, d))
     mu_T = ensemble.measure(M)
+    stride = mu_T.stride(kernel_subsample)
+
+    def regress(j, idx, targets):
+        counts = np.bincount(idx, minlength=ncells)
+        cells[j] = _cell_means(idx, counts, targets, fallback[j])
+        if stride > 1:
+            counts = np.bincount(idx[::stride], minlength=ncells)
+        means[j] = _histogram_mean(counts, cells[j])
+
     term = np.asarray(problem.dx_terminal(ensemble.states[M], mu_T), dtype=float)
     term = term + problem.mu_terminal.mean_contract(
         problem.horizon, mu_T.strided(kernel_subsample), ensemble.states[M], None
@@ -174,7 +221,7 @@ def regress_adjoint(
     # idx holds the cells of the particles at the slice being stepped from:
     # the regression onto slice j-1 computes the lookup of the next step
     idx = cell_index(grid, ensemble.states[M])
-    cells[M] = _cell_means(idx, term, fallback[M])
+    regress(M, idx, term)
     for j in range(M, 0, -1):
         u_here = cells[j].take(idx, axis=0)
         src = _pointwise_source(
@@ -183,8 +230,12 @@ def regress_adjoint(
         )
         targets = u_here + grid.dt * src
         idx = cell_index(grid, ensemble.states[j - 1])
-        cells[j - 1] = _cell_means(idx, targets, fallback[j - 1])
-    return PiecewiseConstantAdjoint(grid=grid, cells=cells)
+        regress(j - 1, idx, targets)
+    means.setflags(write=False)
+    return PiecewiseConstantAdjoint(
+        grid=grid, cells=cells,
+        atom_means=(weakref.ref(ensemble.states), stride, means),
+    )
 
 
 def run_emreg(

@@ -117,6 +117,16 @@ class SpaceTimeGrid:
         )
 
 
+def _finite_points(x) -> np.ndarray:
+    """x as a float (P, d) array; ValueError names its first non-finite
+    coordinate."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x)):
+        bad = np.argwhere(~np.isfinite(x))[0]
+        raise ValueError(f"non-finite query coordinate {bad[1]} at point {bad[0]}")
+    return x
+
+
 def _cell_weights(grid: SpaceTimeGrid, x) -> tuple[np.ndarray, list]:
     """Cells and tent weights of query points x, shape (P, d).
 
@@ -126,10 +136,7 @@ def _cell_weights(grid: SpaceTimeGrid, x) -> tuple[np.ndarray, list]:
     to the bounding box first; a point on an upper face lies in the last
     cell.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        bad = np.argwhere(~np.isfinite(x))[0]
-        raise ValueError(f"non-finite query coordinate {bad[1]} at point {bad[0]}")
+    x = _finite_points(x)
     for i in range(grid.state_dim):
         # clamp to the box; with the bound as first operand, maximum and
         # minimum resolve ties exactly as np.clip does
@@ -165,11 +172,16 @@ def multilinear_eval(grid: SpaceTimeGrid, slice_values: np.ndarray, x: np.ndarra
 
     slice_values has shape (*grid.nodes, c); x has shape (P, d).  Points are
     clamped componentwise to the bounding box before weights are computed,
-    so the field extends constantly outside the domain.
+    so the field extends constantly outside the domain.  A slice of zeros
+    interpolates to +0.0 without computing any weight: the weights are
+    finite and nonnegative, so the corner sum, which starts from +0.0, is
+    +0.0 too, also for node values of -0.0.
     """
     c = slice_values.shape[-1]
     # c == 1 is evaluated on 1-D arrays; the arithmetic is the same
     flat = slice_values.reshape(-1) if c == 1 else slice_values.reshape(-1, c)
+    if not flat.any():  # NaN counts as nonzero
+        return np.zeros((_finite_points(x).shape[0], c))
     base, weights = _cell_weights(grid, x)
 
     out = np.zeros(base.shape + flat.shape[1:])
@@ -178,8 +190,9 @@ def multilinear_eval(grid: SpaceTimeGrid, slice_values: np.ndarray, x: np.ndarra
     corner = np.empty_like(out)
     for w, offset in zip(weights, grid._corner_offsets):
         # base indexes the values from the corner's offset on, so no
-        # base + offset index array is formed
-        flat[offset:].take(base, axis=0, out=corner)
+        # base + offset index array is formed; the indices are in range, and
+        # mode="clip" does not buffer the output as the default "raise" does
+        flat[offset:].take(base, axis=0, out=corner, mode="clip")
         corner *= w if c == 1 else w[:, None]
         out += corner
     return out if c > 1 else out[:, None]
@@ -242,12 +255,6 @@ class GridField:
 class PolicyField(GridField):
     """Feedback control on the grid: multilinear in space with clamping,
     piecewise-constant in time on [t_j, t_{j+1})."""
-
-
-def max_principle_check(field: GridField) -> tuple[np.ndarray, np.ndarray]:
-    """Exact componentwise extrema per time slice; shapes (M+1, c)."""
-    flat = field.values.reshape(field.values.shape[0], -1, field.components)
-    return flat.min(axis=1), flat.max(axis=1)
 
 
 def field_to_csv(field: GridField, path) -> None:

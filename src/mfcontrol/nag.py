@@ -45,7 +45,8 @@ def gradient_slice(
     the particle locations.  A constant drift kernel (the portfolio model's
     lam * E[u]) needs only the mean of the adjoint over the particles,
     which ``adjoint.mean_at`` reads off the node deposit or the cell
-    histogram of the particles, so the adjoint is not evaluated at each
+    histogram of the particles (the regression stores it from the cell
+    counts of its own pass), so the adjoint is not evaluated at each
     particle for it.  The diffusion does not depend on the control, so it
     adds no term.
     """
@@ -104,6 +105,16 @@ class NagState:
     psi: PolicyField
 
 
+def _check_step_settings(tau: float, momentum_cap: Optional[float]) -> None:
+    """Raise ValueError unless tau is positive and finite and the momentum
+    cap is not NaN; NaN passes every comparison with False, so a NaN cap
+    would leave the momentum uncapped."""
+    if not 0 < tau < np.inf:
+        raise ValueError(f"stepsize tau must be positive and finite, got {tau!r}")
+    if momentum_cap is not None and np.isnan(momentum_cap):
+        raise ValueError("momentum_cap must be a number, got nan")
+
+
 def nag_step(
     state: NagState,
     grad: GridField,
@@ -113,8 +124,7 @@ def nag_step(
     momentum_cap: Optional[float] = None,
 ) -> NagState:
     """One proximal-gradient update with optional momentum extrapolation."""
-    if tau <= 0:
-        raise ValueError("stepsize tau must be positive")
+    _check_step_settings(tau, momentum_cap)
     grid = state.psi.grid
     phi_vals = prox_apply(
         problem.nonsmooth_cost, tau, state.psi.values - tau * grad.values
@@ -247,6 +257,7 @@ def run(
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     if iterations < 0:
         raise ValueError("iteration count must be nonnegative")
+    _check_step_settings(tau, momentum_cap)
     M = grid.time_steps
     phi0 = (
         initial_policy.copy()

@@ -74,16 +74,18 @@ def _euler(
     N: int,
     M: int,
     seed: int,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, EmpiricalMeasure]]:
     """Euler-Maruyama steps of the interacting-particle system under `policy`.
 
-    Yields (j, x, a) for j = 0..M: the (N, d) states at t_j and the (N, k)
-    policy controls there.  Each step's arrays are new, so a consumer may
-    keep them, but must not write to them.  The Brownian increments are
-    drawn one step at a time, an (N, n) block per step from a counter-based
-    (Philox) stream: the same numbers, bit for bit, as one (M, N, n) draw,
-    so the paths are reproducible for a given (seed, N, M) regardless of
-    scheduling.  Only one step is held, O(N·(d + k + n)) doubles.
+    Yields (j, eta) for j = 0..M: the empirical measure of the step, whose
+    eta.x holds the (N, d) states at t_j and eta.a the (N, k) policy
+    controls there; the drift and sigma of the step see the same measure.
+    Each step's arrays are new, so a consumer may keep them, but must not
+    write to them.  The Brownian increments are drawn one step at a time,
+    an (N, n) block per step from a counter-based (Philox) stream: the same
+    numbers, bit for bit, as one (M, N, n) draw, so the paths are
+    reproducible for a given (seed, N, M) regardless of scheduling.  Only
+    one step is held, O(N·(d + k + n)) doubles.
 
     sigma depends on t and the measure only (see MfcProblem), so each step
     evaluates it once, at the first particle, as one (d, n) matrix; at
@@ -129,10 +131,10 @@ def _euler(
             if col_min < lo[i] or col_max > hi[i]:
                 outside[i] += int(np.count_nonzero((col < lo[i]) | (col > hi[i])))
         a = policy.eval_slice(j, x)
-        yield j, x, a
+        eta = EmpiricalMeasure(x, a)
+        yield j, eta
         if j == M:
             break
-        eta = EmpiricalMeasure(x, a)
         b = problem.drift(j * dt, x, a, eta)
         sig = problem.diffusion_matrix(j * dt, x, a, eta, check=(j == 0))
         dW = rng_noise.standard_normal((N, n))
@@ -193,9 +195,9 @@ def simulate(
     _check_memory(8 * ((M + 1) * N * (d + k) + N * n), N, M)
     states = np.empty((M + 1, N, d))
     controls = np.empty((M + 1, N, k))
-    for j, x, a in _euler(problem, policy, N, M, seed):
-        states[j] = x
-        controls[j] = a
+    for j, eta in _euler(problem, policy, N, M, seed):
+        states[j] = eta.x
+        controls[j] = eta.a
     return ParticleEnsemble(
         states=states, controls=controls, dt=problem.horizon / M, seed=seed
     )
@@ -234,13 +236,12 @@ def estimate_cost(
     _check_inputs(problem, policy, N, M)
     dt = problem.horizon / M
     total = np.zeros(N)
-    for j, x, a in _euler(problem, policy, N, M, seed):
-        eta = EmpiricalMeasure(x, a)
+    for j, eta in _euler(problem, policy, N, M, seed):
         if j < M:
-            f = problem.running_cost(j * dt, x, a, eta)
-            total += (f + ell_value(problem.nonsmooth_cost, a)) * dt
+            f = problem.running_cost(j * dt, eta.x, eta.a, eta)
+            total += (f + ell_value(problem.nonsmooth_cost, eta.a)) * dt
         else:
-            total += problem.terminal_cost(x, eta)
+            total += problem.terminal_cost(eta.x, eta)
     mean = _chunked_mean(total)
     std_err = float(total.std(ddof=1) / np.sqrt(N)) if N > 1 else 0.0
     return float(mean), std_err

@@ -130,8 +130,8 @@ def closed_loop_mean_velocity(
     M = grid.time_steps
     _check_inputs(problem, policy, num_particles, M)
     means = np.empty(M + 1)
-    for j, x, _ in _euler(problem, policy, num_particles, M, seed):
-        means[j] = x[:, 1].mean()
+    for j, eta in _euler(problem, policy, num_particles, M, seed):
+        means[j] = eta.x[:, 1].mean()
     return means
 
 

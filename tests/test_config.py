@@ -97,6 +97,22 @@ def test_validation_errors():
 
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_non_finite_tau_is_rejected(tmp_path, tau):
+    # NaN passes `tau <= 0`; the check names the field
+    with pytest.raises(ConfigError, match="tau"):
+        RunConfig(problem="portfolio", tau=tau)
+    with pytest.raises(ConfigError, match="tau"):
+        parse_config(_write(tmp_path, f"problem = portfolio\ntau = {tau}\n"))
+
+
+def test_nan_momentum_cap_is_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="momentum_cap"):
+        RunConfig(problem="portfolio", momentum_cap=float("nan"))
+    with pytest.raises(ConfigError, match="momentum_cap"):
+        parse_config(_write(tmp_path, "problem = portfolio\nmomentum_cap = nan\n"))
+
+
 def test_dump_adjoint_rejected_for_emreg(tmp_path):
     # the regression solves no adjoint PDE, so there is nothing to dump
     text = "problem = portfolio\ndump_adjoint = true\n"

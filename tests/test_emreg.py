@@ -1,5 +1,7 @@
 """Regression baseline: cell indexing, indicator least squares, outer loop."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from mfcontrol import (
     run,
     simulate,
 )
+from mfcontrol import emreg
 from mfcontrol.emreg import PiecewiseConstantAdjoint, _cell_means, cell_index, run_emreg
 from mfcontrol.grids import SpaceTimeGrid
 
@@ -85,7 +88,7 @@ def test_cell_regression_matches_dense_least_squares(grid):
     targets = rng.standard_normal((300, 2))
     fallback = np.zeros((16, 2))
     idx = cell_index(grid, x)
-    out = _cell_means(idx, targets, fallback)
+    out = _cell_means(idx, np.bincount(idx, minlength=16), targets, fallback)
     np.testing.assert_array_equal(out, cell_regression(grid, x, targets, fallback))
     # dense normal equations on the indicator design matrix
     design = np.zeros((300, 16))
@@ -99,7 +102,8 @@ def test_cell_regression_keeps_fallback_in_empty_cells(grid):
     x = np.array([[0.1, 0.1]])  # only cell 0 is visited
     targets = np.array([[2.0, -1.0]])
     fallback = np.full((16, 2), 7.0)
-    out = _cell_means(cell_index(grid, x), targets, fallback)
+    idx = cell_index(grid, x)
+    out = _cell_means(idx, np.bincount(idx, minlength=16), targets, fallback)
     np.testing.assert_array_equal(out[0], [2.0, -1.0])
     np.testing.assert_array_equal(out[1:], fallback[1:])
 
@@ -178,6 +182,54 @@ def test_regress_adjoint_matches_reference_loop_bitwise(model):
         np.testing.assert_array_equal(
             adj.u_at_nodes(j), adj.u_at_points(j, grid.node_coords())
         )
+
+
+@pytest.mark.parametrize("N, subsample, stride", [(700, None, 1), (1400, 20, 70)])
+def test_regression_means_are_the_histogram_means_of_the_strided_atoms(
+    N, subsample, stride, monkeypatch
+):
+    prob, grid = portfolio_problem(), portfolio_grid(cells=10, time_steps=6)
+    rng = np.random.default_rng(11)
+    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
+    ens = simulate(prob, policy, N, grid.time_steps, 5)
+    previous = PiecewiseConstantAdjoint(grid, rng.standard_normal((grid.time_steps + 1, 100, 2)))
+    adj = regress_adjoint(prob, ens, grid, previous=previous, kernel_subsample=subsample)
+    assert ens.measure(0).stride(subsample) == stride
+    lookups = []
+
+    def counted_cell_index(grid, x):
+        lookups.append(x.shape[0])
+        return cell_index(grid, x)
+
+    monkeypatch.setattr(emreg, "cell_index", counted_cell_index)
+    for j in range(grid.time_steps + 1):
+        # the gradient's atoms, as gradient_slice takes them
+        x = ens.measure(j).strided(subsample).x
+        counts = np.bincount(cell_index(grid, x), minlength=100)
+        want = counts @ adj.cells[j] / x.shape[0]
+        got = adj.mean_at(j, x)
+        assert lookups == []  # stored by the regression, not looked up
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        scale = np.abs(adj.cells[j]).max()
+        np.testing.assert_allclose(
+            got, adj.u_at_points(j, x).mean(axis=0), rtol=0, atol=1e-13 * scale
+        )
+        lookups.clear()
+        # any other atom set is looked up: fewer atoms, a copy, another slice
+        for other, k in ((x[1:], j), (x.copy(), j), (x, (j + 1) % (grid.time_steps + 1))):
+            counts = np.bincount(cell_index(grid, other), minlength=100)
+            want = counts @ adj.cells[k] / other.shape[0]
+            np.testing.assert_array_equal(adj.mean_at(k, other), want)
+        assert lookups == [x.shape[0] - 1, x.shape[0], x.shape[0]]
+        lookups.clear()
+    # the adjoint does not keep the particles alive
+    states = adj.atom_means[0]
+    del ens, x, other
+    gc.collect()
+    assert states() is None
+    x = rng.uniform(0.0, 1.0, (N, 2))
+    counts = np.bincount(cell_index(grid, x), minlength=100)
+    np.testing.assert_array_equal(adj.mean_at(0, x), counts @ adj.cells[0] / N)
 
 
 def test_run_emreg_mirrors_driver_interface():

@@ -11,7 +11,6 @@ from mfcontrol import (
     SpaceTimeGrid,
     field_from_csv,
     field_to_csv,
-    max_principle_check,
     multilinear_eval,
 )
 from mfcontrol.grids import _cell_weights
@@ -132,6 +131,25 @@ def test_interpolation_matches_corner_loop_bitwise(d, c):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_zero_slice_interpolates_to_the_corner_loop_bits(d, c, zero):
+    # a slice of zeros skips the weights; the corner loop sums products of
+    # zeros with nonnegative weights from +0.0, which is +0.0
+    rng = np.random.default_rng(d + 3 * c)
+    lo = np.array([-1.5, 0.0, 0.3])[:d]
+    hi = np.array([2.5, 3.0, 1.1])[:d]
+    grid = SpaceTimeGrid(1.0, 2, tuple(lo), tuple(hi), (7, 5, 4)[:d])
+    vals = np.full(grid.nodes + (c,), zero)
+    pts = np.concatenate([grid.node_coords(), rng.uniform(lo - 2.0, hi + 2.0, (300, d))])
+    got = multilinear_eval(grid, vals, pts)
+    want = _corner_loop_eval(grid, vals, pts)
+    assert got.shape == want.shape == (pts.shape[0], c)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    np.testing.assert_array_equal(got.view(np.int64), 0)  # +0.0
+
+
 def _integer_cell_weights(grid, x):
     """The cell lookup with an int64 cell per dimension: the reference that
     _cell_weights, which floors and clamps the cell as a float, must
@@ -211,14 +229,6 @@ def test_policy_field_time_is_piecewise_constant(grid):
 def test_field_shape_validation(grid):
     with pytest.raises(ValueError):
         GridField(grid, np.zeros((3,) + grid.nodes + (1,)))
-
-
-def test_max_principle_check_reports_exact_extrema(grid):
-    rng = np.random.default_rng(6)
-    vals = rng.standard_normal((5,) + grid.nodes + (2,))
-    mins, maxs = max_principle_check(GridField(grid, vals))
-    assert mins.shape == (5, 2)
-    np.testing.assert_allclose(maxs[3], vals[3].reshape(-1, 2).max(axis=0))
 
 
 def test_csv_round_trip_is_exact(tmp_path, grid):

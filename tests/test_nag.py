@@ -75,6 +75,24 @@ def test_nag_step_composition():
         nag_step(state, grad, 0.0, prob)
 
 
+def test_non_finite_step_settings_are_rejected():
+    grid = portfolio_grid(cells=4, time_steps=4)
+    prob = portfolio_problem()
+    phi = PolicyField.zeros(grid, 1)
+    state = NagState(iteration=1, phi=phi, psi=phi.copy())
+    grad = GridField.zeros(grid, 1)
+    for tau in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tau"):
+            nag_step(state, grad, tau, prob)
+        # run checks before any particle is simulated
+        with pytest.raises(ValueError, match="tau"):
+            run(prob, grid, iterations=1, tau=tau, num_particles=10)
+    with pytest.raises(ValueError, match="momentum_cap"):
+        nag_step(state, grad, 0.1, prob, momentum_cap=float("nan"))
+    with pytest.raises(ValueError, match="momentum_cap"):
+        run(prob, grid, iterations=1, num_particles=10, momentum_cap=float("nan"))
+
+
 def _random_adjoint(grid, d, seed):
     rng = np.random.default_rng(seed)
     return AdjointField(u=GridField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (d,))))

@@ -22,6 +22,7 @@ from mfcontrol import (
     portfolio_problem,
     simulate,
 )
+from mfcontrol import particles
 from mfcontrol.prox import ell_value
 
 
@@ -275,6 +276,26 @@ def test_estimate_cost_holds_one_step_not_the_paths():
     # (N, d+k+n) arrays
     assert simulate_peak > 12e6
     assert cost_peak < simulate_peak / 4, (cost_peak, simulate_peak)
+
+
+def test_particle_loop_builds_one_measure_per_step(monkeypatch):
+    built = []
+
+    class Counted(particles.EmpiricalMeasure):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(particles, "EmpiricalMeasure", Counted)
+    prob = portfolio_problem()
+    grid = portfolio_grid(cells=10, time_steps=7)
+    estimate_cost(prob, _zero_policy(grid), 50, grid.time_steps, 0)
+    assert len(built) == grid.time_steps + 1
+    built.clear()
+    ens = simulate(prob, _zero_policy(grid), 50, grid.time_steps, 0)
+    assert len(built) == grid.time_steps + 1
+    for j, eta in enumerate(built):
+        np.testing.assert_array_equal(eta.x, ens.states[j])
 
 
 def test_estimate_cost_warns_when_particles_leave_the_grid_box():
