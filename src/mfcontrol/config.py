@@ -217,6 +217,8 @@ def parse_items(items: List[Tuple[str, str, int]]) -> RunConfig:
                 )
             kind = "int" if pname == "kernel_subsample" else "float"
             overrides[pname] = _convert(raw, kind, key, line)
+            if pname == "kernel_subsample" and overrides[pname] < 1:
+                raise ConfigError(f"line {line}: {key} must be a positive atom count")
         else:
             raise ConfigError(
                 f"line {line}: unknown key {key!r}{_suggest(key, list(_SCHEMA))}"

@@ -140,39 +140,6 @@ def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def _pointwise_source(
-    problem: MfcProblem,
-    t: float,
-    eta,
-    u: np.ndarray,
-    kernel_subsample: Optional[int] = None,
-) -> np.ndarray:
-    """Adjoint source at the particles of eta: (dx b)^T u + dx f + kernel means.
-
-    u holds the adjoint at the particles, which are also the carriers of
-    the kernel means; the controls are the ones stored with the particles.
-    """
-    x, a = eta.x, eta.a
-    Jb = np.asarray(problem.dx_drift(t, x, a, eta))
-    # (dx b)^T u one (N,) column product at a time, summed over i in order
-    # from +0.0 as einsum("pil,pi->pl", Jb, u) sums; the einsum's inner
-    # loop has length d
-    src = np.zeros(u.shape)
-    term = np.empty(u.shape[0])
-    for l in range(u.shape[1]):
-        for i in range(u.shape[1]):
-            np.multiply(Jb[:, i, l], u[:, i], out=term)
-            src[:, l] += term
-    src += np.asarray(problem.dx_running(t, x, a, eta))
-    eta_k = eta.strided(kernel_subsample)
-    if not problem.mu_drift.is_zero:
-        u_k = u[:: eta.stride(kernel_subsample)]
-        src += problem.mu_drift.mean_contract(t, eta_k, x, a, weights=u_k)
-    if not problem.mu_running.is_zero:
-        src += problem.mu_running.mean_contract(t, eta_k, x, a)
-    return src
-
-
 def regress_adjoint(
     problem: MfcProblem,
     ensemble: ParticleEnsemble,
@@ -184,9 +151,10 @@ def regress_adjoint(
 
     Cell values at slice j-1 are the per-cell means over particles X_{j-1}
     of Y_j(X_j) + dt * source(t_j, X_j), mirroring the explicit source
-    treatment of the grid scheme.  The diffusion does not depend on the
-    state, so no gradient term enters the targets.  The source reads the
-    controls stored in the ensemble.
+    treatment of the grid scheme.  The source is the x-derivative of the
+    Hamiltonian (MfcProblem.hamiltonian_derivative) at the particles and
+    the controls stored with them; the diffusion does not depend on the
+    state, so no gradient term enters the targets.
 
     The returned adjoint also holds the mean of each slice's cell values
     over the particles of the control gradient, the ensemble's atoms
@@ -206,6 +174,11 @@ def regress_adjoint(
     means = np.empty((M + 1, d))
     mu_T = ensemble.measure(M)
     stride = mu_T.stride(kernel_subsample)
+    # the sources of the loop read the slices and means regressed so far
+    adjoint = PiecewiseConstantAdjoint(
+        grid=grid, cells=cells,
+        atom_means=(weakref.ref(ensemble.states), stride, means),
+    )
 
     def regress(j, idx, targets):
         counts = np.bincount(idx, minlength=ncells)
@@ -214,28 +187,22 @@ def regress_adjoint(
             counts = np.bincount(idx[::stride], minlength=ncells)
         means[j] = _histogram_mean(counts, cells[j])
 
-    term = np.asarray(problem.dx_terminal(ensemble.states[M], mu_T), dtype=float)
-    term = term + problem.mu_terminal.mean_contract(
-        problem.horizon, mu_T.strided(kernel_subsample), ensemble.states[M], None
-    )
+    term = problem.terminal_derivative(ensemble.states[M], mu_T, kernel_subsample)
     # idx holds the cells of the particles at the slice being stepped from:
     # the regression onto slice j-1 computes the lookup of the next step
     idx = cell_index(grid, ensemble.states[M])
     regress(M, idx, term)
     for j in range(M, 0, -1):
+        eta = ensemble.measure(j)
         u_here = cells[j].take(idx, axis=0)
-        src = _pointwise_source(
-            problem, j * grid.dt, ensemble.measure(j), u_here,
-            kernel_subsample=kernel_subsample,
+        src = problem.hamiltonian_derivative(
+            "x", j * grid.dt, eta.x, eta.a, eta, u_here, adjoint, j, kernel_subsample
         )
         targets = u_here + grid.dt * src
         idx = cell_index(grid, ensemble.states[j - 1])
         regress(j - 1, idx, targets)
     means.setflags(write=False)
-    return PiecewiseConstantAdjoint(
-        grid=grid, cells=cells,
-        atom_means=(weakref.ref(ensemble.states), stride, means),
-    )
+    return adjoint
 
 
 def run_emreg(

@@ -29,7 +29,9 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .grids import GridField, PolicyField, SpaceTimeGrid, _read_only, deposit, multilinear_eval
+from .grids import GridField, PolicyField, SpaceTimeGrid, _read_only, deposit
+# bound only because perfbench/run.py traces this name on this module
+from .grids import multilinear_eval  # noqa: F401
 from .particles import ParticleEnsemble
 from .problem import MfcProblem
 
@@ -269,48 +271,36 @@ def build_operator(
     return MonotoneOperator(grid=grid, system=_pattern_csr(system, cols))
 
 
-def terminal_data(problem: MfcProblem, ensemble: ParticleEnsemble, grid: SpaceTimeGrid) -> np.ndarray:
+def terminal_data(
+    problem: MfcProblem,
+    ensemble: ParticleEnsemble,
+    grid: SpaceTimeGrid,
+    kernel_subsample: Optional[int] = None,
+) -> np.ndarray:
     """Discretized terminal condition h of the adjoint system, (num_nodes, d)."""
-    X = grid.node_coords()
     mu_T = ensemble.measure(ensemble.time_steps)
-    h = np.asarray(problem.dx_terminal(X, mu_T), dtype=float)
-    h = h + problem.mu_terminal.mean_contract(problem.horizon, mu_T, X, None)
-    return h
+    return problem.terminal_derivative(grid.node_coords(), mu_T, kernel_subsample)
 
 
 def assemble_source(
     problem: MfcProblem,
     policy: PolicyField,
     ensemble: ParticleEnsemble,
-    U_next: np.ndarray,
+    adjoint: AdjointField,
     grid: SpaceTimeGrid,
     j: int,
     kernel_subsample: Optional[int] = None,
 ) -> np.ndarray:
     """Explicit source slice of the fully discrete scheme, (num_nodes, d).
 
-    Local part: (dx b)^T U + dx f at the nodes.  Nonlocal part: particle
-    averages of the mu-derivative kernels, contracted against the monotone
-    interpolant of U at the particle locations.  A constant drift kernel
-    (Cucker-Smale at beta = 0) is contracted against the mean of that
-    interpolant over the particles, read off their node deposit, so U is
-    not interpolated at the particles for it.  The diffusion does not
-    depend on the state, so it adds no source term.
+    The x-derivative of the Hamiltonian (MfcProblem.hamiltonian_derivative)
+    at the nodes, with the adjoint's slice j, under the particle law of
+    slice j.  A non-finite entry raises FloatingPointError.
     """
     t, X, psi, eta = _node_inputs(policy, ensemble, grid, j)
-    Jb = np.asarray(problem.dx_drift(t, X, psi, eta))
-    src = np.einsum("pil,pi->pl", Jb, U_next)
-    src += np.asarray(problem.dx_running(t, X, psi, eta))
-
-    eta_k = eta.strided(kernel_subsample)
-    if problem.mu_drift.const is not None:
-        src += problem.mu_drift.const_contract(_node_mean(grid, U_next, eta_k.x))
-    elif not problem.mu_drift.is_zero:
-        w = multilinear_eval(grid, U_next.reshape(grid.nodes + (-1,)), eta_k.x)
-        src += problem.mu_drift.mean_contract(t, eta_k, X, psi, weights=w)
-    if not problem.mu_running.is_zero:
-        src += problem.mu_running.mean_contract(t, eta_k, X, psi)
-
+    src = problem.hamiltonian_derivative(
+        "x", t, X, psi, eta, adjoint.u_at_nodes(j), adjoint, j, kernel_subsample
+    )
     if not np.all(np.isfinite(src)):
         p = int(np.argwhere(~np.isfinite(src).all(axis=1))[0][0])
         raise FloatingPointError(f"non-finite adjoint source at slice {j}, node {p}")
@@ -344,10 +334,12 @@ def backward_sweep(
             stacklevel=2,
         )
     M = grid.time_steps
-    term = terminal_data(problem, ensemble, grid)
+    term = terminal_data(problem, ensemble, grid, kernel_subsample)
     boundary = grid.boundary_mask()
 
     U = np.empty((M + 1, grid.num_nodes, d))
+    # a view of U: the slices the sweep writes show through to the sources
+    adjoint = AdjointField(u=GridField(grid, U.reshape((M + 1,) + grid.nodes + (d,))))
     U[M] = term
     op = None
     for j in range(M, 0, -1):
@@ -355,10 +347,9 @@ def backward_sweep(
         if op is None or not _same_csr(new_op.system, op.system):
             op = new_op
         src = assemble_source(
-            problem, policy, ensemble, U[j], grid, j, kernel_subsample=kernel_subsample
+            problem, policy, ensemble, adjoint, grid, j, kernel_subsample=kernel_subsample
         )
         rhs = U[j] + dt * src
         rhs[boundary] = term[boundary]
         U[j - 1] = op.solve(rhs)
-
-    return AdjointField(u=GridField(grid, U.reshape((M + 1,) + grid.nodes + (d,))))
+    return adjoint

@@ -82,12 +82,6 @@ class SpaceTimeGrid:
             strides[i] = strides[i + 1] * self.nodes[i + 1]
         return _read_only(strides)
 
-    def axes(self) -> list[np.ndarray]:
-        return [
-            np.array(self.lo[i]) + np.arange(self.nodes[i]) * self.h[i]
-            for i in range(self.state_dim)
-        ]
-
     def node_coords(self) -> np.ndarray:
         """All node coordinates, flattened in C order; shape (num_nodes, d)."""
         return self._node_coords

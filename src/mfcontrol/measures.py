@@ -41,7 +41,9 @@ class EmpiricalMeasure:
 
     def stride(self, max_atoms: Optional[int]) -> int:
         """Step of the subsample kept by strided(max_atoms): ceil(N/max_atoms),
-        or 1 when every atom is kept."""
+        or 1 when every atom is kept.  A cap below 1 raises ValueError."""
+        if max_atoms is not None and max_atoms < 1:
+            raise ValueError(f"subsample cap must be a positive atom count, got {max_atoms!r}")
         if max_atoms is None or self.size <= max_atoms:
             return 1
         return int(np.ceil(self.size / max_atoms))

@@ -37,39 +37,16 @@ def gradient_slice(
     j: int,
     kernel_subsample: Optional[int] = None,
 ) -> np.ndarray:
-    """Control gradient at the time-j grid nodes, shape (num_nodes, k).
-
-    Local part: (da b)^T u + da f at each node.  Nonlocal part: particle
-    averages of the control-measure derivative kernels of the drift and the
-    running cost, the drift kernel contracted against the adjoint field at
-    the particle locations.  A constant drift kernel (the portfolio model's
-    lam * E[u]) needs only the mean of the adjoint over the particles,
-    which ``adjoint.mean_at`` reads off the node deposit or the cell
-    histogram of the particles (the regression stores it from the cell
-    counts of its own pass), so the adjoint is not evaluated at each
-    particle for it.  The diffusion does not depend on the control, so it
-    adds no term.
+    """Control gradient at the time-j grid nodes, shape (num_nodes, k): the
+    a-derivative of the Hamiltonian (MfcProblem.hamiltonian_derivative) at
+    the nodes and the lookahead controls, under the particle law of slice j.
     """
     grid = policy.grid
-    t = j * grid.dt
-    X = grid.node_coords()
-    psi = policy.slice_flat(j)
     eta = ensemble.measure(min(j, ensemble.time_steps))
-    U = adjoint.u_at_nodes(j)
-
-    Jb = np.asarray(problem.da_drift(t, X, psi, eta))  # (P, d, k)
-    grad = np.einsum("pim,pi->pm", Jb, U)
-    grad += np.asarray(problem.da_running(t, X, psi, eta))
-
-    eta_k = eta.strided(kernel_subsample)
-    if problem.nu_drift.const is not None:
-        grad += problem.nu_drift.const_contract(adjoint.mean_at(j, eta_k.x))
-    elif not problem.nu_drift.is_zero:
-        w = adjoint.u_at_points(j, eta_k.x)
-        grad += problem.nu_drift.mean_contract(t, eta_k, X, psi, weights=w)
-    if not problem.nu_running.is_zero:
-        grad += problem.nu_running.mean_contract(t, eta_k, X, psi)
-    return grad
+    return problem.hamiltonian_derivative(
+        "a", j * grid.dt, grid.node_coords(), policy.slice_flat(j), eta,
+        adjoint.u_at_nodes(j), adjoint, j, kernel_subsample,
+    )
 
 
 def gradient_field(

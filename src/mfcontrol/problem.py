@@ -11,7 +11,7 @@ instances, and measure derivatives are supplied analytically as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -84,6 +84,63 @@ class MfcProblem:
                     "measure, not on x or a"
                 )
         return sig
+
+    def hamiltonian_derivative(
+        self, wrt: str, t: float, x, a, eta: EmpiricalMeasure, U, adjoint, j: int,
+        kernel_subsample: Optional[int] = None,
+    ) -> np.ndarray:
+        """x- or a-derivative of the Hamiltonian b.u + f at the points (x, a).
+
+        The adjoint source (wrt="x", shape (P, d)) and the control gradient
+        (wrt="a", shape (P, k)) are the same linearisation; only the drift
+        and cost derivatives and the two measure kernels differ.  U (P, d)
+        holds the adjoint at the points, `adjoint` is its field with slice j
+        (u_at_points / mean_at), and eta is the points' law.  Terms:
+        (d b)^T U, d f, the drift kernel contracted against the adjoint over
+        the atoms (a constant kernel needs only the adjoint's mean there) and
+        the cost kernel's carrier mean.  Both kernels average over
+        eta.strided(kernel_subsample), the one place on these paths where the
+        interaction is subsampled.  sigma depends on neither x nor a, so it
+        adds no term.  (d b)^T U is summed one (P,) column product at a time,
+        from +0.0 in order of i: bit for bit einsum's sum for d <= 2, but for
+        d = 3 the two can differ in the last bit.
+        """
+        if wrt == "x":
+            db, df = self.dx_drift, self.dx_running
+            drift_kernel, cost_kernel = self.mu_drift, self.mu_running
+        elif wrt == "a":
+            db, df = self.da_drift, self.da_running
+            drift_kernel, cost_kernel = self.nu_drift, self.nu_running
+        else:
+            raise ValueError(f"wrt must be 'x' or 'a', got {wrt!r}")
+        Jb = np.asarray(db(t, x, a, eta))  # (P, d, d) or (P, d, k)
+        out = np.zeros((Jb.shape[0], Jb.shape[2]))
+        term = np.empty(Jb.shape[0])
+        for l in range(out.shape[1]):
+            for i in range(Jb.shape[1]):
+                np.multiply(Jb[:, i, l], U[:, i], out=term)
+                out[:, l] += term
+        out += np.asarray(df(t, x, a, eta))
+
+        eta_k = eta.strided(kernel_subsample)
+        if drift_kernel.const is not None:
+            out += drift_kernel.const_contract(adjoint.mean_at(j, eta_k.x))
+        elif not drift_kernel.is_zero:
+            w = adjoint.u_at_points(j, eta_k.x)
+            out += drift_kernel.mean_contract(t, eta_k, x, a, weights=w)
+        if not cost_kernel.is_zero:
+            out += cost_kernel.mean_contract(t, eta_k, x, a)
+        return out
+
+    def terminal_derivative(
+        self, x, mu_T: EmpiricalMeasure, kernel_subsample: Optional[int] = None
+    ) -> np.ndarray:
+        """Terminal data of the adjoint at the points x, shape (P, d): dx g
+        plus the mu_terminal mean over mu_T.strided(kernel_subsample)."""
+        h = np.asarray(self.dx_terminal(x, mu_T), dtype=float)
+        return h + self.mu_terminal.mean_contract(
+            self.horizon, mu_T.strided(kernel_subsample), x, None
+        )
 
 
 @dataclass

@@ -131,6 +131,14 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_non_positive_problem_kernel_subsample_exits_2(tmp_path, capsys):
+    text = TINY.replace("portfolio", "cs2d") + f"output = {tmp_path / 'out'}\n"
+    cfg = _cfg(tmp_path, text + "problem.kernel_subsample = 0\n")
+    assert main(["run", cfg]) == 2
+    assert "problem.kernel_subsample" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_subcommand(tmp_path, capsys):
     cfg = _cfg(tmp_path, "problem = portfolio\n")
     assert main(["validate", cfg]) == 0

@@ -97,6 +97,14 @@ def test_validation_errors():
 
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_problem_kernel_subsample_is_rejected(tmp_path, value):
+    text = f"problem = cs2d\nproblem.kernel_subsample = {value}\n"
+    with pytest.raises(ConfigError, match="line 2: problem.kernel_subsample"):
+        parse_config(_write(tmp_path, text))
+    assert parse_config(_write(tmp_path, "problem = cs2d\nproblem.kernel_subsample = 1\n"))
+
+
 @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
 def test_non_finite_tau_is_rejected(tmp_path, tau):
     # NaN passes `tau <= 0`; the check names the field

@@ -135,7 +135,10 @@ def test_assemble_source_matches_the_per_atom_path():
     ensemble = simulate(problem, policy, 400, grid.time_steps, 1)
     U = rng.standard_normal((grid.num_nodes, 2))
     j = 4
-    got = assemble_source(problem, policy, ensemble, U, grid, j, kernel_subsample=90)
+    vals = np.zeros((grid.time_steps + 1,) + grid.nodes + (2,))
+    vals[j] = U.reshape(grid.nodes + (2,))
+    adjoint = AdjointField(GridField(grid, vals))
+    got = assemble_source(problem, policy, ensemble, adjoint, grid, j, kernel_subsample=90)
     # the constant kernel's part, against U interpolated at every atom
     t, X, psi = j * grid.dt, grid.node_coords(), policy.slice_flat(j)
     eta = ensemble.measure(j)

@@ -10,7 +10,9 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from mfcontrol import (
+    AdjointField,
     CuckerSmaleParams,
+    GridField,
     MeasureKernel,
     MfcProblem,
     PolicyField,
@@ -458,14 +460,41 @@ def test_portfolio_source_and_terminal_data():
     ens = simulate(prob, policy, 128, grid.time_steps, 0)
     X = grid.node_coords()
     j = 17
-    U_next = rng.standard_normal((grid.num_nodes, 2))
-    src = assemble_source(prob, policy, ens, U_next, grid, j)
+    vals = np.zeros((grid.time_steps + 1,) + grid.nodes + (2,))
+    vals[j] = rng.standard_normal(grid.nodes + (2,))
+    src = assemble_source(prob, policy, ens, AdjointField(GridField(grid, vals)), grid, j)
     np.testing.assert_allclose(src[:, 0], policy.slice_flat(j)[:, 0], atol=1e-12)
     np.testing.assert_allclose(src[:, 1], 2.0 * X[:, 1], atol=1e-12)
     term = terminal_data(prob, ens, grid)
     np.testing.assert_allclose(
         term, np.stack([-X[:, 1], -X[:, 0] + X[:, 1]], axis=1), atol=1e-12
     )
+
+
+def test_terminal_data_averages_the_kernel_over_the_strided_atoms():
+    # the carrier mean of x**2 depends on which atoms are kept, so the
+    # terminal data tells a strided contraction from one over all atoms
+    base = portfolio_problem()
+    prob = dataclasses.replace(
+        base, mu_terminal=MeasureKernel(out_shape=(2,), carrier_fn=lambda t, cx, ca, m: cx**2)
+    )
+    grid = portfolio_grid(cells=10, time_steps=6)
+    rng = np.random.default_rng(6)
+    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
+    ens = simulate(prob, policy, 300, grid.time_steps, 0)
+    mu_T = ens.measure(grid.time_steps)
+    X = grid.node_coords()
+    for subsample in (40, None):
+        kept = mu_T.strided(subsample)
+        # dx g plus the mu_terminal mean over the strided atoms, as the
+        # regression takes it at the particles
+        want = base.dx_terminal(X, mu_T) + (kept.x**2).mean(axis=0)
+        adj = backward_sweep(prob, policy, ens, grid, kernel_subsample=subsample)
+        np.testing.assert_array_equal(adj.u.slice_flat(grid.time_steps), want)
+        np.testing.assert_array_equal(terminal_data(prob, ens, grid, subsample), want)
+    assert mu_T.stride(40) == 8
+    full, strided = (mu_T.x**2).mean(axis=0), (mu_T.strided(40).x**2).mean(axis=0)
+    assert np.abs(full - strided).min() > 1e-3
 
 
 def test_large_time_step_warns():

@@ -32,6 +32,14 @@ def test_strided_subsample(measure):
     assert [measure.stride(n) for n in (None, 40, 41, 12, 10, 1)] == [1, 1, 1, 4, 4, 40]
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_non_positive_subsample_cap_is_rejected(measure, cap):
+    # a negative step would keep atoms in reverse, a zero one divide by zero
+    for subsample in (measure.stride, measure.strided):
+        with pytest.raises(ValueError, match="positive atom count"):
+            subsample(cap)
+
+
 def test_zero_kernel(measure):
     kern = MeasureKernel.zero((2, 1))
     assert kern.is_zero

@@ -1,16 +1,29 @@
 """Problem definitions: derivative callbacks and model-specific values."""
 
 import dataclasses
+import warnings
 
 import numpy as np
+import pytest
 
 from mfcontrol import (
+    AdjointField,
     CuckerSmaleParams,
     EmpiricalMeasure,
+    GridField,
+    PolicyField,
+    assemble_source,
+    cs2d_grid,
     cs2d_problem,
+    multilinear_eval,
+    portfolio_grid,
     portfolio_problem,
+    simulate,
     validate_derivatives,
 )
+from mfcontrol.emreg import PiecewiseConstantAdjoint
+from mfcontrol.grids import deposit
+from mfcontrol.nag import gradient_slice
 
 
 def test_portfolio_derivatives_match_finite_differences():
@@ -121,3 +134,95 @@ def test_nonsmooth_cost_follows_k2():
     prob = portfolio_problem(PortfolioParams(k2=1.0))
     assert prob.nonsmooth_cost.kind == "l1"
     assert prob.nonsmooth_cost.kappa == 1.0
+
+
+def _gradient_slice_einsum(problem, policy, ensemble, adjoint, j, kernel_subsample):
+    """The control gradient at the nodes, written out with einsum as
+    nag.gradient_slice was before it called hamiltonian_derivative."""
+    grid = policy.grid
+    t, X, psi = j * grid.dt, grid.node_coords(), policy.slice_flat(j)
+    eta = ensemble.measure(min(j, ensemble.time_steps))
+    U = adjoint.u_at_nodes(j)
+    grad = np.einsum("pim,pi->pm", problem.da_drift(t, X, psi, eta), U)
+    grad += problem.da_running(t, X, psi, eta)
+    eta_k = eta.strided(kernel_subsample)
+    if problem.nu_drift.const is not None:
+        grad += problem.nu_drift.const_contract(adjoint.mean_at(j, eta_k.x))
+    elif not problem.nu_drift.is_zero:
+        w = adjoint.u_at_points(j, eta_k.x)
+        grad += problem.nu_drift.mean_contract(t, eta_k, X, psi, weights=w)
+    if not problem.nu_running.is_zero:
+        grad += problem.nu_running.mean_contract(t, eta_k, X, psi)
+    return grad
+
+
+def _assemble_source_einsum(problem, policy, ensemble, U_next, j, kernel_subsample):
+    """The adjoint source at the nodes for node values U_next of slice j,
+    written out with einsum as fdsolver.assemble_source was before it
+    called hamiltonian_derivative."""
+    grid = policy.grid
+    t, X, psi = j * grid.dt, grid.node_coords(), policy.slice_flat(j)
+    eta = ensemble.measure(j)
+    src = np.einsum("pil,pi->pl", problem.dx_drift(t, X, psi, eta), U_next)
+    src += problem.dx_running(t, X, psi, eta)
+    eta_k = eta.strided(kernel_subsample)
+    if problem.mu_drift.const is not None:
+        mean = deposit(grid, eta_k.x) @ U_next / eta_k.size
+        src += problem.mu_drift.const_contract(mean)
+    elif not problem.mu_drift.is_zero:
+        w = multilinear_eval(grid, U_next.reshape(grid.nodes + (-1,)), eta_k.x)
+        src += problem.mu_drift.mean_contract(t, eta_k, X, psi, weights=w)
+    if not problem.mu_running.is_zero:
+        src += problem.mu_running.mean_contract(t, eta_k, X, psi)
+    return src
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("model", ["portfolio", "cs2d-beta1", "cs2d-beta0"])
+@pytest.mark.parametrize("subsample, stride", [(None, 1), (90, 5)])
+def test_hamiltonian_derivative_matches_the_einsum_copies_bitwise(model, subsample, stride):
+    # d = 2: the column products sum as einsum does, bit for bit.  Portfolio
+    # has a constant control kernel, Cucker-Smale a contracted (beta = 1) or
+    # constant (beta = 0) state kernel and a carrier cost kernel.
+    if model == "portfolio":
+        prob, grid = portfolio_problem(), portfolio_grid(cells=10, time_steps=6)
+    else:
+        params = CuckerSmaleParams(beta=1.0 if model == "cs2d-beta1" else 0.0)
+        prob, grid = cs2d_problem(params), cs2d_grid(params, cells=10, time_steps=6)
+    M = grid.time_steps
+    rng = np.random.default_rng(12)
+    policy = PolicyField(grid, rng.standard_normal((M + 1,) + grid.nodes + (1,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # particles leaving the box
+        ens = simulate(prob, policy, 400, M, 2)
+    assert ens.measure(0).stride(subsample) == stride
+    pde = AdjointField(GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (2,))))
+    ncells = int(np.prod(np.array(grid.nodes) - 1))
+    reg = PiecewiseConstantAdjoint(grid, rng.standard_normal((M + 1, ncells, 2)))
+    X = grid.node_coords()
+    for j in range(M + 1):
+        t, psi = j * grid.dt, policy.slice_flat(j)
+        for adjoint in (pde, reg):
+            want = _gradient_slice_einsum(prob, policy, ens, adjoint, j, subsample)
+            got = prob.hamiltonian_derivative(
+                "a", t, X, psi, ens.measure(j), adjoint.u_at_nodes(j), adjoint, j, subsample
+            )
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+            got = gradient_slice(prob, policy, ens, adjoint, j, kernel_subsample=subsample)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        U = pde.u_at_nodes(j)
+        want = _assemble_source_einsum(prob, policy, ens, U, j, subsample)
+        got = prob.hamiltonian_derivative("x", t, X, psi, ens.measure(j), U, pde, j, subsample)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        got = assemble_source(prob, policy, ens, pde, grid, j, kernel_subsample=subsample)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_hamiltonian_derivative_names_a_bad_variable():
+    prob = portfolio_problem()
+    eta = EmpiricalMeasure(np.zeros((2, 2)), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="wrt"):
+        prob.hamiltonian_derivative("t", 0.0, eta.x, eta.a, eta, np.zeros((2, 2)), None, 0)
