@@ -13,7 +13,6 @@ the value from the previous outer iteration (zero initially).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import nag
 from .grids import SpaceTimeGrid
-from .particles import ParticleEnsemble
+from .particles import BoundAdjoint, ParticleEnsemble
 from .problem import MfcProblem
 
 # Bound only because perfbench/run.py traces these names on this module;
@@ -81,26 +80,22 @@ def _cell_means(
     return out
 
 
-def _histogram_mean(counts: np.ndarray, cell_values: np.ndarray) -> np.ndarray:
-    """Mean over points of their cell values, from the points per cell."""
-    return counts @ cell_values / counts.sum()
-
-
 @dataclass
-class PiecewiseConstantAdjoint:
+class PiecewiseConstantAdjoint(BoundAdjoint):
     """Cell-constant adjoint approximation with the PDE-field protocol.
 
-    u_at_points looks up each point's cell; mean_at gives only the mean of
-    those values over the points, from the count of points per cell.
-    `atom_means` is set by regress_adjoint: a weak reference to the
-    ensemble's states (M+1, N, d), a stride s and the read-only means
-    (M+1, c) over the particles states[j, ::s], which mean_at returns for
-    exactly those particles instead of looking them up again.
+    regress_adjoint binds it to the particle law (ensemble,
+    kernel_subsample) it was regressed on.  u_at_points looks up each
+    point's cell; kernel_mean(j) is the mean of slice j over the kernel
+    atoms, which the regression stores in `means` as it reads them off its
+    cell counts.
     """
 
     grid: SpaceTimeGrid
     cells: np.ndarray  # (M+1, num_cells, c)
-    atom_means: Optional[tuple] = None
+    means: np.ndarray  # (M+1, c)
+    ensemble: ParticleEnsemble
+    kernel_subsample: Optional[int] = None
 
     def u_at_points(self, j: int, x: np.ndarray) -> np.ndarray:
         return self.cells[j].take(cell_index(self.grid, x), axis=0)
@@ -108,43 +103,21 @@ class PiecewiseConstantAdjoint:
     def u_at_nodes(self, j: int) -> np.ndarray:
         return self.cells[j].take(self._node_cells, axis=0)
 
-    def mean_at(self, j: int, x: np.ndarray) -> np.ndarray:
-        """u_at_points(j, x).mean(axis=0) up to summation order; shape (c,).
-
-        The mean is read off the histogram of the points over the cells;
-        for the regression's own particles it was stored as it was
-        regressed, with the same bits.
-        """
-        if self.atom_means is not None:
-            states_ref, stride, means = self.atom_means
-            states = states_ref()
-            # x must view the very memory of states[j, ::stride], which the
-            # weak reference keeps from being another array's
-            if states is not None and _same_view(x, states[j, ::stride]):
-                return means[j]
-        counts = np.bincount(cell_index(self.grid, x), minlength=self.cells.shape[1])
-        return _histogram_mean(counts, self.cells[j])
+    def kernel_mean(self, j: int) -> np.ndarray:
+        """u_at_points(j, x).mean(axis=0) over the kernel atoms x of slice j,
+        up to summation order; shape (c,)."""
+        return self.means[j]
 
     @cached_property
     def _node_cells(self) -> np.ndarray:
         return cell_index(self.grid, self.grid.node_coords())
 
 
-def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether a and b view the same elements of memory in the same layout."""
-    return (
-        a.shape == b.shape
-        and a.strides == b.strides
-        and a.dtype == b.dtype
-        and a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
-    )
-
-
 def regress_adjoint(
     problem: MfcProblem,
     ensemble: ParticleEnsemble,
     grid: SpaceTimeGrid,
-    previous: Optional[PiecewiseConstantAdjoint] = None,
+    previous: Optional[np.ndarray] = None,
     kernel_subsample: Optional[int] = None,
 ) -> PiecewiseConstantAdjoint:
     """Backward indicator-basis regression of the adjoint along particles.
@@ -154,49 +127,42 @@ def regress_adjoint(
     treatment of the grid scheme.  The source is the x-derivative of the
     Hamiltonian (MfcProblem.hamiltonian_derivative) at the particles and
     the controls stored with them; the diffusion does not depend on the
-    state, so no gradient term enters the targets.
+    state, so no gradient term enters the targets.  Cells that no particle
+    visits keep their row of `previous`, the (M+1, num_cells, d) cells of
+    an earlier regression (zero without one).
 
-    The returned adjoint also holds the mean of each slice's cell values
-    over the particles of the control gradient, the ensemble's atoms
-    subsampled by kernel_subsample, read off the cell counts that the
-    regression computes anyway (see PiecewiseConstantAdjoint.atom_means).
+    The returned adjoint is bound to `ensemble` and `kernel_subsample`.
+    Its kernel means, the mean of each slice's cell values over the kernel
+    atoms (every stride-th particle), are read off the cell counts that the
+    regression computes anyway.
     """
     M = grid.time_steps
     d = problem.state_dim
     ncells = int(np.prod(np.array(grid.nodes) - 1))
-    fallback = (
-        previous.cells
-        if previous is not None
-        else np.zeros((M + 1, ncells, d))
-    )
+    fallback = previous if previous is not None else np.zeros((M + 1, ncells, d))
 
     cells = np.empty((M + 1, ncells, d))
     means = np.empty((M + 1, d))
-    mu_T = ensemble.measure(M)
-    stride = mu_T.stride(kernel_subsample)
+    stride = ensemble.measure(M).stride(kernel_subsample)
     # the sources of the loop read the slices and means regressed so far
-    adjoint = PiecewiseConstantAdjoint(
-        grid=grid, cells=cells,
-        atom_means=(weakref.ref(ensemble.states), stride, means),
-    )
+    adjoint = PiecewiseConstantAdjoint(grid, cells, means, ensemble, kernel_subsample)
 
     def regress(j, idx, targets):
         counts = np.bincount(idx, minlength=ncells)
         cells[j] = _cell_means(idx, counts, targets, fallback[j])
         if stride > 1:
             counts = np.bincount(idx[::stride], minlength=ncells)
-        means[j] = _histogram_mean(counts, cells[j])
+        means[j] = counts @ cells[j] / counts.sum()
 
-    term = problem.terminal_derivative(ensemble.states[M], mu_T, kernel_subsample)
+    term = problem.terminal_derivative(ensemble.states[M], adjoint)
     # idx holds the cells of the particles at the slice being stepped from:
     # the regression onto slice j-1 computes the lookup of the next step
     idx = cell_index(grid, ensemble.states[M])
     regress(M, idx, term)
     for j in range(M, 0, -1):
-        eta = ensemble.measure(j)
         u_here = cells[j].take(idx, axis=0)
         src = problem.hamiltonian_derivative(
-            "x", j * grid.dt, eta.x, eta.a, eta, u_here, adjoint, j, kernel_subsample
+            "x", j * grid.dt, ensemble.states[j], ensemble.controls[j], u_here, adjoint, j
         )
         targets = u_here + grid.dt * src
         idx = cell_index(grid, ensemble.states[j - 1])

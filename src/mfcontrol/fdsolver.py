@@ -32,10 +32,10 @@ from scipy.sparse.linalg import splu
 from .grids import GridField, PolicyField, SpaceTimeGrid, _read_only, deposit
 # bound only because perfbench/run.py traces this name on this module
 from .grids import multilinear_eval  # noqa: F401
-from .particles import ParticleEnsemble
+from .particles import BoundAdjoint, ParticleEnsemble
 from .problem import MfcProblem
 
-_SOLVE_TOL = 1e-10  # on the residual relative to max(1, |rhs|_inf)
+_SOLVE_TOL = 1e-10  # on the residual relative to |rhs|_inf
 
 # SuperLU settings of the per-slice factorisation.  The matrix arrives in a
 # fill-reducing order (_elimination_order), so no column ordering is computed
@@ -121,8 +121,8 @@ class MonotoneOperator:
         so is every Schur complement of one, so each pivot of the
         elimination is positive, whatever the order.  A failed
         factorisation (a zero pivot on a system not built by
-        build_operator) or a residual above tolerance raises RuntimeError
-        at once.
+        build_operator) or a residual above _SOLVE_TOL * |rhs|_inf raises
+        RuntimeError at once; a zero rhs must give a zero residual.
         """
         if self._lu is None:
             order = _elimination_order(self.system, _fill_order(self.grid.nodes)[1])
@@ -143,25 +143,30 @@ class MonotoneOperator:
         # solution to node order
         sol = self._lu.solve(rhs.take(self._order, axis=0)).take(self._rank, axis=0)
         res = np.abs(self.system @ sol - rhs).max()
-        tol = _SOLVE_TOL * max(1.0, np.abs(rhs).max())
+        scale = np.abs(rhs).max()
+        tol = _SOLVE_TOL * scale
         if not res <= tol:
+            rel = res / scale if scale > 0 else np.inf
             raise RuntimeError(
-                f"linear solve residual {res:.3e} exceeds the tolerance {tol:.3e} "
-                f"({_SOLVE_TOL:.0e} * max(1, |rhs|_inf))"
+                f"linear solve residual {res:.3e} exceeds the tolerance {tol:.3e}: "
+                f"relative residual {rel:.3e} > {_SOLVE_TOL:.0e}"
             )
         return sol
 
 
 @dataclass
-class AdjointField:
-    """Adjoint decoupling field u on the grid.
+class AdjointField(BoundAdjoint):
+    """Adjoint decoupling field u on the grid, bound to the particle law
+    (ensemble, kernel_subsample) it was solved on.
 
-    u_at_points interpolates slice j at each point; mean_at gives only the
-    mean of that interpolant over the points, read off the node deposit of
-    the points, without interpolating at any of them.
+    u_at_points interpolates slice j at each point; kernel_mean gives only
+    the mean of that interpolant over the slice's kernel atoms, read off
+    their node deposit, without interpolating at any of them.
     """
 
     u: GridField
+    ensemble: ParticleEnsemble
+    kernel_subsample: Optional[int] = None
 
     def u_at_nodes(self, j: int) -> np.ndarray:
         return self.u.slice_flat(j)
@@ -169,19 +174,11 @@ class AdjointField:
     def u_at_points(self, j: int, x: np.ndarray) -> np.ndarray:
         return self.u.eval_slice(j, x)
 
-    def mean_at(self, j: int, x: np.ndarray) -> np.ndarray:
-        """u_at_points(j, x).mean(axis=0) up to summation order; shape (c,)."""
-        return _node_mean(self.u.grid, self.u_at_nodes(j), x)
-
-
-def _node_mean(grid: SpaceTimeGrid, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Mean over the points x of the interpolant of node values (num_nodes, c)."""
-    return deposit(grid, x) @ values / x.shape[0]
-
-
-def _node_inputs(policy, ensemble, grid, j):
-    """Time, node coordinates, node controls and particle measure of slice j."""
-    return j * grid.dt, grid.node_coords(), policy.slice_flat(j), ensemble.measure(j)
+    def kernel_mean(self, j: int) -> np.ndarray:
+        """u_at_points(j, x).mean(axis=0) over the kernel atoms x of slice j,
+        up to summation order; shape (c,)."""
+        x = self.kernel_atoms(j).x
+        return deposit(self.u.grid, x) @ self.u_at_nodes(j) / x.shape[0]
 
 
 def _pattern_csr(data: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
@@ -226,7 +223,8 @@ def build_operator(
     pattern, with exact zeros dropped: the same arrays, bit for bit, as
     assembling L from COO and forming I - dt*L with scipy's sparse algebra.
     """
-    t, X, psi, eta = _node_inputs(policy, ensemble, grid, j)
+    t, X, psi = j * grid.dt, grid.node_coords(), policy.slice_flat(j)
+    eta = ensemble.measure(j)
     b = problem.drift(t, X, psi, eta)
     sig = problem.diffusion_matrix(t, X, psi, eta, check=True)
     a2 = np.einsum("ir,lr->il", sig, sig)
@@ -271,35 +269,22 @@ def build_operator(
     return MonotoneOperator(grid=grid, system=_pattern_csr(system, cols))
 
 
-def terminal_data(
-    problem: MfcProblem,
-    ensemble: ParticleEnsemble,
-    grid: SpaceTimeGrid,
-    kernel_subsample: Optional[int] = None,
-) -> np.ndarray:
-    """Discretized terminal condition h of the adjoint system, (num_nodes, d)."""
-    mu_T = ensemble.measure(ensemble.time_steps)
-    return problem.terminal_derivative(grid.node_coords(), mu_T, kernel_subsample)
-
-
 def assemble_source(
     problem: MfcProblem,
     policy: PolicyField,
-    ensemble: ParticleEnsemble,
     adjoint: AdjointField,
     grid: SpaceTimeGrid,
     j: int,
-    kernel_subsample: Optional[int] = None,
 ) -> np.ndarray:
     """Explicit source slice of the fully discrete scheme, (num_nodes, d).
 
     The x-derivative of the Hamiltonian (MfcProblem.hamiltonian_derivative)
-    at the nodes, with the adjoint's slice j, under the particle law of
-    slice j.  A non-finite entry raises FloatingPointError.
+    at the nodes, with the adjoint's slice j, under the adjoint's particle
+    law of slice j.  A non-finite entry raises FloatingPointError.
     """
-    t, X, psi, eta = _node_inputs(policy, ensemble, grid, j)
     src = problem.hamiltonian_derivative(
-        "x", t, X, psi, eta, adjoint.u_at_nodes(j), adjoint, j, kernel_subsample
+        "x", j * grid.dt, grid.node_coords(), policy.slice_flat(j),
+        adjoint.u_at_nodes(j), adjoint, j,
     )
     if not np.all(np.isfinite(src)):
         p = int(np.argwhere(~np.isfinite(src).all(axis=1))[0][0])
@@ -316,6 +301,8 @@ def backward_sweep(
 ) -> AdjointField:
     """Solve the adjoint PDE system backward on the grid.
 
+    The returned field is bound to `ensemble` and `kernel_subsample`, the
+    law that its sources and the control gradient are linearised at.
     Terminal slice is the discretized terminal condition; boundary nodes
     hold the terminal data as Dirichlet data for all times; each interior
     step solves (I - dt L) U^{j-1} = U^j + dt f per component with a shared
@@ -334,21 +321,21 @@ def backward_sweep(
             stacklevel=2,
         )
     M = grid.time_steps
-    term = terminal_data(problem, ensemble, grid, kernel_subsample)
     boundary = grid.boundary_mask()
 
     U = np.empty((M + 1, grid.num_nodes, d))
     # a view of U: the slices the sweep writes show through to the sources
-    adjoint = AdjointField(u=GridField(grid, U.reshape((M + 1,) + grid.nodes + (d,))))
+    adjoint = AdjointField(
+        GridField(grid, U.reshape((M + 1,) + grid.nodes + (d,))), ensemble, kernel_subsample
+    )
+    term = problem.terminal_derivative(grid.node_coords(), adjoint)
     U[M] = term
     op = None
     for j in range(M, 0, -1):
         new_op = build_operator(problem, policy, ensemble, grid, j - 1)
         if op is None or not _same_csr(new_op.system, op.system):
             op = new_op
-        src = assemble_source(
-            problem, policy, ensemble, adjoint, grid, j, kernel_subsample=kernel_subsample
-        )
+        src = assemble_source(problem, policy, adjoint, grid, j)
         rhs = U[j] + dt * src
         rhs[boundary] = term[boundary]
         U[j - 1] = op.solve(rhs)

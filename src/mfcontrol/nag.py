@@ -20,7 +20,7 @@ import numpy as np
 
 from .fdsolver import AdjointField, backward_sweep
 from .grids import GridField, PolicyField, SpaceTimeGrid
-from .particles import ParticleEnsemble, estimate_cost, simulate
+from .particles import estimate_cost, simulate
 from .problem import MfcProblem
 from .prox import prox_apply
 
@@ -30,40 +30,29 @@ METHODS = ("fipde", "ipde", "emreg")
 
 
 def gradient_slice(
-    problem: MfcProblem,
-    policy: PolicyField,
-    ensemble: ParticleEnsemble,
-    adjoint: AdjointField,
-    j: int,
-    kernel_subsample: Optional[int] = None,
+    problem: MfcProblem, policy: PolicyField, adjoint: AdjointField, j: int
 ) -> np.ndarray:
     """Control gradient at the time-j grid nodes, shape (num_nodes, k): the
     a-derivative of the Hamiltonian (MfcProblem.hamiltonian_derivative) at
-    the nodes and the lookahead controls, under the particle law of slice j.
+    the nodes and the lookahead controls, under the adjoint's particle law
+    of slice j.
     """
     grid = policy.grid
-    eta = ensemble.measure(min(j, ensemble.time_steps))
     return problem.hamiltonian_derivative(
-        "a", j * grid.dt, grid.node_coords(), policy.slice_flat(j), eta,
-        adjoint.u_at_nodes(j), adjoint, j, kernel_subsample,
+        "a", j * grid.dt, grid.node_coords(), policy.slice_flat(j),
+        adjoint.u_at_nodes(j), adjoint, j,
     )
 
 
 def gradient_field(
-    problem: MfcProblem,
-    policy: PolicyField,
-    ensemble: ParticleEnsemble,
-    adjoint: AdjointField,
-    kernel_subsample: Optional[int] = None,
+    problem: MfcProblem, policy: PolicyField, adjoint: AdjointField
 ) -> GridField:
     """Control gradient on every time slice of the policy grid."""
     grid = policy.grid
     k = problem.control_dim
     vals = np.empty((grid.time_steps + 1,) + grid.nodes + (k,))
     for j in range(grid.time_steps + 1):
-        vals[j] = gradient_slice(
-            problem, policy, ensemble, adjoint, j, kernel_subsample=kernel_subsample
-        ).reshape(grid.nodes + (k,))
+        vals[j] = gradient_slice(problem, policy, adjoint, j).reshape(grid.nodes + (k,))
     return GridField(grid, vals)
 
 
@@ -213,17 +202,19 @@ def run(
     """Run the iterative solver and report per-iteration costs.
 
     `method` is one of :data:`METHODS`.  The regression starts each
-    iteration's cells from the previous iteration's adjoint.  The
+    iteration's cells from the previous iteration's cells.  The
     training ensemble reuses the same seed every iteration so the scheme is
     a deterministic fixed-point iteration on the policy; cost rows are
     estimated on a separate fixed evaluation seed (common random numbers
     across iterations) so cost gaps between iterates are not drowned by
     Monte Carlo noise.  The evaluation sums the costs along its particle
     loop and keeps no paths, and it runs after the training ensemble is
-    dropped, so at most one ensemble is held at a time.  Row m = 0 echoes
-    the cost of the initial policy; row m >= 1 reports the cost of phi^m
-    together with the gradient norm and wall time of the iteration
-    producing it.  On failure, also in the cost row of the initial policy, a
+    dropped with the adjoint bound to it, so at most one ensemble is held
+    at a time.  A kernel_subsample below 1 raises ValueError before
+    anything is simulated.  Row m = 0 echoes the cost of the initial
+    policy; row m >= 1 reports the cost of phi^m together with the
+    gradient norm and wall time of the iteration producing it.  On
+    failure, also in the cost row of the initial policy, a
     :class:`SolverError` carrying the partial report is raised.
     """
     # emreg imports this module, so it is imported here, and
@@ -235,6 +226,10 @@ def run(
     if iterations < 0:
         raise ValueError("iteration count must be nonnegative")
     _check_step_settings(tau, momentum_cap)
+    if kernel_subsample is not None and kernel_subsample < 1:
+        raise ValueError(
+            f"kernel_subsample must be a positive atom count, got {kernel_subsample!r}"
+        )
     M = grid.time_steps
     phi0 = (
         initial_policy.copy()
@@ -260,7 +255,9 @@ def run(
     def eval_cost(policy: PolicyField) -> tuple[float, float]:
         return estimate_cost(problem, policy, num_particles, M, eval_seed)
 
-    previous = None  # the regression's adjoint of the last iteration
+    # the regression's cells of the last iteration; not its adjoint, which
+    # would keep the last training ensemble alive through the next simulate
+    previous = None
     try:
         cost0, err0 = eval_cost(state.phi)
         report.records.append(IterationRecord(0, cost0, err0, float("nan"), 0.0))
@@ -268,19 +265,19 @@ def run(
             tic = time.perf_counter()
             ensemble = simulate(problem, state.psi, num_particles, M, seed)
             if method == "emreg":
-                adjoint = previous = emreg.regress_adjoint(
+                adjoint = emreg.regress_adjoint(
                     problem, ensemble, grid,
                     previous=previous, kernel_subsample=kernel_subsample,
                 )
+                previous = adjoint.cells
             else:
                 adjoint = backward_sweep(
                     problem, state.psi, ensemble, grid, kernel_subsample=kernel_subsample
                 )
-            grad = gradient_field(
-                problem, state.psi, ensemble, adjoint, kernel_subsample=kernel_subsample
-            )
-            # the training ensemble and its adjoint go before the evaluation
-            # and the next simulate, so that one ensemble is alive at a time
+            grad = gradient_field(problem, state.psi, adjoint)
+            # the training ensemble and the adjoint bound to it go before the
+            # evaluation and the next simulate, so that one ensemble is alive
+            # at a time
             del ensemble, adjoint
             state = nag_step(
                 state, grad, tau, problem,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -46,6 +46,23 @@ class ParticleEnsemble:
 
     def measure(self, j: int) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.states[j], self.controls[j])
+
+
+class BoundAdjoint:
+    """Base of the adjoint fields: the particle law an adjoint was solved on.
+
+    Each gradient is linearised at one law, so an adjoint carries the
+    training `ensemble` and the `kernel_subsample` cap of the measure
+    kernels it was solved with; the subclasses declare both as fields.
+    """
+
+    ensemble: ParticleEnsemble
+    kernel_subsample: Optional[int]
+
+    def kernel_atoms(self, j: int) -> EmpiricalMeasure:
+        """The atoms that the measure kernels average over at slice j: the
+        law of slice j, every stride-th atom under kernel_subsample."""
+        return self.ensemble.measure(j).strided(self.kernel_subsample)
 
 
 def _noise_streams(seed: int):

@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 from mfcontrol import (
     CuckerSmaleParams,
     GridField,
+    MeasureKernel,
+    MfcProblem,
+    ParticleEnsemble,
     PolicyField,
     SpaceTimeGrid,
     assemble_source,
@@ -28,7 +31,6 @@ from mfcontrol import (
     regress_adjoint,
     simulate,
 )
-from mfcontrol.emreg import PiecewiseConstantAdjoint
 from mfcontrol.fdsolver import AdjointField
 from mfcontrol.grids import deposit
 from mfcontrol.nag import gradient_slice
@@ -72,19 +74,50 @@ def test_deposit_is_the_transpose_of_interpolation(d, seed, n):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(F).max() * n)
 
 
+def _affine_problem(d, rng):
+    """A d-dimensional problem whose adjoint source and terminal data are
+    random affine maps of the state, with no measure interaction: enough
+    for regress_adjoint to fill its cells."""
+    B, G, c = rng.standard_normal((d, d)), rng.standard_normal((d, d)), rng.standard_normal(d)
+    return MfcProblem(
+        state_dim=d, control_dim=1, noise_dim=d, horizon=1.0,
+        drift=None, diffusion=None, running_cost=None, terminal_cost=None,
+        dx_drift=lambda t, x, a, eta: np.broadcast_to(B, (x.shape[0], d, d)),
+        da_drift=None,
+        dx_running=lambda t, x, a, eta: x + c,
+        da_running=None,
+        dx_terminal=lambda x, mu: x @ G,
+        mu_drift=MeasureKernel.zero((d, d)), nu_drift=MeasureKernel.zero((d, 1)),
+        mu_running=MeasureKernel.zero((d,)), nu_running=MeasureKernel.zero((1,)),
+        mu_terminal=MeasureKernel.zero((d,)),
+        initial_sampler=None,
+    )
+
+
 @_cases
 @_given
-def test_mean_at_is_the_mean_of_the_point_values(d, seed, n):
+def test_kernel_mean_is_the_mean_of_the_point_values(d, seed, n):
     grid, x, rng = _grid_and_points(d, seed, n)
     M = grid.time_steps
-    pde = AdjointField(u=GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (2,))))
+    # each slice holds the points in another order, so each keeps other atoms
+    states = np.stack([rng.permutation(x) for _ in range(M + 1)])
+    ensemble = ParticleEnsemble(states, np.zeros((M + 1, n, 1)), grid.dt, 0)
+    subsample = int(rng.integers(1, n + 2))
+    pde = AdjointField(
+        GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (d,))), ensemble, subsample
+    )
     ncells = int(np.prod(np.array(grid.nodes) - 1))
-    reg = PiecewiseConstantAdjoint(grid, rng.standard_normal((M + 1, ncells, 2)))
+    reg = regress_adjoint(
+        _affine_problem(d, rng), ensemble, grid,
+        previous=rng.standard_normal((M + 1, ncells, d)), kernel_subsample=subsample,
+    )
     for adjoint in (pde, reg):
         for j in (0, M):
-            want = adjoint.u_at_points(j, x).mean(axis=0)
-            got = adjoint.mean_at(j, x)
-            assert got.shape == (2,)
+            atoms = adjoint.kernel_atoms(j)
+            assert atoms.size == -(-n // ensemble.measure(j).stride(subsample))
+            want = adjoint.u_at_points(j, atoms.x).mean(axis=0)
+            got = adjoint.kernel_mean(j)
+            assert got.shape == (d,)
             scale = np.abs(adjoint.u_at_nodes(j)).max()
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
 
@@ -116,11 +149,11 @@ def test_gradient_slice_matches_the_per_atom_path(method, subsample):
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ensemble = simulate(problem, policy, 500, grid.time_steps, 3)
     if method == "emreg":
-        adjoint = regress_adjoint(problem, ensemble, grid)
+        adjoint = regress_adjoint(problem, ensemble, grid, kernel_subsample=subsample)
     else:
-        adjoint = backward_sweep(problem, policy, ensemble, grid)
+        adjoint = backward_sweep(problem, policy, ensemble, grid, kernel_subsample=subsample)
     for j in range(grid.time_steps + 1):
-        got = gradient_slice(problem, policy, ensemble, adjoint, j, kernel_subsample=subsample)
+        got = gradient_slice(problem, policy, adjoint, j)
         want = _gradient_slice_per_atom(problem, policy, ensemble, adjoint, j, subsample)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
@@ -137,8 +170,8 @@ def test_assemble_source_matches_the_per_atom_path():
     j = 4
     vals = np.zeros((grid.time_steps + 1,) + grid.nodes + (2,))
     vals[j] = U.reshape(grid.nodes + (2,))
-    adjoint = AdjointField(GridField(grid, vals))
-    got = assemble_source(problem, policy, ensemble, adjoint, grid, j, kernel_subsample=90)
+    adjoint = AdjointField(GridField(grid, vals), ensemble, 90)
+    got = assemble_source(problem, policy, adjoint, grid, j)
     # the constant kernel's part, against U interpolated at every atom
     t, X, psi = j * grid.dt, grid.node_coords(), policy.slice_flat(j)
     eta = ensemble.measure(j)

@@ -1,7 +1,5 @@
 """Regression baseline: cell indexing, indicator least squares, outer loop."""
 
-import gc
-
 import numpy as np
 import pytest
 
@@ -110,7 +108,7 @@ def test_cell_regression_keeps_fallback_in_empty_cells(grid):
 
 def test_piecewise_constant_protocol(grid):
     cells = np.arange(5 * 16 * 2, dtype=float).reshape(5, 16, 2)
-    adj = PiecewiseConstantAdjoint(grid=grid, cells=cells)
+    adj = PiecewiseConstantAdjoint(grid=grid, cells=cells, means=None, ensemble=None)
     pts = np.array([[0.1, 0.1], [0.9, 0.9]])
     out = adj.u_at_points(2, pts)
     np.testing.assert_array_equal(out, cells[2][[0, 15]])
@@ -142,7 +140,7 @@ def _regress_reference(problem, policy, ensemble, grid, previous, kernel_subsamp
         problem.horizon, mu_T.strided(kernel_subsample), ensemble.states[M], None
     )
     cells[M] = cell_regression(grid, ensemble.states[M], term, previous[M])
-    adj = PiecewiseConstantAdjoint(grid=grid, cells=cells)
+    adj = PiecewiseConstantAdjoint(grid=grid, cells=cells, means=None, ensemble=None)
     for j in range(M, 0, -1):
         t, x, eta = j * grid.dt, ensemble.states[j], ensemble.measure(j)
         a = policy.eval_slice(j, x)
@@ -172,10 +170,7 @@ def test_regress_adjoint_matches_reference_loop_bitwise(model):
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 400, grid.time_steps, 0)
     previous = rng.standard_normal((grid.time_steps + 1, 100, 2))
-    adj = regress_adjoint(
-        prob, ens, grid,
-        previous=PiecewiseConstantAdjoint(grid, previous), kernel_subsample=subsample,
-    )
+    adj = regress_adjoint(prob, ens, grid, previous=previous, kernel_subsample=subsample)
     want = _regress_reference(prob, policy, ens, grid, previous, subsample)
     np.testing.assert_array_equal(adj.cells, want)
     for j in (0, grid.time_steps):
@@ -192,8 +187,9 @@ def test_regression_means_are_the_histogram_means_of_the_strided_atoms(
     rng = np.random.default_rng(11)
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, N, grid.time_steps, 5)
-    previous = PiecewiseConstantAdjoint(grid, rng.standard_normal((grid.time_steps + 1, 100, 2)))
+    previous = rng.standard_normal((grid.time_steps + 1, 100, 2))
     adj = regress_adjoint(prob, ens, grid, previous=previous, kernel_subsample=subsample)
+    assert adj.ensemble is ens and adj.kernel_subsample == subsample
     assert ens.measure(0).stride(subsample) == stride
     lookups = []
 
@@ -203,33 +199,19 @@ def test_regression_means_are_the_histogram_means_of_the_strided_atoms(
 
     monkeypatch.setattr(emreg, "cell_index", counted_cell_index)
     for j in range(grid.time_steps + 1):
-        # the gradient's atoms, as gradient_slice takes them
-        x = ens.measure(j).strided(subsample).x
+        # the gradient's atoms, as hamiltonian_derivative takes them
+        x = adj.kernel_atoms(j).x
+        np.testing.assert_array_equal(x, ens.measure(j).strided(subsample).x)
         counts = np.bincount(cell_index(grid, x), minlength=100)
         want = counts @ adj.cells[j] / x.shape[0]
-        got = adj.mean_at(j, x)
+        lookups.clear()
+        got = adj.kernel_mean(j)
         assert lookups == []  # stored by the regression, not looked up
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
         scale = np.abs(adj.cells[j]).max()
         np.testing.assert_allclose(
             got, adj.u_at_points(j, x).mean(axis=0), rtol=0, atol=1e-13 * scale
         )
-        lookups.clear()
-        # any other atom set is looked up: fewer atoms, a copy, another slice
-        for other, k in ((x[1:], j), (x.copy(), j), (x, (j + 1) % (grid.time_steps + 1))):
-            counts = np.bincount(cell_index(grid, other), minlength=100)
-            want = counts @ adj.cells[k] / other.shape[0]
-            np.testing.assert_array_equal(adj.mean_at(k, other), want)
-        assert lookups == [x.shape[0] - 1, x.shape[0], x.shape[0]]
-        lookups.clear()
-    # the adjoint does not keep the particles alive
-    states = adj.atom_means[0]
-    del ens, x, other
-    gc.collect()
-    assert states() is None
-    x = rng.uniform(0.0, 1.0, (N, 2))
-    counts = np.bincount(cell_index(grid, x), minlength=100)
-    np.testing.assert_array_equal(adj.mean_at(0, x), counts @ adj.cells[0] / N)
 
 
 def test_run_emreg_mirrors_driver_interface():

@@ -27,7 +27,7 @@ from mfcontrol import (
     simulate,
 )
 from mfcontrol import fdsolver
-from mfcontrol.fdsolver import MonotoneOperator, terminal_data
+from mfcontrol.fdsolver import MonotoneOperator
 
 
 def _linear_1d_problem(b=0.0, sigma=np.sqrt(2.0), source=None, terminal=None):
@@ -251,6 +251,35 @@ def test_solve_tolerance_is_relative_to_rhs(monkeypatch):
         op.solve(rhs)
 
 
+def test_solve_tolerance_is_relative_also_below_unit_scale():
+    # an rhs of size 1e-12 solved 1 % off leaves a residual near 1e-14, far
+    # below an absolute 1e-10, but a relative residual of 1e-2
+    prob = _linear_1d_problem()
+    grid = _grid_1d(nodes=21)
+    policy, ens = _setup(prob, grid)
+    op = build_operator(prob, policy, ens, grid, 0)
+    rhs = 1e-12 * np.random.default_rng(3).standard_normal((grid.num_nodes, 1))
+    op.solve(rhs)
+    exact = op._lu
+
+    class Factor:
+        def __init__(self, scale, shift):
+            self.scale, self.shift = scale, shift
+
+        def solve(self, b):
+            return self.scale * exact.solve(b) + self.shift
+
+    op._lu = Factor(1.01, 0.0)
+    with pytest.raises(RuntimeError, match=r"relative residual \S+ > 1e-10"):
+        op.solve(rhs)
+    # a zero rhs needs a zero residual: the scaled factor still solves it
+    zero = np.zeros_like(rhs)
+    np.testing.assert_array_equal(op.solve(zero), zero)
+    op._lu = Factor(1.0, 1e-300)
+    with pytest.raises(RuntimeError, match="relative residual inf"):
+        op.solve(zero)
+
+
 def _coupled_portfolio_slice(j=17):
     """Portfolio operator under a policy of mixed sign: every upwind
     direction occurs, so no stencil entry drops out of the system."""
@@ -462,10 +491,11 @@ def test_portfolio_source_and_terminal_data():
     j = 17
     vals = np.zeros((grid.time_steps + 1,) + grid.nodes + (2,))
     vals[j] = rng.standard_normal(grid.nodes + (2,))
-    src = assemble_source(prob, policy, ens, AdjointField(GridField(grid, vals)), grid, j)
+    adjoint = AdjointField(GridField(grid, vals), ens)
+    src = assemble_source(prob, policy, adjoint, grid, j)
     np.testing.assert_allclose(src[:, 0], policy.slice_flat(j)[:, 0], atol=1e-12)
     np.testing.assert_allclose(src[:, 1], 2.0 * X[:, 1], atol=1e-12)
-    term = terminal_data(prob, ens, grid)
+    term = prob.terminal_derivative(X, adjoint)
     np.testing.assert_allclose(
         term, np.stack([-X[:, 1], -X[:, 0] + X[:, 1]], axis=1), atol=1e-12
     )
@@ -491,7 +521,7 @@ def test_terminal_data_averages_the_kernel_over_the_strided_atoms():
         want = base.dx_terminal(X, mu_T) + (kept.x**2).mean(axis=0)
         adj = backward_sweep(prob, policy, ens, grid, kernel_subsample=subsample)
         np.testing.assert_array_equal(adj.u.slice_flat(grid.time_steps), want)
-        np.testing.assert_array_equal(terminal_data(prob, ens, grid, subsample), want)
+        np.testing.assert_array_equal(prob.terminal_derivative(X, adj), want)
     assert mu_T.stride(40) == 8
     full, strided = (mu_T.x**2).mean(axis=0), (mu_T.strided(40).x**2).mean(axis=0)
     assert np.abs(full - strided).min() > 1e-3

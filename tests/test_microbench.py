@@ -135,7 +135,7 @@ def test_gradient_field_portfolio_iteration(benchmark, portfolio_iteration, meth
     else:
         adjoint = backward_sweep(problem, policy, ensemble, grid)
     grad = benchmark.pedantic(
-        gradient_field, args=(problem, policy, ensemble, adjoint),
+        gradient_field, args=(problem, policy, adjoint),
         rounds=5, iterations=1, warmup_rounds=1,
     )
     assert grad.values.shape == (grid.time_steps + 1,) + grid.nodes + (1,)

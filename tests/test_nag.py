@@ -93,9 +93,24 @@ def test_non_finite_step_settings_are_rejected():
         run(prob, grid, iterations=1, num_particles=10, momentum_cap=float("nan"))
 
 
-def _random_adjoint(grid, d, seed):
+@pytest.mark.parametrize("method", ["fipde", "emreg"])
+def test_non_positive_kernel_subsample_is_rejected_before_any_simulation(method, monkeypatch):
+    def never(*args):
+        raise AssertionError("simulated before the arguments were checked")
+
+    monkeypatch.setattr(nag, "simulate", never)
+    monkeypatch.setattr(nag, "estimate_cost", never)
+    grid = portfolio_grid(cells=10, time_steps=10)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="kernel_subsample"):
+            run(portfolio_problem(), grid, 1, num_particles=200, method=method,
+                kernel_subsample=cap)
+
+
+def _random_adjoint(grid, ensemble, d, seed):
     rng = np.random.default_rng(seed)
-    return AdjointField(u=GridField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (d,))))
+    values = rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (d,))
+    return AdjointField(GridField(grid, values), ensemble)
 
 
 def test_portfolio_gradient_formula():
@@ -105,9 +120,9 @@ def test_portfolio_gradient_formula():
     rng = np.random.default_rng(2)
     policy = PolicyField(grid, rng.standard_normal((21,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 300, grid.time_steps, 0)
-    adj = _random_adjoint(grid, 2, 3)
+    adj = _random_adjoint(grid, ens, 2, 3)
     j = 7
-    grad = gradient_slice(prob, policy, ens, adj, j)
+    grad = gradient_slice(prob, policy, adj, j)
     X = grid.node_coords()
     u_at_particles = adj.u.eval_slice(j, ens.states[j])
     expected = (
@@ -126,9 +141,9 @@ def test_cs2d_gradient_formula():
     rng = np.random.default_rng(4)
     policy = PolicyField(grid, rng.standard_normal((21,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 300, grid.time_steps, 0)
-    adj = _random_adjoint(grid, 2, 5)
+    adj = _random_adjoint(grid, ens, 2, 5)
     j = 11
-    grad = gradient_slice(prob, policy, ens, adj, j)
+    grad = gradient_slice(prob, policy, adj, j)
     expected = 0.2 * policy.slice_flat(j)[:, 0] + adj.u.slice_flat(j)[:, 1]
     np.testing.assert_allclose(grad[:, 0], expected, atol=1e-12)
 

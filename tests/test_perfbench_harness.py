@@ -35,6 +35,7 @@ try:
     names = (
         "nag.run", "emreg.run_emreg", "emreg.regress_adjoint",
         "fdsolver.build_operator", "particles.simulate", "particles.estimate_cost",
+        "nag.gradient_field", "nag.gradient_slice", "fdsolver.assemble_source",
     )
     calls = {name: tracer.calls(name) for name in names}
     # the PDE sweep: its counters read the operator's system matrix, the
@@ -45,12 +46,23 @@ try:
     ))
 finally:
     tracer.restore()
-# one training simulation per iteration; the cost rows stream their own
+# one training simulation and one gradient per iteration; the cost rows
+# stream their own
 assert calls == {
     "nag.run": 1, "emreg.run_emreg": 0, "emreg.regress_adjoint": 2,
     "fdsolver.build_operator": 0, "particles.simulate": 2,
-    "particles.estimate_cost": 3,
+    "particles.estimate_cost": 3, "nag.gradient_field": 2,
+    "nag.gradient_slice": 22, "fdsolver.assemble_source": 0,
 }, calls
+# the PDE run's own calls of the gradient layers, whose per-layer metrics
+# read 0 if a layer stops going through its traced name
+pde_gradient = {
+    name: tracer.calls(name) - calls[name]
+    for name in ("nag.gradient_field", "nag.gradient_slice", "fdsolver.assemble_source")
+}
+assert pde_gradient == {
+    "nag.gradient_field": 1, "nag.gradient_slice": 11, "fdsolver.assemble_source": 10,
+}, pde_gradient
 pde = {name: tracer.calls(name) for name in (
     "fdsolver.backward_sweep", "fdsolver.build_operator", "fdsolver.solve",
     "measures.mean_contract", "problems.callbacks",

@@ -18,10 +18,10 @@ from mfcontrol import (
     multilinear_eval,
     portfolio_grid,
     portfolio_problem,
+    regress_adjoint,
     simulate,
     validate_derivatives,
 )
-from mfcontrol.emreg import PiecewiseConstantAdjoint
 from mfcontrol.grids import deposit
 from mfcontrol.nag import gradient_slice
 
@@ -147,7 +147,7 @@ def _gradient_slice_einsum(problem, policy, ensemble, adjoint, j, kernel_subsamp
     grad += problem.da_running(t, X, psi, eta)
     eta_k = eta.strided(kernel_subsample)
     if problem.nu_drift.const is not None:
-        grad += problem.nu_drift.const_contract(adjoint.mean_at(j, eta_k.x))
+        grad += problem.nu_drift.const_contract(adjoint.kernel_mean(j))
     elif not problem.nu_drift.is_zero:
         w = adjoint.u_at_points(j, eta_k.x)
         grad += problem.nu_drift.mean_contract(t, eta_k, X, psi, weights=w)
@@ -199,25 +199,28 @@ def test_hamiltonian_derivative_matches_the_einsum_copies_bitwise(model, subsamp
         warnings.simplefilter("ignore", RuntimeWarning)  # particles leaving the box
         ens = simulate(prob, policy, 400, M, 2)
     assert ens.measure(0).stride(subsample) == stride
-    pde = AdjointField(GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (2,))))
+    pde = AdjointField(
+        GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (2,))), ens, subsample
+    )
     ncells = int(np.prod(np.array(grid.nodes) - 1))
-    reg = PiecewiseConstantAdjoint(grid, rng.standard_normal((M + 1, ncells, 2)))
+    reg = regress_adjoint(
+        prob, ens, grid,
+        previous=rng.standard_normal((M + 1, ncells, 2)), kernel_subsample=subsample,
+    )
     X = grid.node_coords()
     for j in range(M + 1):
         t, psi = j * grid.dt, policy.slice_flat(j)
         for adjoint in (pde, reg):
             want = _gradient_slice_einsum(prob, policy, ens, adjoint, j, subsample)
-            got = prob.hamiltonian_derivative(
-                "a", t, X, psi, ens.measure(j), adjoint.u_at_nodes(j), adjoint, j, subsample
-            )
+            got = prob.hamiltonian_derivative("a", t, X, psi, adjoint.u_at_nodes(j), adjoint, j)
             np.testing.assert_array_equal(_bits(got), _bits(want))
-            got = gradient_slice(prob, policy, ens, adjoint, j, kernel_subsample=subsample)
+            got = gradient_slice(prob, policy, adjoint, j)
             np.testing.assert_array_equal(_bits(got), _bits(want))
         U = pde.u_at_nodes(j)
         want = _assemble_source_einsum(prob, policy, ens, U, j, subsample)
-        got = prob.hamiltonian_derivative("x", t, X, psi, ens.measure(j), U, pde, j, subsample)
+        got = prob.hamiltonian_derivative("x", t, X, psi, U, pde, j)
         np.testing.assert_array_equal(_bits(got), _bits(want))
-        got = assemble_source(prob, policy, ens, pde, grid, j, kernel_subsample=subsample)
+        got = assemble_source(prob, policy, pde, grid, j)
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
@@ -225,4 +228,4 @@ def test_hamiltonian_derivative_names_a_bad_variable():
     prob = portfolio_problem()
     eta = EmpiricalMeasure(np.zeros((2, 2)), np.zeros((2, 1)))
     with pytest.raises(ValueError, match="wrt"):
-        prob.hamiltonian_derivative("t", 0.0, eta.x, eta.a, eta, np.zeros((2, 2)), None, 0)
+        prob.hamiltonian_derivative("t", 0.0, eta.x, eta.a, np.zeros((2, 2)), None, 0)
