@@ -15,6 +15,12 @@ nodes by component makes the system block lower-triangular: the LU fills
 only the diagonal blocks.  Within a component the nodes keep the lattice's
 fill-reducing order.  A sweep whose operator does not change from one slice
 to the next (the zero policy of a first iteration) factors it once.
+
+scipy is imported inside the functions that use it, not at the top of the
+module: importing scipy.sparse, its linalg and csgraph costs about 0.3 s
+and 25-33 MB of resident memory, and only the PDE adjoint needs them.
+`import mfcontrol` and a job with the regression adjoint (method = emreg)
+load no scipy; a PDE job loads it at its first build_operator.
 """
 
 from __future__ import annotations
@@ -22,18 +28,18 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .grids import GridField, PolicyField, SpaceTimeGrid, _read_only, deposit
 # bound only because perfbench/run.py traces this name on this module
 from .grids import multilinear_eval  # noqa: F401
 from .particles import BoundAdjoint, ParticleEnsemble
 from .problem import MfcProblem
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _SOLVE_TOL = 1e-10  # on the residual relative to |rhs|_inf
 
@@ -63,6 +69,9 @@ def _fill_order(nodes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     stencil, whose pattern contains that of every I - dt*L on these nodes.  SuperLU's perm_c maps
     a column to its position, so it is the rank and its inverse the order.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     lattice = None
     for n in reversed(nodes):  # C order: the last dimension has stride 1
         path = sp.diags([-1.0, -1.0], [-1, 1], shape=(n, n))
@@ -87,6 +96,8 @@ def _elimination_order(system: sp.csr_matrix, lattice_rank: np.ndarray) -> np.nd
     so that comp[r] >= comp[c] for every nonzero, which makes the reordered
     system block lower-triangular.
     """
+    from scipy.sparse.csgraph import connected_components
+
     _, comp = connected_components(system, directed=True, connection="strong")
     # unique keys: component first, then lattice rank
     return np.argsort(comp.astype(np.int64) * lattice_rank.size + lattice_rank)
@@ -125,6 +136,8 @@ class MonotoneOperator:
         RuntimeError at once; a zero rhs must give a zero residual.
         """
         if self._lu is None:
+            from scipy.sparse.linalg import splu
+
             order = _elimination_order(self.system, _fill_order(self.grid.nodes)[1])
             rank = np.empty_like(order)
             rank[order] = np.arange(order.size)
@@ -183,6 +196,8 @@ class AdjointField(BoundAdjoint):
 
 def _pattern_csr(data: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
     """CSR matrix from per-row entries (num_rows, width), exact zeros dropped."""
+    import scipy.sparse as sp
+
     n = data.shape[0]
     keep = data != 0.0
     counts = np.zeros(n, dtype=np.int64)

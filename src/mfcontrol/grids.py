@@ -255,21 +255,23 @@ def field_to_csv(field: GridField, path) -> None:
     """Serialize as rows `t, x1..xd, c1..cc` with 17 significant digits.
 
     The lines end in CRLF.  Each time slice is formatted and written as one
-    block, so that the whole file is never held as one string.
+    block, so that the whole file is never held as one string.  The node
+    coordinates are formatted once per call and the time once per slice;
+    each row formats only its c values.
     """
     d = field.grid.state_dim
     c = field.components
-    coords = field.grid.node_coords()
     header = ["t"] + [f"x{i+1}" for i in range(d)] + [f"c{i+1}" for i in range(c)]
-    row = ",".join(["%.17g"] * (1 + d + c))
-    block = np.empty((coords.shape[0], 1 + d + c))
-    block[:, 1 : 1 + d] = coords
+    coords = [("%.17g," * d) % tuple(x) for x in field.grid.node_coords().tolist()]
+    values = ",".join(["%.17g"] * c) + "\r\n"
+    block = np.empty((len(coords), c))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for j, t in enumerate(field.grid.times):
-            block[:, 0] = t
-            block[:, 1 + d :] = field.slice_flat(j)
-            fh.write("\r\n".join([row % tuple(r) for r in block.tolist()]) + "\r\n")
+            stamp = "%.17g," % t
+            block[:] = field.slice_flat(j)
+            rows = zip(coords, block.tolist())
+            fh.write("".join([stamp + x + values % tuple(v) for x, v in rows]))
 
 
 def field_from_csv(path, policy: bool = False) -> GridField:

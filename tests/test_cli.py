@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfcontrol import PolicyField, experiments, field_from_csv, simulate
+from mfcontrol import PolicyField, experiments, field_from_csv, field_to_csv, simulate
 from mfcontrol.cli import main
-from mfcontrol.config import RunConfig
+from mfcontrol.config import RunConfig, parse_config
 from mfcontrol.experiments import (
     SweepResult,
     robustness_sweep,
@@ -251,3 +252,68 @@ def test_robustness_sweep_is_thread_count_invariant(monkeypatch):
         a, b = (getattr(r, f.name) for r in results)
         assert a.shape == b.shape, f.name
         np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64), err_msg=f.name)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_SCIPY_PROBE = """
+import json, sys
+
+def scipy_state():
+    return {name: name in sys.modules for name in ("scipy", "scipy.sparse.linalg")}
+
+import mfcontrol
+from mfcontrol import experiments
+from mfcontrol.config import parse_config
+
+seen = {"import": scipy_state()}
+parse_config(sys.argv[1]).build()
+seen["build"] = scipy_state()
+experiments.execute_run(parse_config(sys.argv[1]))
+seen["emreg run"] = scipy_state()
+experiments.execute_run(parse_config(sys.argv[2]))
+seen["fipde run"] = scipy_state()
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_pde_adjoint_loads_scipy(tmp_path):
+    # a fresh process: this one has scipy loaded already
+    emreg = tmp_path / "emreg.cfg"
+    emreg.write_text(TINY + "method = emreg\n")
+    fipde = tmp_path / "fipde.cfg"
+    fipde.write_text(TINY + "method = fipde\n")
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(emreg), str(fipde)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        check=True, timeout=300,
+    )
+    seen = json.loads(done.stdout.splitlines()[-1])
+    for stage in ("import", "build", "emreg run"):
+        assert seen[stage] == {"scipy": False, "scipy.sparse.linalg": False}, stage
+    assert seen["fipde run"] == {"scipy": True, "scipy.sparse.linalg": True}
+
+
+def test_sweep_is_thread_count_invariant_from_a_fresh_process(tmp_path):
+    # unlike test_robustness_sweep_is_thread_count_invariant, the process
+    # starts without scipy, so with four workers its first import runs on
+    # concurrent threads, in the cells' PDE reference solves
+    cfg = _cfg(
+        tmp_path,
+        "problem = portfolio\ngrid.cells = 6\ngrid.time_steps = 6\nparticles = 200\n"
+        "sweep.steps = 2\nsweep.iterations = 1\n",
+    )
+    _, grid = parse_config(cfg).build()
+    rng = np.random.default_rng(5)
+    policy = tmp_path / "policy.csv"
+    field_to_csv(PolicyField(grid, 0.3 * rng.standard_normal((7,) + grid.nodes + (1,))), policy)
+    for threads in (4, 1):
+        subprocess.run(
+            [sys.executable, "-m", "mfcontrol.cli", "sweep", cfg, "--policy", str(policy),
+             "--output", str(tmp_path / f"t{threads}")],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=SRC, MFCONTROL_THREADS=str(threads)),
+            check=True, timeout=300,
+        )
+    sweeps = [(tmp_path / f"t{threads}" / "sweep.csv").read_bytes() for threads in (4, 1)]
+    assert sweeps[0] == sweeps[1]

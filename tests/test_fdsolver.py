@@ -394,7 +394,8 @@ def _counting_splu(monkeypatch):
         calls.append(1)
         return splu(*args, **kwargs)
 
-    monkeypatch.setattr(fdsolver, "splu", counted)
+    # the factor branch of MonotoneOperator.solve imports splu when it runs
+    monkeypatch.setattr("scipy.sparse.linalg.splu", counted)
     return calls
 
 

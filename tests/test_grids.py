@@ -244,6 +244,34 @@ def test_csv_round_trip_is_exact(tmp_path, grid):
     assert isinstance(policy, PolicyField)
 
 
+def _row_by_row_csv(field, path):
+    """field_to_csv's format, every row formatted whole: the reference."""
+    d, c = field.grid.state_dim, field.components
+    header = ["t"] + [f"x{i+1}" for i in range(d)] + [f"c{i+1}" for i in range(c)]
+    row = ",".join(["%.17g"] * (1 + d + c))
+    coords = field.grid.node_coords()
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for j, t in enumerate(field.grid.times):
+            for x, v in zip(coords.tolist(), field.slice_flat(j).tolist()):
+                fh.write(row % tuple([t] + x + v) + "\r\n")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("c", [1, 2])
+def test_csv_matches_row_by_row_formatting_bytewise(tmp_path, d, c):
+    rng = np.random.default_rng(d + 2 * c)
+    grid = SpaceTimeGrid(0.7, 3, (-1.3, 0.1)[:d], (2.9, 1.0 / 3.0)[:d], (6, 4)[:d])
+    vals = rng.standard_normal((4,) + grid.nodes + (c,)) * 10.0 ** rng.integers(-8, 8)
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e20, -1e20, -3.0, 0.1]
+    vals.reshape(-1)[: len(special)] = special
+    field = GridField(grid, vals)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    field_to_csv(field, got)
+    _row_by_row_csv(field, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_csv_rejects_missing_rows(tmp_path, grid):
     field = GridField.zeros(grid, 1)
     path = tmp_path / "field.csv"
