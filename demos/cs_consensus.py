@@ -52,11 +52,11 @@ def beta0_vs_riccati():
 
 
 def beta10_acceleration():
-    params = CuckerSmaleParams(beta=10.0, kernel_subsample=500)
-    problem = cs2d_problem(params)
+    params = CuckerSmaleParams(beta=10.0)
+    problem = cs2d_problem(params, kernel_subsample=500)
     grid = cs2d_grid(params)
     print("\nbeta = 10: local alignment kernel, momentum vs plain iteration")
-    common = dict(num_particles=5_000, seed=0, kernel_subsample=500)
+    common = dict(num_particles=5_000, seed=0)
     fast = run(problem, grid, iterations=10, **common)
     plain = run(problem, grid, iterations=10, method="ipde", **common)
     print("  m    J accelerated    J plain")

@@ -84,18 +84,14 @@ class RunConfig:
 
     def problem_params(self):
         """Problem parameter dataclass with overrides applied."""
-        cls = _PROBLEMS[self.problem][0]
-        params = cls()
-        if not self.problem_overrides:
-            return params
         # values were already coerced to the field types at parse time
-        return replace(params, **self.problem_overrides)
+        return replace(_PROBLEMS[self.problem][0](), **self.problem_overrides)
 
     def build(self):
         """(problem, grid) pair described by this configuration."""
         _, make_problem, make_grid = _PROBLEMS[self.problem]
         params = self.problem_params()
-        problem = make_problem(params)
+        problem = make_problem(params, kernel_subsample=self.kernel_subsample)
         grid = make_grid(params, cells=self.cells, time_steps=self.time_steps)
         return problem, grid
 
@@ -125,7 +121,7 @@ class RunConfig:
         items["sweep.steps"] = str(self.sweep_steps)
         items["sweep.iterations"] = str(self.sweep_iterations)
         for name, value in sorted(self.problem_overrides.items()):
-            items[f"problem.{name}"] = repr(value) if isinstance(value, float) else str(value)
+            items[f"problem.{name}"] = repr(value)
         return items
 
 
@@ -193,10 +189,18 @@ def parse_items(items: List[Tuple[str, str, int]]) -> RunConfig:
     values: Dict[str, object] = {}
     overrides: Dict[str, object] = {}
     problem_name = next((v.strip() for k, v, _ in items if k == "problem"), None)
+    lines = {key: line for key, _, line in items}
+    alias = None
     for key, raw, line in items:
         if key in _SCHEMA:
             attr, kind = _SCHEMA[key]
             values[attr] = _convert(raw, kind, key, line)
+        elif key == "problem.kernel_subsample" and problem_name == "cs2d":
+            # kernel_subsample as spelled while the Cucker-Smale drift had a
+            # cap of its own; given both spellings, they must agree
+            alias = _convert(raw, "int", key, line)
+            if alias < 1:
+                raise ConfigError(f"line {line}: {key} must be a positive atom count")
         elif key.startswith("problem."):
             pname = key[len("problem."):]
             if problem_name is None or problem_name not in _PROBLEMS:
@@ -215,10 +219,7 @@ def parse_items(items: List[Tuple[str, str, int]]) -> RunConfig:
                 raise ConfigError(
                     f"line {line}: parameter {key!r} is not overridable from config"
                 )
-            kind = "int" if pname == "kernel_subsample" else "float"
-            overrides[pname] = _convert(raw, kind, key, line)
-            if pname == "kernel_subsample" and overrides[pname] < 1:
-                raise ConfigError(f"line {line}: {key} must be a positive atom count")
+            overrides[pname] = _convert(raw, "float", key, line)
         else:
             raise ConfigError(
                 f"line {line}: unknown key {key!r}{_suggest(key, list(_SCHEMA))}"
@@ -226,6 +227,12 @@ def parse_items(items: List[Tuple[str, str, int]]) -> RunConfig:
 
     if "problem" not in values:
         raise ConfigError("missing required key 'problem'")
+    cap = values.setdefault("kernel_subsample", alias)
+    if alias is not None and cap != alias:
+        raise ConfigError(
+            f"line {lines['kernel_subsample']}: kernel_subsample = {cap} and line "
+            f"{lines['problem.kernel_subsample']}: problem.kernel_subsample = {alias} disagree"
+        )
 
     sweep_q_min = (
         values.pop("_sweep_q_min_lo", 0.5),

@@ -118,7 +118,6 @@ def regress_adjoint(
     ensemble: ParticleEnsemble,
     grid: SpaceTimeGrid,
     previous: Optional[np.ndarray] = None,
-    kernel_subsample: Optional[int] = None,
 ) -> PiecewiseConstantAdjoint:
     """Backward indicator-basis regression of the adjoint along particles.
 
@@ -131,7 +130,7 @@ def regress_adjoint(
     visits keep their row of `previous`, the (M+1, num_cells, d) cells of
     an earlier regression (zero without one).
 
-    The returned adjoint is bound to `ensemble` and `kernel_subsample`.
+    The returned adjoint is bound to `ensemble` and problem.kernel_subsample.
     Its kernel means, the mean of each slice's cell values over the kernel
     atoms (every stride-th particle), are read off the cell counts that the
     regression computes anyway.
@@ -143,9 +142,9 @@ def regress_adjoint(
 
     cells = np.empty((M + 1, ncells, d))
     means = np.empty((M + 1, d))
-    stride = ensemble.measure(M).stride(kernel_subsample)
+    stride = ensemble.measure(M).stride(problem.kernel_subsample)
     # the sources of the loop read the slices and means regressed so far
-    adjoint = PiecewiseConstantAdjoint(grid, cells, means, ensemble, kernel_subsample)
+    adjoint = PiecewiseConstantAdjoint(grid, cells, means, ensemble, problem.kernel_subsample)
 
     def regress(j, idx, targets):
         counts = np.bincount(idx, minlength=ncells)

@@ -44,15 +44,9 @@ def execute_run(config: RunConfig) -> nag.RunReport:
     """Run the configured method and return its report (no files written)."""
     problem, grid = config.build()
     return nag.run(
-        problem, grid,
-        iterations=config.iterations,
-        tau=config.tau,
-        num_particles=config.particles,
-        seed=config.seed,
-        eval_seed=config.eval_seed,
-        method=config.method,
-        kernel_subsample=config.kernel_subsample,
-        initial_policy=_load_initial_policy(config),
+        problem, grid, iterations=config.iterations, tau=config.tau,
+        num_particles=config.particles, seed=config.seed, eval_seed=config.eval_seed,
+        method=config.method, initial_policy=_load_initial_policy(config),
         momentum_cap=config.momentum_cap,
     )
 
@@ -87,19 +81,16 @@ def _write_dumps(config: RunConfig, report: nag.RunReport, out_dir: Path) -> Non
     # the training ensemble of the last lookahead serves both dumps
     ensemble = simulate(problem, policy, config.particles, grid.time_steps, config.seed)
     if config.dump_adjoint:
-        adjoint = backward_sweep(
-            problem, policy, ensemble, grid, kernel_subsample=config.kernel_subsample
-        )
-        field_to_csv(adjoint.u, out_dir / "adjoint_u.csv")
+        field_to_csv(backward_sweep(problem, policy, ensemble, grid).u, out_dir / "adjoint_u.csv")
     if config.dump_trajectories:
-        keep = min(100, ensemble.num_particles)
+        # the first 100 particles, one block (and one write) per slice
+        d = problem.state_dim
+        coords = ",".join(["%.17g"] * d)
         with open(out_dir / "trajectories.csv", "w") as fh:
-            cols = ["t", "particle"] + [f"x{i+1}" for i in range(problem.state_dim)]
-            fh.write(",".join(cols) + "\n")
-            for j, t in enumerate(grid.times):
-                for l in range(keep):
-                    coords = ",".join(f"{v:.17g}" for v in ensemble.states[j, l])
-                    fh.write(f"{t:.17g},{l},{coords}\n")
+            fh.write(",".join(["t", "particle"] + [f"x{i+1}" for i in range(d)]) + "\n")
+            for t, rows in zip(grid.times.tolist(), ensemble.states[:, :100].tolist()):
+                head = "%.17g," % t
+                fh.write("".join(f"{head}{l},{coords % tuple(x)}\n" for l, x in enumerate(rows)))
 
 
 def run_experiment(config: RunConfig) -> int:
@@ -172,7 +163,6 @@ def _sweep_cell(config: RunConfig, policy: PolicyField, q_min: float, q_max: flo
         iterations=cell_cfg.sweep_iterations, tau=cell_cfg.tau,
         num_particles=cell_cfg.particles, seed=cell_cfg.seed,
         eval_seed=cell_cfg.eval_seed, method="fipde",
-        kernel_subsample=cell_cfg.kernel_subsample,
     )
     return j_policy, ref.records[-1].cost
 

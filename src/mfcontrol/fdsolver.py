@@ -312,12 +312,11 @@ def backward_sweep(
     policy: PolicyField,
     ensemble: ParticleEnsemble,
     grid: SpaceTimeGrid,
-    kernel_subsample: Optional[int] = None,
 ) -> AdjointField:
     """Solve the adjoint PDE system backward on the grid.
 
-    The returned field is bound to `ensemble` and `kernel_subsample`, the
-    law that its sources and the control gradient are linearised at.
+    The returned field is bound to `ensemble` and problem.kernel_subsample,
+    the law that its sources and the control gradient are linearised at.
     Terminal slice is the discretized terminal condition; boundary nodes
     hold the terminal data as Dirichlet data for all times; each interior
     step solves (I - dt L) U^{j-1} = U^j + dt f per component with a shared
@@ -340,9 +339,8 @@ def backward_sweep(
 
     U = np.empty((M + 1, grid.num_nodes, d))
     # a view of U: the slices the sweep writes show through to the sources
-    adjoint = AdjointField(
-        GridField(grid, U.reshape((M + 1,) + grid.nodes + (d,))), ensemble, kernel_subsample
-    )
+    u = GridField(grid, U.reshape((M + 1,) + grid.nodes + (d,)))
+    adjoint = AdjointField(u, ensemble, problem.kernel_subsample)
     term = problem.terminal_derivative(grid.node_coords(), adjoint)
     U[M] = term
     op = None

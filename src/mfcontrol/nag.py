@@ -194,7 +194,6 @@ def run(
     seed: int = 0,
     eval_seed: int = 1_000_003,
     method: str = "fipde",
-    kernel_subsample: Optional[int] = None,
     initial_policy: Optional[PolicyField] = None,
     momentum_cap: Optional[float] = None,
     callback: Optional[Callable[[int, NagState, RunReport], None]] = None,
@@ -210,9 +209,9 @@ def run(
     Monte Carlo noise.  The evaluation sums the costs along its particle
     loop and keeps no paths, and it runs after the training ensemble is
     dropped with the adjoint bound to it, so at most one ensemble is held
-    at a time.  A kernel_subsample below 1 raises ValueError before
-    anything is simulated.  Row m = 0 echoes the cost of the initial
-    policy; row m >= 1 reports the cost of phi^m together with the
+    at a time.  The interaction sums are subsampled at the problem's own
+    cap, problem.kernel_subsample.  Row m = 0 echoes the cost of the
+    initial policy; row m >= 1 reports the cost of phi^m together with the
     gradient norm and wall time of the iteration producing it.  On
     failure, also in the cost row of the initial policy, a
     :class:`SolverError` carrying the partial report is raised.
@@ -226,10 +225,6 @@ def run(
     if iterations < 0:
         raise ValueError("iteration count must be nonnegative")
     _check_step_settings(tau, momentum_cap)
-    if kernel_subsample is not None and kernel_subsample < 1:
-        raise ValueError(
-            f"kernel_subsample must be a positive atom count, got {kernel_subsample!r}"
-        )
     M = grid.time_steps
     phi0 = (
         initial_policy.copy()
@@ -243,7 +238,7 @@ def run(
         "num_particles": num_particles,
         "seed": seed,
         "eval_seed": eval_seed,
-        "kernel_subsample": kernel_subsample,
+        "kernel_subsample": problem.kernel_subsample,
         "grid_nodes": list(grid.nodes),
         "time_steps": M,
     }
@@ -265,15 +260,10 @@ def run(
             tic = time.perf_counter()
             ensemble = simulate(problem, state.psi, num_particles, M, seed)
             if method == "emreg":
-                adjoint = emreg.regress_adjoint(
-                    problem, ensemble, grid,
-                    previous=previous, kernel_subsample=kernel_subsample,
-                )
+                adjoint = emreg.regress_adjoint(problem, ensemble, grid, previous=previous)
                 previous = adjoint.cells
             else:
-                adjoint = backward_sweep(
-                    problem, state.psi, ensemble, grid, kernel_subsample=kernel_subsample
-                )
+                adjoint = backward_sweep(problem, state.psi, ensemble, grid)
             grad = gradient_field(problem, state.psi, adjoint)
             # the training ensemble and the adjoint bound to it go before the
             # evaluation and the next simulate, so that one ensemble is alive

@@ -11,7 +11,7 @@ instances, and measure derivatives are supplied analytically as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -35,6 +35,11 @@ class MfcProblem:
     with out_shape (d,d) for mu_drift, (d,k) for nu_drift, (d,) for
     mu_running / mu_terminal and (k,) for nu_running.  The adjoint solver
     holds the terminal data on the boundary of its truncated box.
+
+    kernel_subsample caps every interaction sum at every stride-th atom
+    (EmpiricalMeasure.strided; None keeps all); the adjoints carry it to the
+    measure kernels.  Set it with the factory (portfolio_problem, cs2d_problem),
+    whose drift closures read it too: dataclasses.replace would miss them.
     """
 
     state_dim: int
@@ -58,6 +63,7 @@ class MfcProblem:
     initial_sampler: Callable[[int, np.random.Generator], np.ndarray]
     nonsmooth_cost: ProxSpec = field(default_factory=ProxSpec.none)
     name: str = "problem"
+    kernel_subsample: Optional[int] = None
     # not fields: perfbench/run.py reads them when it traces the callbacks
     dx_diffusion = da_diffusion = boundary_values = None
 
@@ -67,6 +73,9 @@ class MfcProblem:
                 raise ValueError(f"{attr} must be a positive integer")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        cap = self.kernel_subsample
+        if cap is not None and not (isinstance(cap, (int, np.integer)) and cap >= 1):
+            raise ValueError(f"kernel_subsample must be None or a positive integer, got {cap!r}")
 
     def diffusion_matrix(self, t: float, x, a, eta, check: bool = False) -> np.ndarray:
         """sigma at time t as one (d, n) matrix, read at the first point of (x, a).

@@ -51,13 +51,15 @@ class PortfolioParams:
     domain_hi: Tuple[float, float] = (6.0, 4.0)
 
 
-def portfolio_problem(params: PortfolioParams = PortfolioParams()) -> MfcProblem:
+def portfolio_problem(
+    params: PortfolioParams = PortfolioParams(), kernel_subsample: Optional[int] = None
+) -> MfcProblem:
     """Liquidation problem with state (price S, inventory Q) and scalar
     trading speed.
 
     Dynamics: dS = lam * E[a] dt + sigma dW, dQ = a dt.  Cost:
     integral of a*S + Q^2 + k1*a^2 + k2*|a| minus the terminal liquidation
-    value Q_T (S_T - gamma Q_T).
+    value Q_T (S_T - gamma Q_T).  kernel_subsample: see MfcProblem.
     """
     p = params
     sig_const = np.array([[p.sigma], [0.0]])
@@ -123,6 +125,7 @@ def portfolio_problem(params: PortfolioParams = PortfolioParams()) -> MfcProblem
         initial_sampler=initial_sampler,
         nonsmooth_cost=nonsmooth,
         name="portfolio",
+        kernel_subsample=kernel_subsample,
     )
 
 
@@ -163,9 +166,6 @@ class CuckerSmaleParams:
     mix_std: float = 0.1
     domain_lo: Tuple[float, float] = (0.0, 0.0)
     domain_hi: Tuple[float, float] = (5.0, 4.0)
-    # cap on the number of measure atoms entering pairwise alignment sums;
-    # atoms are subsampled with a deterministic stride
-    kernel_subsample: Optional[int] = None
 
 
 def _inv_pow(base: np.ndarray, beta: float, consume: bool = False) -> np.ndarray:
@@ -300,20 +300,23 @@ def _kernel_sums(
     return out.take(inverse, axis=0)
 
 
-def cs2d_problem(params: CuckerSmaleParams = CuckerSmaleParams()) -> MfcProblem:
+def cs2d_problem(
+    params: CuckerSmaleParams = CuckerSmaleParams(), kernel_subsample: Optional[int] = None
+) -> MfcProblem:
     """Cucker-Smale model with state (x, v), scalar control acting on v.
 
     Dynamics: dx = v dt, dv = (E[kappa(x, v, x', v')] + a) dt + sigma dW with
     alignment kernel kappa = K (v' - v) / (1 + (x - x')^2)^beta.  Cost:
     integral of (v - E[v])^2 + gamma1 a^2 + gamma2 |a| plus terminal
-    (v_T - E[v_T])^2.
+    (v_T - E[v_T])^2.  kernel_subsample (see MfcProblem) also caps the
+    alignment sums of the drift and dx_drift.
     """
     p = params
     sig_const = np.array([[0.0], [p.sigma]])
 
     def _align(x, v, eta):
         """E[kappa] at points (x, v) = (K/L) (A - v B), A = sum w v', B = sum w."""
-        etas = eta.strided(p.kernel_subsample)
+        etas = eta.strided(kernel_subsample)
         if p.beta == 0:
             return p.K * (etas.x[:, 1].mean() - v)
         R = np.column_stack([etas.x[:, 1], np.ones(etas.size)])
@@ -351,7 +354,7 @@ def cs2d_problem(params: CuckerSmaleParams = CuckerSmaleParams()) -> MfcProblem:
     def dx_drift(t, x, a, eta):
         out = np.zeros((x.shape[0], 2, 2))
         out[:, 0, 1] = 1.0
-        etas = eta.strided(p.kernel_subsample)
+        etas = eta.strided(kernel_subsample)
         if p.beta == 0:
             out[:, 1, 1] = -p.K
             return out
@@ -445,6 +448,7 @@ def cs2d_problem(params: CuckerSmaleParams = CuckerSmaleParams()) -> MfcProblem:
         initial_sampler=initial_sampler,
         nonsmooth_cost=nonsmooth,
         name="cucker-smale-2d",
+        kernel_subsample=kernel_subsample,
     )
 
 

@@ -143,10 +143,10 @@ def test_criterion_3_cs_rate_and_riccati_match(cs_beta0_run):
 
 
 def test_criterion_4_cs_beta10_momentum_accelerates():
-    params = CuckerSmaleParams(beta=10.0, kernel_subsample=500)
-    prob = cs2d_problem(params)
+    params = CuckerSmaleParams(beta=10.0)
+    prob = cs2d_problem(params, kernel_subsample=500)
     grid = cs2d_grid(params)
-    common = dict(num_particles=5_000, seed=0, kernel_subsample=500)
+    common = dict(num_particles=5_000, seed=0)
     fast = run(prob, grid, iterations=10, **common)
     plain = run(prob, grid, iterations=10, method="ipde", **common)
     ratio = _geometric_ratio(fast.costs, fast.records[-1].cost, 1, 6)

@@ -6,11 +6,20 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mfcontrol import PolicyField, experiments, field_from_csv, field_to_csv, simulate
+from mfcontrol import (
+    ParticleEnsemble,
+    PolicyField,
+    experiments,
+    field_from_csv,
+    field_to_csv,
+    problems,
+    simulate,
+)
 from mfcontrol.cli import main
 from mfcontrol.config import RunConfig, parse_config
 from mfcontrol.experiments import (
@@ -104,6 +113,68 @@ def test_dumps_simulate_the_training_ensemble_once(tmp_path, monkeypatch):
     assert calls == [(200, 10, 0)]
     assert (tmp_path / "out" / "adjoint_u.csv").is_file()
     assert (tmp_path / "out" / "trajectories.csv").is_file()
+
+
+def _trajectories_by_value(times, states, path):
+    """The trajectory writer as it was: one f-string per value and per row."""
+    with open(path, "w") as fh:
+        cols = ["t", "particle"] + [f"x{i+1}" for i in range(states.shape[2])]
+        fh.write(",".join(cols) + "\n")
+        for j, t in enumerate(times):
+            for l in range(min(100, states.shape[1])):
+                coords = ",".join(f"{v:.17g}" for v in states[j, l])
+                fh.write(f"{t:.17g},{l},{coords}\n")
+
+
+@pytest.mark.parametrize("N", [37, 250])
+def test_trajectories_csv_matches_the_per_value_formatter_byte_for_byte(
+    tmp_path, monkeypatch, N
+):
+    # N below and above the 100 particles that are kept
+    config = RunConfig(problem="portfolio", cells=4, time_steps=6, particles=N,
+                       dump_trajectories=True)
+    times = config.build()[1].times
+    rng = np.random.default_rng(N)
+    states = rng.standard_normal((7, N, 2)) * 10.0 ** rng.integers(-8, 9, (7, N, 2))
+    special = [0.0, -0.0, 5e-324, 1e-310, 1e20, -1e20, -2.5, -3.0e-7]
+    keep = min(100, N)
+    states[0, :4] = np.reshape(special, (4, 2))
+    states[-1, keep - 4 : keep] = -np.reshape(special, (4, 2))[::-1]
+    ensemble = ParticleEnsemble(states, np.zeros((7, N, 1)), times[1], 0)
+    monkeypatch.setattr(experiments, "simulate", lambda *args: ensemble)
+    report = SimpleNamespace(policy=None, lookahead=None)
+    experiments._write_dumps(config, report, tmp_path)
+    _trajectories_by_value(times, states, tmp_path / "values.csv")
+    got = (tmp_path / "trajectories.csv").read_bytes()
+    assert got == (tmp_path / "values.csv").read_bytes()
+    assert got.count(b"\n") == 1 + 7 * keep
+
+
+def test_the_run_cap_alone_caps_every_kernel_sum(tmp_path, monkeypatch):
+    # the drift of the simulation subsamples at the same cap as the adjoint,
+    # so a config that sets only kernel_subsample runs no O(N^2) step
+    base = (
+        "problem = cs2d\nproblem.beta = 10\ngrid.time_steps = 5\n"
+        "particles = 2000\niterations = 1\nkernel_subsample = 200\n"
+    )
+    kernel_sums = problems._kernel_sums
+    atoms = []
+
+    def counted_kernel_sums(x, atom_x, *args, **kwargs):
+        atoms.append(atom_x.size)
+        return kernel_sums(x, atom_x, *args, **kwargs)
+
+    monkeypatch.setattr(problems, "_kernel_sums", counted_kernel_sums)
+    one = experiments.execute_run(parse_config(_cfg(tmp_path, base)))
+    assert atoms and max(atoms) <= 200, (len(atoms), max(atoms, default=0))
+    assert one.settings["kernel_subsample"] == 200
+    both = experiments.execute_run(
+        parse_config(_cfg(tmp_path, base + "problem.kernel_subsample = 200\n"))
+    )
+    assert one.costs.tobytes() == both.costs.tobytes()
+    np.testing.assert_array_equal(
+        one.policy.values.view(np.int64), both.policy.values.view(np.int64)
+    )
 
 
 def test_failed_initial_cost_row_writes_header_only_report(tmp_path, monkeypatch, capsys):

@@ -105,6 +105,40 @@ def test_non_positive_problem_kernel_subsample_is_rejected(tmp_path, value):
     assert parse_config(_write(tmp_path, "problem = cs2d\nproblem.kernel_subsample = 1\n"))
 
 
+def test_problem_kernel_subsample_spells_the_run_cap_for_cs2d(tmp_path):
+    run_key = parse_config(_write(tmp_path, "problem = cs2d\nkernel_subsample = 300\n"))
+    alias = parse_config(_write(tmp_path, "problem = cs2d\nproblem.kernel_subsample = 300\n"))
+    assert alias == run_key
+    assert alias.kernel_subsample == 300 and alias.problem_overrides == {}
+    assert alias.build()[0].kernel_subsample == 300
+    both = "problem = cs2d\nproblem.kernel_subsample = 300\nkernel_subsample = 300\n"
+    assert parse_config(_write(tmp_path, both)) == run_key
+    # the items carry the one run key, and parse back to the same config
+    items = alias.to_items()
+    assert items["kernel_subsample"] == "300" and "problem.kernel_subsample" not in items
+    text = "".join(f"{k} = {v}\n" for k, v in items.items())
+    assert parse_config(_write(tmp_path, text)) == alias
+
+
+@pytest.mark.parametrize("alias_first", [False, True])
+def test_disagreeing_kernel_subsample_spellings_are_rejected(tmp_path, alias_first):
+    lines = ["kernel_subsample = 300", "problem.kernel_subsample = 500"]
+    if alias_first:
+        lines.reverse()
+    text = "problem = cs2d\n" + "\n# a comment\n".join(lines) + "\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(_write(tmp_path, text))
+    run_line, alias_line = (4, 2) if alias_first else (2, 4)
+    assert f"line {run_line}: kernel_subsample = 300" in str(err.value)
+    assert f"line {alias_line}: problem.kernel_subsample = 500" in str(err.value)
+
+
+def test_problem_kernel_subsample_is_unknown_for_portfolio(tmp_path):
+    text = "problem = portfolio\nproblem.kernel_subsample = 300\n"
+    with pytest.raises(ConfigError, match="line 2: unknown parameter 'problem.kernel_subsample'"):
+        parse_config(_write(tmp_path, text))
+
+
 @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
 def test_non_finite_tau_is_rejected(tmp_path, tau):
     # NaN passes `tau <= 0`; the check names the field

@@ -74,7 +74,7 @@ def test_deposit_is_the_transpose_of_interpolation(d, seed, n):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(F).max() * n)
 
 
-def _affine_problem(d, rng):
+def _affine_problem(d, rng, kernel_subsample=None):
     """A d-dimensional problem whose adjoint source and terminal data are
     random affine maps of the state, with no measure interaction: enough
     for regress_adjoint to fill its cells."""
@@ -90,7 +90,7 @@ def _affine_problem(d, rng):
         mu_drift=MeasureKernel.zero((d, d)), nu_drift=MeasureKernel.zero((d, 1)),
         mu_running=MeasureKernel.zero((d,)), nu_running=MeasureKernel.zero((1,)),
         mu_terminal=MeasureKernel.zero((d,)),
-        initial_sampler=None,
+        initial_sampler=None, kernel_subsample=kernel_subsample,
     )
 
 
@@ -108,8 +108,8 @@ def test_kernel_mean_is_the_mean_of_the_point_values(d, seed, n):
     )
     ncells = int(np.prod(np.array(grid.nodes) - 1))
     reg = regress_adjoint(
-        _affine_problem(d, rng), ensemble, grid,
-        previous=rng.standard_normal((M + 1, ncells, d)), kernel_subsample=subsample,
+        _affine_problem(d, rng, kernel_subsample=subsample), ensemble, grid,
+        previous=rng.standard_normal((M + 1, ncells, d)),
     )
     for adjoint in (pde, reg):
         for j in (0, M):
@@ -142,16 +142,16 @@ def _gradient_slice_per_atom(problem, policy, ensemble, adjoint, j, kernel_subsa
 @pytest.mark.parametrize("method", ["fipde", "emreg"])
 @pytest.mark.parametrize("subsample", [None, 70])
 def test_gradient_slice_matches_the_per_atom_path(method, subsample):
-    problem = portfolio_problem()
+    problem = portfolio_problem(kernel_subsample=subsample)
     grid = portfolio_grid(cells=12, time_steps=8)
     assert problem.nu_drift.const is not None
     rng = np.random.default_rng(8)
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ensemble = simulate(problem, policy, 500, grid.time_steps, 3)
     if method == "emreg":
-        adjoint = regress_adjoint(problem, ensemble, grid, kernel_subsample=subsample)
+        adjoint = regress_adjoint(problem, ensemble, grid)
     else:
-        adjoint = backward_sweep(problem, policy, ensemble, grid, kernel_subsample=subsample)
+        adjoint = backward_sweep(problem, policy, ensemble, grid)
     for j in range(grid.time_steps + 1):
         got = gradient_slice(problem, policy, adjoint, j)
         want = _gradient_slice_per_atom(problem, policy, ensemble, adjoint, j, subsample)

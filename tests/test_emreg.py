@@ -165,12 +165,14 @@ def test_regress_adjoint_matches_reference_loop_bitwise(model):
         prob, grid, subsample = portfolio_problem(), portfolio_grid(cells=10, time_steps=6), None
     else:
         params = CuckerSmaleParams(beta=1.0)
-        prob, grid, subsample = cs2d_problem(params), cs2d_grid(params, cells=10, time_steps=6), 64
+        subsample = 64
+        prob = cs2d_problem(params, kernel_subsample=subsample)
+        grid = cs2d_grid(params, cells=10, time_steps=6)
     rng = np.random.default_rng(4)
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 400, grid.time_steps, 0)
     previous = rng.standard_normal((grid.time_steps + 1, 100, 2))
-    adj = regress_adjoint(prob, ens, grid, previous=previous, kernel_subsample=subsample)
+    adj = regress_adjoint(prob, ens, grid, previous=previous)
     want = _regress_reference(prob, policy, ens, grid, previous, subsample)
     np.testing.assert_array_equal(adj.cells, want)
     for j in (0, grid.time_steps):
@@ -183,12 +185,13 @@ def test_regress_adjoint_matches_reference_loop_bitwise(model):
 def test_regression_means_are_the_histogram_means_of_the_strided_atoms(
     N, subsample, stride, monkeypatch
 ):
-    prob, grid = portfolio_problem(), portfolio_grid(cells=10, time_steps=6)
+    prob = portfolio_problem(kernel_subsample=subsample)
+    grid = portfolio_grid(cells=10, time_steps=6)
     rng = np.random.default_rng(11)
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, N, grid.time_steps, 5)
     previous = rng.standard_normal((grid.time_steps + 1, 100, 2))
-    adj = regress_adjoint(prob, ens, grid, previous=previous, kernel_subsample=subsample)
+    adj = regress_adjoint(prob, ens, grid, previous=previous)
     assert adj.ensemble is ens and adj.kernel_subsample == subsample
     assert ens.measure(0).stride(subsample) == stride
     lookups = []

@@ -158,7 +158,7 @@ def _cs_measure(n, seed):
 def test_cs_drift_5000_particles_500_atoms(benchmark):
     # the simulation step of the beta = 10 experiment: every particle
     # against a 500-atom subsample of the 5000-particle law
-    problem = cs2d_problem(CuckerSmaleParams(beta=10.0, kernel_subsample=500))
+    problem = cs2d_problem(CuckerSmaleParams(beta=10.0), kernel_subsample=500)
     eta = _cs_measure(5000, 2)
     a = np.zeros((5000, 1))
     out = benchmark.pedantic(

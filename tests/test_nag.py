@@ -95,6 +95,8 @@ def test_non_finite_step_settings_are_rejected():
 
 @pytest.mark.parametrize("method", ["fipde", "emreg"])
 def test_non_positive_kernel_subsample_is_rejected_before_any_simulation(method, monkeypatch):
+    # the cap is the problem's: building the problem rejects it, so a run
+    # never starts
     def never(*args):
         raise AssertionError("simulated before the arguments were checked")
 
@@ -102,9 +104,10 @@ def test_non_positive_kernel_subsample_is_rejected_before_any_simulation(method,
     monkeypatch.setattr(nag, "estimate_cost", never)
     grid = portfolio_grid(cells=10, time_steps=10)
     for cap in (0, -3):
-        with pytest.raises(ValueError, match="kernel_subsample"):
-            run(portfolio_problem(), grid, 1, num_particles=200, method=method,
-                kernel_subsample=cap)
+        for make_problem in (portfolio_problem, cs2d_problem):
+            with pytest.raises(ValueError, match="kernel_subsample"):
+                run(make_problem(kernel_subsample=cap), grid, 1, num_particles=200,
+                    method=method)
 
 
 def _random_adjoint(grid, ensemble, d, seed):

@@ -150,7 +150,7 @@ def test_simulate_warns_when_particles_leave_the_grid_box():
         (portfolio_problem(), portfolio_grid()),
         (cs2d_problem(), cs2d_grid()),
         (
-            cs2d_problem(CuckerSmaleParams(beta=10.0, kernel_subsample=500)),
+            cs2d_problem(CuckerSmaleParams(beta=10.0), kernel_subsample=500),
             cs2d_grid(CuckerSmaleParams(beta=10.0)),
         ),
     ],
@@ -233,7 +233,7 @@ _ORACLE_CASES = [
     # with the l1 control cost, so that ell enters the running cost
     (portfolio_problem(PortfolioParams(k2=0.1)), portfolio_grid(), 2_000, 7),
     (
-        cs2d_problem(CuckerSmaleParams(beta=10.0, kernel_subsample=500)),
+        cs2d_problem(CuckerSmaleParams(beta=10.0), kernel_subsample=500),
         cs2d_grid(CuckerSmaleParams(beta=10.0), time_steps=20),
         2_000,
         3,

@@ -82,3 +82,38 @@ def test_install_tracing_binds_every_traced_name():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().endswith("ok")
+
+
+CONFIGS_SCRIPT = """
+import sys
+import tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import run
+
+run.import_package()
+from mfcontrol.config import parse_config
+
+caps = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, text in run.CONFIGS.items():
+        path = Path(tmp) / f"{name}.cfg"
+        path.write_text(text)
+        config = parse_config(path)
+        problem, grid = config.build()
+        assert problem.kernel_subsample == config.kernel_subsample, name
+        caps[name] = problem.kernel_subsample
+assert caps == {"portfolio": None, "portfolio-emreg": None, "cs-beta10": 500}, caps
+print("ok")
+"""
+
+
+def test_every_workload_config_parses_and_builds():
+    # cs-beta10 still spells its cap as problem.kernel_subsample as well;
+    # both spellings must keep parsing to the one cap of the problem
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", CONFIGS_SCRIPT, str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith("ok")

@@ -188,10 +188,12 @@ def test_hamiltonian_derivative_matches_the_einsum_copies_bitwise(model, subsamp
     # has a constant control kernel, Cucker-Smale a contracted (beta = 1) or
     # constant (beta = 0) state kernel and a carrier cost kernel.
     if model == "portfolio":
-        prob, grid = portfolio_problem(), portfolio_grid(cells=10, time_steps=6)
+        prob = portfolio_problem(kernel_subsample=subsample)
+        grid = portfolio_grid(cells=10, time_steps=6)
     else:
         params = CuckerSmaleParams(beta=1.0 if model == "cs2d-beta1" else 0.0)
-        prob, grid = cs2d_problem(params), cs2d_grid(params, cells=10, time_steps=6)
+        prob = cs2d_problem(params, kernel_subsample=subsample)
+        grid = cs2d_grid(params, cells=10, time_steps=6)
     M = grid.time_steps
     rng = np.random.default_rng(12)
     policy = PolicyField(grid, rng.standard_normal((M + 1,) + grid.nodes + (1,)))
@@ -205,7 +207,7 @@ def test_hamiltonian_derivative_matches_the_einsum_copies_bitwise(model, subsamp
     ncells = int(np.prod(np.array(grid.nodes) - 1))
     reg = regress_adjoint(
         prob, ens, grid,
-        previous=rng.standard_normal((M + 1, ncells, 2)), kernel_subsample=subsample,
+        previous=rng.standard_normal((M + 1, ncells, 2)),
     )
     X = grid.node_coords()
     for j in range(M + 1):

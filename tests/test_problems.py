@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcontrol import CuckerSmaleParams, EmpiricalMeasure, cs2d_grid, cs2d_problem
+from mfcontrol import (
+    CuckerSmaleParams,
+    EmpiricalMeasure,
+    cs2d_grid,
+    cs2d_problem,
+    portfolio_problem,
+)
 from mfcontrol.problems import _cheb_nodes, _inv_pow, _kernel_sums
 
 
@@ -78,13 +84,13 @@ def _assert_close(got, want):
 @pytest.mark.parametrize("beta", [0.5, 1.0, 10.0])
 @pytest.mark.parametrize("kind", ["lattice", "cloud", "repeated"])
 def test_cs_kernels_match_pairwise_oracle(beta, kind):
-    p = CuckerSmaleParams(beta=beta, K=1.3, kernel_subsample=150)
-    prob = cs2d_problem(p)
+    p = CuckerSmaleParams(beta=beta, K=1.3)
+    prob = cs2d_problem(p, kernel_subsample=150)
     rng = np.random.default_rng(int(beta * 10) + len(kind))
     eta = EmpiricalMeasure(
         rng.normal((1.5, 1.5), 0.6, (450, 2)), rng.standard_normal((450, 1))
     )
-    etas = eta.strided(p.kernel_subsample)
+    etas = eta.strided(prob.kernel_subsample)
     X = _points(kind, rng)
     a = rng.standard_normal((X.shape[0], 1))
 
@@ -93,11 +99,22 @@ def test_cs_kernels_match_pairwise_oracle(beta, kind):
     _assert_close(b[:, 1] - a[:, 0], _oracle_align(p, X[:, 0], X[:, 1], etas))
     _assert_close(prob.dx_drift(0.0, X, a, eta), _oracle_dx_drift(p, X, etas))
 
-    # the contraction sees the run's own subsample, not the problem's
+    # the contraction averages over the atoms it is given: the adjoint, not
+    # the kernel, strides them
     u = rng.standard_normal((eta.size, 2))
     for weights in (None, u):
         got = prob.mu_drift.mean_contract(0.0, eta, X, a, weights=weights)
         _assert_close(got, _oracle_mean_contract(p, eta, X, weights))
+
+
+@pytest.mark.parametrize("cap", [2.5, "500"])
+def test_kernel_subsample_is_none_or_a_positive_integer(cap):
+    # caps below 1: tests/test_nag.py
+    for make_problem in (portfolio_problem, cs2d_problem):
+        with pytest.raises(ValueError, match="kernel_subsample"):
+            make_problem(kernel_subsample=cap)
+        assert make_problem().kernel_subsample is None
+        assert make_problem(kernel_subsample=np.int64(1)).kernel_subsample == 1
 
 
 def _direct_loop(x, atoms, R, q, dx_moment=False):
