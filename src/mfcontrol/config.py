@@ -6,13 +6,19 @@ parameter of the chosen problem family, `grid.*` sets the discretization,
 `sweep.*` configures the robustness sweep lattice.  Unknown keys are
 rejected with a nearest-match suggestion; type mismatches report the
 offending line number.
+
+Each key is declared once, on the `RunConfig` field it sets, with its kind
+(str, int, float or bool) and, for counts, its lower bound.  Parsing, the
+count checks and `RunConfig.to_items` all read those declarations.  The one
+alias is `problem.kernel_subsample`, which for `cs2d` spells the run's
+`kernel_subsample`.
 """
 
 from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from .nag import METHODS
@@ -31,29 +37,36 @@ _PROBLEMS = {
 }
 
 
+def _key(key: str, kind: type, default=MISSING, lower: Optional[int] = None):
+    """Field set by config `key`, parsed as `kind`; a count below `lower` is rejected."""
+    return field(default=default, metadata={"key": key, "kind": kind, "lower": lower})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved experiment settings."""
+    """Fully resolved experiment settings; each field but the overrides is one key."""
 
-    problem: str
-    method: str = "fipde"
-    cells: int = 50
-    time_steps: int = 50
-    particles: int = 10_000
-    tau: float = 1.0 / 6.0
-    iterations: int = 20
-    seed: int = 0
-    eval_seed: int = 1_000_003
-    output: str = "out"
-    dump_adjoint: bool = False
-    dump_trajectories: bool = False
-    kernel_subsample: Optional[int] = None
-    momentum_cap: Optional[float] = None
-    initial_policy: Optional[str] = None
-    sweep_q_min: Tuple[float, float] = (0.5, 1.5)
-    sweep_q_max: Tuple[float, float] = (1.5, 2.5)
-    sweep_steps: int = 11
-    sweep_iterations: int = 8
+    problem: str = _key("problem", str)
+    method: str = _key("method", str, "fipde")
+    cells: int = _key("grid.cells", int, 50, lower=1)
+    time_steps: int = _key("grid.time_steps", int, 50, lower=1)
+    particles: int = _key("particles", int, 10_000, lower=1)
+    tau: float = _key("tau", float, 1.0 / 6.0)
+    iterations: int = _key("iterations", int, 20, lower=0)
+    seed: int = _key("seed", int, 0)
+    eval_seed: int = _key("eval_seed", int, 1_000_003)
+    output: str = _key("output", str, "out")
+    dump_adjoint: bool = _key("dump_adjoint", bool, False)
+    dump_trajectories: bool = _key("dump_trajectories", bool, False)
+    kernel_subsample: Optional[int] = _key("kernel_subsample", int, None, lower=1)
+    momentum_cap: Optional[float] = _key("momentum_cap", float, None)
+    initial_policy: Optional[str] = _key("initial_policy", str, None)
+    sweep_q_min_lo: float = _key("sweep.q_min_lo", float, 0.5)
+    sweep_q_min_hi: float = _key("sweep.q_min_hi", float, 1.5)
+    sweep_q_max_lo: float = _key("sweep.q_max_lo", float, 1.5)
+    sweep_q_max_hi: float = _key("sweep.q_max_hi", float, 2.5)
+    sweep_steps: int = _key("sweep.steps", int, 11, lower=1)
+    sweep_iterations: int = _key("sweep.iterations", int, 8, lower=0)
     problem_overrides: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -64,23 +77,25 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}; known: {', '.join(METHODS)}")
         if self.dump_adjoint and self.method == "emreg":
             raise ConfigError("dump_adjoint writes the PDE adjoint; method emreg has none")
-        for name, value in (
-            ("cells", self.cells),
-            ("time_steps", self.time_steps),
-            ("particles", self.particles),
-            ("iterations", self.iterations + 1),  # 0 iterations is allowed
-        ):
-            if value < 1:
-                raise ConfigError(f"{name} must be positive")
+        for key, f in _KEYS.items():
+            lower, value = f.metadata["lower"], getattr(self, f.name)
+            if lower is not None and value is not None and value < lower:
+                raise ConfigError(f"{key} must be at least {lower}, got {value!r}")
         # NaN fails every comparison, so it would pass `tau <= 0`
         if not 0 < self.tau < math.inf:
             raise ConfigError(f"tau must be positive and finite, got {self.tau!r}")
         if self.momentum_cap is not None and math.isnan(self.momentum_cap):
             raise ConfigError("momentum_cap must be a number, got nan")
-        if self.kernel_subsample is not None and self.kernel_subsample < 1:
-            raise ConfigError("kernel_subsample must be a positive atom count")
-        if self.sweep_steps < 1:
-            raise ConfigError("sweep.steps must be positive")
+
+    @property
+    def sweep_q_min(self) -> Tuple[float, float]:
+        """(lo, hi) range of the sweep's q_min axis."""
+        return (self.sweep_q_min_lo, self.sweep_q_min_hi)
+
+    @property
+    def sweep_q_max(self) -> Tuple[float, float]:
+        """(lo, hi) range of the sweep's q_max axis."""
+        return (self.sweep_q_max_lo, self.sweep_q_max_hi)
 
     def problem_params(self):
         """Problem parameter dataclass with overrides applied."""
@@ -97,31 +112,13 @@ class RunConfig:
 
     def to_items(self) -> Dict[str, str]:
         """Flat key -> value-string mapping that re-parses to an equal config."""
-        items: Dict[str, str] = {"problem": self.problem, "method": self.method}
-        items["grid.cells"] = str(self.cells)
-        items["grid.time_steps"] = str(self.time_steps)
-        items["particles"] = str(self.particles)
-        items["tau"] = repr(self.tau)
-        items["iterations"] = str(self.iterations)
-        items["seed"] = str(self.seed)
-        items["eval_seed"] = str(self.eval_seed)
-        items["output"] = self.output
-        items["dump_adjoint"] = "true" if self.dump_adjoint else "false"
-        items["dump_trajectories"] = "true" if self.dump_trajectories else "false"
-        if self.kernel_subsample is not None:
-            items["kernel_subsample"] = str(self.kernel_subsample)
-        if self.momentum_cap is not None:
-            items["momentum_cap"] = repr(self.momentum_cap)
-        if self.initial_policy is not None:
-            items["initial_policy"] = self.initial_policy
-        items["sweep.q_min_lo"] = repr(self.sweep_q_min[0])
-        items["sweep.q_min_hi"] = repr(self.sweep_q_min[1])
-        items["sweep.q_max_lo"] = repr(self.sweep_q_max[0])
-        items["sweep.q_max_hi"] = repr(self.sweep_q_max[1])
-        items["sweep.steps"] = str(self.sweep_steps)
-        items["sweep.iterations"] = str(self.sweep_iterations)
+        items = {
+            key: _format(getattr(self, f.name), f.metadata["kind"])
+            for key, f in _KEYS.items()
+            if getattr(self, f.name) is not None
+        }
         for name, value in sorted(self.problem_overrides.items()):
-            items[f"problem.{name}"] = repr(value)
+            items[f"problem.{name}"] = _format(value, float)
         return items
 
 
@@ -129,43 +126,27 @@ class ConfigError(ValueError):
     """Configuration parse or validation failure."""
 
 
-# key -> (attribute on RunConfig, converter name)
-_SCHEMA = {
-    "problem": ("problem", "str"),
-    "method": ("method", "str"),
-    "grid.cells": ("cells", "int"),
-    "grid.time_steps": ("time_steps", "int"),
-    "particles": ("particles", "int"),
-    "tau": ("tau", "float"),
-    "iterations": ("iterations", "int"),
-    "seed": ("seed", "int"),
-    "eval_seed": ("eval_seed", "int"),
-    "output": ("output", "str"),
-    "dump_adjoint": ("dump_adjoint", "bool"),
-    "dump_trajectories": ("dump_trajectories", "bool"),
-    "kernel_subsample": ("kernel_subsample", "int"),
-    "momentum_cap": ("momentum_cap", "float"),
-    "initial_policy": ("initial_policy", "str"),
-    "sweep.q_min_lo": ("_sweep_q_min_lo", "float"),
-    "sweep.q_min_hi": ("_sweep_q_min_hi", "float"),
-    "sweep.q_max_lo": ("_sweep_q_max_lo", "float"),
-    "sweep.q_max_hi": ("_sweep_q_max_hi", "float"),
-    "sweep.steps": ("sweep_steps", "int"),
-    "sweep.iterations": ("sweep_iterations", "int"),
-}
+# config key -> the RunConfig field it sets, in field (and `to_items`) order
+_KEYS = {f.metadata["key"]: f for f in fields(RunConfig) if "key" in f.metadata}
 
 
-def _convert(raw: str, kind: str, key: str, line: int):
+def _format(value, kind: type) -> str:
+    if kind is bool:
+        return "true" if value else "false"
+    return repr(value) if kind is float else str(value)
+
+
+def _convert(raw: str, kind: type, key: str, line: int):
     raw = raw.strip()
     try:
-        if kind == "int":
+        if kind is int:
             return int(raw)
-        if kind == "float":
+        if kind is float:
             if "/" in raw:  # allow exact fractions like 1/6
                 num, den = raw.split("/", 1)
                 return float(num) / float(den)
             return float(raw)
-        if kind == "bool":
+        if kind is bool:
             low = raw.lower()
             if low in ("true", "1", "yes", "on"):
                 return True
@@ -175,7 +156,7 @@ def _convert(raw: str, kind: str, key: str, line: int):
         return raw
     except (ValueError, ZeroDivisionError):
         raise ConfigError(
-            f"line {line}: expected {kind} for key {key!r}, got {raw!r}"
+            f"line {line}: expected {kind.__name__} for key {key!r}, got {raw!r}"
         ) from None
 
 
@@ -192,13 +173,13 @@ def parse_items(items: List[Tuple[str, str, int]]) -> RunConfig:
     lines = {key: line for key, _, line in items}
     alias = None
     for key, raw, line in items:
-        if key in _SCHEMA:
-            attr, kind = _SCHEMA[key]
-            values[attr] = _convert(raw, kind, key, line)
+        if key in _KEYS:
+            f = _KEYS[key]
+            values[f.name] = _convert(raw, f.metadata["kind"], key, line)
         elif key == "problem.kernel_subsample" and problem_name == "cs2d":
             # kernel_subsample as spelled while the Cucker-Smale drift had a
             # cap of its own; given both spellings, they must agree
-            alias = _convert(raw, "int", key, line)
+            alias = _convert(raw, int, key, line)
             if alias < 1:
                 raise ConfigError(f"line {line}: {key} must be a positive atom count")
         elif key.startswith("problem."):
@@ -219,10 +200,10 @@ def parse_items(items: List[Tuple[str, str, int]]) -> RunConfig:
                 raise ConfigError(
                     f"line {line}: parameter {key!r} is not overridable from config"
                 )
-            overrides[pname] = _convert(raw, "float", key, line)
+            overrides[pname] = _convert(raw, float, key, line)
         else:
             raise ConfigError(
-                f"line {line}: unknown key {key!r}{_suggest(key, list(_SCHEMA))}"
+                f"line {line}: unknown key {key!r}{_suggest(key, list(_KEYS))}"
             )
 
     if "problem" not in values:
@@ -234,20 +215,7 @@ def parse_items(items: List[Tuple[str, str, int]]) -> RunConfig:
             f"{lines['problem.kernel_subsample']}: problem.kernel_subsample = {alias} disagree"
         )
 
-    sweep_q_min = (
-        values.pop("_sweep_q_min_lo", 0.5),
-        values.pop("_sweep_q_min_hi", 1.5),
-    )
-    sweep_q_max = (
-        values.pop("_sweep_q_max_lo", 1.5),
-        values.pop("_sweep_q_max_hi", 2.5),
-    )
-    return RunConfig(
-        sweep_q_min=sweep_q_min,
-        sweep_q_max=sweep_q_max,
-        problem_overrides=overrides,
-        **values,
-    )
+    return RunConfig(problem_overrides=overrides, **values)
 
 
 def parse_config(path) -> RunConfig:

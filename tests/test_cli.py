@@ -211,6 +211,13 @@ def test_non_positive_problem_kernel_subsample_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_sweep_iterations_exits_2(tmp_path, capsys):
+    cfg = _cfg(tmp_path, TINY + f"output = {tmp_path / 'out'}\nsweep.iterations = -1\n")
+    assert main(["run", cfg]) == 2
+    assert "sweep.iterations" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_subcommand(tmp_path, capsys):
     cfg = _cfg(tmp_path, "problem = portfolio\n")
     assert main(["validate", cfg]) == 0

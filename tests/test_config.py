@@ -1,10 +1,38 @@
 """Configuration parsing, validation and round-trips."""
 
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import pytest
 
 from mfcontrol import ConfigError, RunConfig, parse_config
+from mfcontrol.config import _KEYS
+
+# every key set away from its default; the problem overrides come out sorted
+FULL = RunConfig(
+    problem="cs2d",
+    method="ipde",
+    cells=30,
+    time_steps=40,
+    particles=2000,
+    tau=1 / 3,
+    iterations=0,
+    seed=7,
+    eval_seed=11,
+    output="runs/cs",
+    dump_adjoint=True,
+    dump_trajectories=True,
+    kernel_subsample=500,
+    momentum_cap=0.8,
+    initial_policy="warm/policy_phi.csv",
+    sweep_q_min_lo=0.4,
+    sweep_q_min_hi=1.2,
+    sweep_q_max_lo=1.6,
+    sweep_q_max_hi=2.8,
+    sweep_steps=3,
+    sweep_iterations=4,
+    problem_overrides={"sigma": 0.2, "beta": 10.0},
+)
 
 
 def _write(tmp_path, text):
@@ -164,18 +192,86 @@ def test_dump_adjoint_rejected_for_emreg(tmp_path):
     with pytest.raises(ConfigError, match="dump_adjoint"):
         replace(parse_config(_write(tmp_path, text)), method="emreg")
 
+
+def test_to_items_is_frozen():
+    # report.json stores these items as settings.config: keys, order and
+    # value strings are part of the output
+    default = RunConfig(problem="portfolio").to_items()
+    assert list(default.items()) == list({
+        "problem": "portfolio",
+        "method": "fipde",
+        "grid.cells": "50",
+        "grid.time_steps": "50",
+        "particles": "10000",
+        "tau": "0.16666666666666666",
+        "iterations": "20",
+        "seed": "0",
+        "eval_seed": "1000003",
+        "output": "out",
+        "dump_adjoint": "false",
+        "dump_trajectories": "false",
+        "sweep.q_min_lo": "0.5",
+        "sweep.q_min_hi": "1.5",
+        "sweep.q_max_lo": "1.5",
+        "sweep.q_max_hi": "2.5",
+        "sweep.steps": "11",
+        "sweep.iterations": "8",
+    }.items())
+    assert list(FULL.to_items().items()) == list({
+        "problem": "cs2d",
+        "method": "ipde",
+        "grid.cells": "30",
+        "grid.time_steps": "40",
+        "particles": "2000",
+        "tau": "0.3333333333333333",
+        "iterations": "0",
+        "seed": "7",
+        "eval_seed": "11",
+        "output": "runs/cs",
+        "dump_adjoint": "true",
+        "dump_trajectories": "true",
+        "kernel_subsample": "500",
+        "momentum_cap": "0.8",
+        "initial_policy": "warm/policy_phi.csv",
+        "sweep.q_min_lo": "0.4",
+        "sweep.q_min_hi": "1.2",
+        "sweep.q_max_lo": "1.6",
+        "sweep.q_max_hi": "2.8",
+        "sweep.steps": "3",
+        "sweep.iterations": "4",
+        "problem.beta": "10.0",
+        "problem.sigma": "0.2",
+    }.items())
+
+
 def test_round_trip_through_items(tmp_path):
-    cfg = RunConfig(
-        problem="cs2d",
-        method="emreg",
-        cells=30,
-        tau=0.2,
-        kernel_subsample=500,
-        momentum_cap=0.8,
-        problem_overrides={"beta": 10.0},
-    )
-    text = "".join(f"{k} = {v}\n" for k, v in cfg.to_items().items())
-    assert parse_config(_write(tmp_path, text)) == cfg
+    # the default config writes tau = 1/6 and both bools as false; FULL
+    # writes every key away from its default, both bools as true
+    for cfg in (RunConfig(problem="portfolio"), FULL):
+        text = "".join(f"{k} = {v}\n" for k, v in cfg.to_items().items())
+        assert parse_config(_write(tmp_path, text)) == cfg
+
+
+def test_each_field_but_the_overrides_is_one_key():
+    # a setting that parses is written back by to_items, and the other way round
+    keyed = [f.name for f in _KEYS.values()]
+    assert keyed == [f.name for f in fields(RunConfig) if f.name != "problem_overrides"]
+    assert "problem.kernel_subsample" not in _KEYS
+
+
+@pytest.mark.parametrize("key, lower", [
+    ("grid.cells", 1),
+    ("grid.time_steps", 1),
+    ("particles", 1),
+    ("iterations", 0),
+    ("kernel_subsample", 1),
+    ("sweep.steps", 1),
+    ("sweep.iterations", 0),
+])
+def test_counts_below_their_bound_are_rejected(tmp_path, key, lower):
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be at least {lower}")):
+        parse_config(_write(tmp_path, f"problem = portfolio\n{key} = {lower - 1}\n"))
+    assert parse_config(_write(tmp_path, f"problem = portfolio\n{key} = {lower}\n"))
 
 
 def test_sweep_settings(tmp_path):
