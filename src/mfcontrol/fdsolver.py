@@ -227,11 +227,10 @@ def build_operator(
     """Assemble the monotone stencil at time slice j.
 
     First-order terms are discretized upwind (forward difference weighted by
-    b+, backward by b-), the diagonal of sigma sigma^T centrally.  sigma
-    depends on t and the measure only, so it is read once per slice as one
-    (d, n) matrix at the first node, and checked against its value at the
-    last node (ValueError if they differ).  Requires a diagonal diffusion
-    matrix; off-diagonal mass would produce negative stencil weights and is
+    b+, backward by b-), the diagonal of sigma sigma^T centrally.  sigma is
+    read once per slice, as the (d, n) matrix problem.diffusion(t, eta); a
+    wrong shape raises ValueError.  Requires a diagonal diffusion matrix;
+    off-diagonal mass would produce negative stencil weights and is
     rejected.
 
     I - dt*L is written straight into CSR on the fixed (2d+1)-point row
@@ -241,7 +240,10 @@ def build_operator(
     t, X, psi = j * grid.dt, grid.node_coords(), policy.slice_flat(j)
     eta = ensemble.measure(j)
     b = problem.drift(t, X, psi, eta)
-    sig = problem.diffusion_matrix(t, X, psi, eta, check=True)
+    sig = np.asarray(problem.diffusion(t, eta))
+    shape = (problem.state_dim, problem.noise_dim)
+    if sig.shape != shape:
+        raise ValueError(f"diffusion returned shape {sig.shape}, not (d, n) = {shape}")
     a2 = np.einsum("ir,lr->il", sig, sig)
     d = grid.state_dim
     diag = np.diagonal(a2)

@@ -33,8 +33,6 @@ class ParticleEnsemble:
 
     states: np.ndarray  # (M+1, N, d)
     controls: np.ndarray  # (M+1, N, k)
-    dt: float
-    seed: int
 
     @property
     def num_particles(self) -> int:
@@ -104,10 +102,8 @@ def _euler(
     reproducible for a given (seed, N, M) regardless of scheduling.  Only
     one step is held, O(N·(d + k + n)) doubles.
 
-    sigma depends on t and the measure only (see MfcProblem), so each step
-    evaluates it once, at the first particle, as one (d, n) matrix; at
-    j = 0 it is also evaluated at the last particle, and ValueError is
-    raised if the two differ.  State i gains the noise
+    Each step reads sigma once, as the (d, n) matrix diffusion(t, eta); a
+    wrong shape at j = 0 raises ValueError.  State i gains the noise
     sum_r sigma[i, r] dW[:, r], summed in r order from +0.0, which is the
     order of the per-particle contraction einsum("pir,pr->pi") for n <= 2;
     for n >= 3 numpy's einsum may group the sum differently.
@@ -153,7 +149,9 @@ def _euler(
         if j == M:
             break
         b = problem.drift(j * dt, x, a, eta)
-        sig = problem.diffusion_matrix(j * dt, x, a, eta, check=(j == 0))
+        sig = np.asarray(problem.diffusion(j * dt, eta))
+        if j == 0 and sig.shape != (d, n):
+            raise ValueError(f"diffusion returned shape {sig.shape}, not (d, n) = {(d, n)}")
         dW = rng_noise.standard_normal((N, n))
         dW *= sqrt_dt
         nxt = b * dt
@@ -194,9 +192,9 @@ def simulate(
 
     Records every step of the particle loop (see _euler): the paths are
     bitwise reproducible for a given (seed, N, M) regardless of scheduling.
-    sigma is read once per step at one particle, so a diffusion that
-    depends on x or a raises ValueError, and a non-finite state raises
-    FloatingPointError naming its step and particle.
+    sigma is the (d, n) matrix diffusion(t, eta), and a wrong shape raises
+    ValueError; a non-finite state raises FloatingPointError naming its
+    step and particle.
 
     Memory: the states and the controls of all steps, plus one step's
     noise, (M+1)·N·(d + k) + N·n doubles, that is O(M·N·(d + k)); about
@@ -215,9 +213,7 @@ def simulate(
     for j, eta in _euler(problem, policy, N, M, seed):
         states[j] = eta.x
         controls[j] = eta.a
-    return ParticleEnsemble(
-        states=states, controls=controls, dt=problem.horizon / M, seed=seed
-    )
+    return ParticleEnsemble(states=states, controls=controls)
 
 
 def _check_memory(need: int, N: int, M: int) -> None:

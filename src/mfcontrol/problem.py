@@ -2,9 +2,10 @@
 
 A problem bundles the drift b, diffusion sigma, running cost f and terminal
 cost g together with every partial derivative the gradient machinery
-consumes.  All callbacks are batched over a leading point axis and pure;
-measure arguments are always finite :class:`~mfcontrol.measures.EmpiricalMeasure`
-instances, and measure derivatives are supplied analytically as
+consumes.  All callbacks are pure, and all but sigma are batched over a
+leading point axis; measure arguments are always finite
+:class:`~mfcontrol.measures.EmpiricalMeasure` instances, and measure
+derivatives are supplied analytically as
 :class:`~mfcontrol.measures.MeasureKernel` kernels.
 """
 
@@ -25,8 +26,8 @@ class MfcProblem:
 
     Shape conventions (P = batch of points, L = measure atoms):
       drift(t, x(P,d), a(P,k), eta) -> (P,d)
-      diffusion(t, x, a, eta) -> (P,d,n), independent of x and a, with
-        sigma sigma^T diagonal
+      diffusion(t, eta) -> (d,n), the one sigma of every point at time t;
+        sigma sigma^T must be diagonal
       running_cost(t, x, a, eta) -> (P,)
       terminal_cost(x, mu) -> (P,)
       dx_drift -> (P,d,d) with [p,i,l] = d b_i / d x_l;  da_drift -> (P,d,k)
@@ -76,23 +77,6 @@ class MfcProblem:
         cap = self.kernel_subsample
         if cap is not None and not (isinstance(cap, (int, np.integer)) and cap >= 1):
             raise ValueError(f"kernel_subsample must be None or a positive integer, got {cap!r}")
-
-    def diffusion_matrix(self, t: float, x, a, eta, check: bool = False) -> np.ndarray:
-        """sigma at time t as one (d, n) matrix, read at the first point of (x, a).
-
-        sigma may depend on t and the measure only.  With `check` it is also
-        read at the last point, and ValueError is raised if the two differ.
-        """
-        sig = np.asarray(self.diffusion(t, x[:1], a[:1], eta))[0]
-        if check:
-            last = np.asarray(self.diffusion(t, x[-1:], a[-1:], eta))[0]
-            if not np.array_equal(sig, last, equal_nan=True):
-                raise ValueError(
-                    f"diffusion differs between the first and the last of "
-                    f"{len(x)} points at t={t}; sigma may depend on t and the "
-                    "measure, not on x or a"
-                )
-        return sig
 
     def hamiltonian_derivative(
         self, wrt: str, t: float, x, a, U, adjoint, j: int
@@ -184,10 +168,9 @@ def validate_derivatives(
 
     Random points (t, x, a) are drawn around the initial law; the measure
     argument is held fixed while x or a is perturbed, so only pointwise
-    derivatives are exercised.  The x- and a-differences of sigma are
-    checked against zero under the names dx_diffusion and da_diffusion,
-    since the solver assumes sigma independent of both.  Returns the worst
-    relative error per derivative and flags any exceeding `tolerance`.
+    derivatives are exercised.  sigma takes no x or a, so it has none to
+    check.  Returns the worst relative error per derivative and flags any
+    exceeding `tolerance`.
     """
     if not 0 < step <= 1e-3:
         raise ValueError("finite-difference step must lie in (0, 1e-3]")
@@ -238,17 +221,6 @@ def validate_derivatives(
         return problem.dx_terminal(x, m)
 
     errors["dx_terminal"] = _check("dx_terminal", g_base, g_deriv, "x")
-
-    # the solver takes sigma independent of x and a: its derivatives must be 0
-    def zero_derivative(wrt):
-        def deriv(t, x, a, m):
-            arg = x if wrt == "x" else a
-            return np.zeros(np.shape(problem.diffusion(t, x, a, m)) + (arg.shape[1],))
-
-        return deriv
-
-    errors["dx_diffusion"] = _check("dx_diffusion", problem.diffusion, zero_derivative("x"), "x")
-    errors["da_diffusion"] = _check("da_diffusion", problem.diffusion, zero_derivative("a"), "a")
 
     flagged = {name: err for name, err in errors.items() if err > tolerance}
     return DerivativeReport(max_rel_error=errors, flagged=flagged, tolerance=tolerance)

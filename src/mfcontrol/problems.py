@@ -63,6 +63,7 @@ def portfolio_problem(
     """
     p = params
     sig_const = np.array([[p.sigma], [0.0]])
+    sig_const.flags.writeable = False
 
     def drift(t, x, a, eta):
         out = np.empty_like(x)
@@ -70,8 +71,8 @@ def portfolio_problem(
         out[:, 1] = a[:, 0]
         return out
 
-    def diffusion(t, x, a, eta):
-        return np.broadcast_to(sig_const, (x.shape[0], 2, 1)).copy()
+    def diffusion(t, eta):
+        return sig_const
 
     def running_cost(t, x, a, eta):
         return a[:, 0] * x[:, 0] + x[:, 1] ** 2 + p.k1 * a[:, 0] ** 2
@@ -313,6 +314,7 @@ def cs2d_problem(
     """
     p = params
     sig_const = np.array([[0.0], [p.sigma]])
+    sig_const.flags.writeable = False
 
     def _align(x, v, eta):
         """E[kappa] at points (x, v) = (K/L) (A - v B), A = sum w v', B = sum w."""
@@ -340,8 +342,8 @@ def cs2d_problem(
         out[:, 1] = _align(x[:, 0], x[:, 1], eta) + a[:, 0]
         return out
 
-    def diffusion(t, x, a, eta):
-        return np.broadcast_to(sig_const, (x.shape[0], 2, 1)).copy()
+    def diffusion(t, eta):
+        return sig_const
 
     def running_cost(t, x, a, eta):
         vbar = eta.x[:, 1].mean()

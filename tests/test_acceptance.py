@@ -231,7 +231,8 @@ class _FrozenControls:
 
 
 def _per_particle_cost(problem, ensemble):
-    M, dt = ensemble.time_steps, ensemble.dt
+    M = ensemble.time_steps
+    dt = problem.horizon / M
     total = np.zeros(ensemble.num_particles)
     for j in range(M):
         total += problem.running_cost(

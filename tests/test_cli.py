@@ -140,7 +140,7 @@ def test_trajectories_csv_matches_the_per_value_formatter_byte_for_byte(
     keep = min(100, N)
     states[0, :4] = np.reshape(special, (4, 2))
     states[-1, keep - 4 : keep] = -np.reshape(special, (4, 2))[::-1]
-    ensemble = ParticleEnsemble(states, np.zeros((7, N, 1)), times[1], 0)
+    ensemble = ParticleEnsemble(states, np.zeros((7, N, 1)))
     monkeypatch.setattr(experiments, "simulate", lambda *args: ensemble)
     report = SimpleNamespace(policy=None, lookahead=None)
     experiments._write_dumps(config, report, tmp_path)
@@ -223,6 +223,8 @@ def test_validate_subcommand(tmp_path, capsys):
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
     assert "all derivatives within tolerance" in out
+    names = {line.split()[0] for line in out.splitlines() if "max rel error" in line}
+    assert names == {"dx_drift", "da_drift", "dx_running", "da_running", "dx_terminal"}
 
 
 def test_sparsity_subcommand(tmp_path, capsys):

@@ -101,7 +101,7 @@ def test_kernel_mean_is_the_mean_of_the_point_values(d, seed, n):
     M = grid.time_steps
     # each slice holds the points in another order, so each keeps other atoms
     states = np.stack([rng.permutation(x) for _ in range(M + 1)])
-    ensemble = ParticleEnsemble(states, np.zeros((M + 1, n, 1)), grid.dt, 0)
+    ensemble = ParticleEnsemble(states, np.zeros((M + 1, n, 1)))
     subsample = int(rng.integers(1, n + 2))
     pde = AdjointField(
         GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (d,))), ensemble, subsample

@@ -36,8 +36,8 @@ def _linear_1d_problem(b=0.0, sigma=np.sqrt(2.0), source=None, terminal=None):
     def drift(t, x, a, eta):
         return np.full_like(x, b)
 
-    def diffusion(t, x, a, eta):
-        return np.full((x.shape[0], 1, 1), sigma)
+    def diffusion(t, eta):
+        return np.full((1, 1), sigma)
 
     def zeros_d(t, x, a, eta):
         return np.zeros((x.shape[0], 1, 1))
@@ -124,12 +124,8 @@ def test_stencil_nonnegative_off_diagonal_on_models():
 
 
 def test_off_diagonal_diffusion_rejected():
-    def skew_diffusion(t, x, a, eta):
-        out = np.zeros((x.shape[0], 2, 2))
-        out[:, 0, 0] = 1.0
-        out[:, 1, 0] = 1.0
-        out[:, 1, 1] = 1.0
-        return out
+    def skew_diffusion(t, eta):
+        return np.array([[1.0, 0.0], [1.0, 1.0]])
 
     prob = portfolio_problem()
     prob.diffusion = skew_diffusion
@@ -139,22 +135,6 @@ def test_off_diagonal_diffusion_rejected():
     ens = simulate(portfolio_problem(), policy, 32, grid.time_steps, 0)
     with pytest.raises(ValueError, match="off-diagonal"):
         build_operator(prob, policy, ens, grid, 0)
-
-
-@pytest.mark.parametrize("depends_on", ["x", "a"])
-def test_diffusion_depending_on_state_or_control_rejected(depends_on):
-    base, grid = portfolio_problem(), portfolio_grid()
-    rng = np.random.default_rng(5)
-    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
-    ens = simulate(base, policy, 64, grid.time_steps, 0)
-
-    def diffusion(t, x, a, eta):
-        arg = x[:, 1] if depends_on == "x" else a[:, 0]
-        return base.diffusion(t, x, a, eta) * (1.0 + 0.1 * arg[:, None, None])
-
-    prob = dataclasses.replace(base, diffusion=diffusion)
-    with pytest.raises(ValueError, match="diffusion differs"):
-        build_operator(prob, policy, ens, grid, 10)
 
 
 def test_m_matrix_inverse_nonnegativity():
@@ -178,7 +158,9 @@ def _coo_system(problem, policy, ensemble, grid, j):
     psi = policy.slice_flat(j)
     eta = ensemble.measure(j)
     b = problem.drift(t, X, psi, eta)
-    sig = problem.diffusion(t, X, psi, eta)
+    # sigma at every node, so that the reference keeps its per-node einsum
+    sig = problem.diffusion(t, eta)
+    sig = np.broadcast_to(sig, (len(X),) + sig.shape)
     diag = np.einsum("pii->pi", np.einsum("pir,plr->pil", sig, sig))
     P, h, strides = grid.num_nodes, grid.h, grid.strides
     nodes = np.arange(P)[~grid.boundary_mask()]
@@ -308,8 +290,8 @@ def _slice_3d():
             [np.sin(6.0 * x[:, 1]), x[:, 2] - 0.5, np.cos(5.0 * x[:, 0])], axis=1
         )
 
-    def diffusion(t, x, a, eta):
-        return np.broadcast_to(np.diag([0.3, 0.2, 0.4]), (x.shape[0], 3, 3))
+    def diffusion(t, eta):
+        return np.diag([0.3, 0.2, 0.4])
 
     prob = dataclasses.replace(
         _linear_1d_problem(), state_dim=3, noise_dim=3, drift=drift, diffusion=diffusion,

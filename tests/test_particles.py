@@ -15,6 +15,7 @@ from mfcontrol import (
     MfcProblem,
     PolicyField,
     PortfolioParams,
+    build_operator,
     cs2d_grid,
     cs2d_problem,
     estimate_cost,
@@ -199,7 +200,7 @@ def _upfront_simulate(problem, policy, N, M, seed):
         controls[j] = a
         eta = EmpiricalMeasure(x, a)
         b = problem.drift(j * dt, x, a, eta)
-        sig = problem.diffusion(j * dt, x, a, eta)
+        sig = np.broadcast_to(problem.diffusion(j * dt, eta), (N, d, n))
         states[j + 1] = x + b * dt + np.einsum("pir,pr->pi", sig, dW[j])
     controls[M] = policy.eval_slice(M, states[M])
     return states, controls
@@ -315,15 +316,12 @@ def _rotated_noise_problem():
     has nonzero off-diagonal entries, and sigma sigma^T is diagonal."""
     sig = np.array([[0.6137, 0.2718], [-0.2718, 0.6137]])
 
-    def diffusion(t, x, a, eta):
-        return np.broadcast_to(sig, (x.shape[0], 2, 2)).copy()
-
-    return dataclasses.replace(portfolio_problem(), noise_dim=2, diffusion=diffusion)
+    return dataclasses.replace(portfolio_problem(), noise_dim=2, diffusion=lambda t, eta: sig)
 
 
 def test_two_noise_step_matches_per_particle_einsum_bitwise():
-    # _upfront_simulate contracts an (N, d, n) sigma per particle with
-    # einsum("pir,pr->pi"), as the particle loop did
+    # _upfront_simulate contracts sigma, broadcast to (N, d, n), per
+    # particle with einsum("pir,pr->pi"), as the particle loop did
     prob, grid = _rotated_noise_problem(), portfolio_grid()
     policy = _wavy_policy(grid, 1)
     states, controls = _upfront_simulate(prob, policy, 2_000, grid.time_steps, 5)
@@ -351,19 +349,22 @@ def test_non_finite_state_names_its_step_and_first_particle():
         estimate_cost(prob, _zero_policy(grid), 20, grid.time_steps, 0)
 
 
-@pytest.mark.parametrize("depends_on", ["x", "a"])
-def test_diffusion_depending_on_state_or_control_is_rejected(depends_on):
-    base = portfolio_problem()
-    grid = portfolio_grid()
-
-    def diffusion(t, x, a, eta):
-        arg = x[:, 1] if depends_on == "x" else a[:, 0]
-        return base.diffusion(t, x, a, eta) * (1.0 + 0.1 * arg[:, None, None])
-
-    prob = dataclasses.replace(base, diffusion=diffusion)
-    # the wavy policy takes different values at the first and the last particle
+@pytest.mark.parametrize(
+    "sigma",
+    [np.diag([0.7, 0.5]), np.array([0.3, 0.0]), np.zeros((1, 2, 1))],
+    ids=["two-noises-declared-one", "vector", "batched"],
+)
+def test_sigma_of_a_wrong_shape_is_rejected(sigma):
+    # portfolio declares noise_dim = 1: a (2, 2) sigma would lose its second
+    # column in the particle loop but not in the stencil's sigma sigma^T
+    base, grid = portfolio_problem(), portfolio_grid()
+    prob = dataclasses.replace(base, diffusion=lambda t, eta: sigma)
     policy = _wavy_policy(grid, 1)
-    with pytest.raises(ValueError, match="diffusion differs"):
+    message = r"diffusion returned shape .*\(2, 1\)"
+    with pytest.raises(ValueError, match=message):
         simulate(prob, policy, 50, grid.time_steps, 0)
-    with pytest.raises(ValueError, match="diffusion differs"):
+    with pytest.raises(ValueError, match=message):
         estimate_cost(prob, policy, 50, grid.time_steps, 0)
+    ens = simulate(base, policy, 50, grid.time_steps, 0)
+    with pytest.raises(ValueError, match=message):
+        build_operator(prob, policy, ens, grid, 10)

@@ -1,6 +1,5 @@
 """Problem definitions: derivative callbacks and model-specific values."""
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -39,44 +38,6 @@ def test_cs2d_derivatives_match_finite_differences():
         assert report.ok, (beta, report.flagged)
 
 
-def test_state_or_control_dependent_diffusion_is_flagged():
-    # the solver takes sigma independent of x and a, so validation flags a
-    # sigma that depends on either, under the name of that derivative
-    base = portfolio_problem()
-
-    def x_dependent(t, x, a, eta):
-        return base.diffusion(t, x, a, eta) + 0.1 * x[:, 0, None, None]
-
-    def a_dependent(t, x, a, eta):
-        return base.diffusion(t, x, a, eta) + 0.1 * a[:, 0, None, None]
-
-    for diffusion, name in ((x_dependent, "dx_diffusion"), (a_dependent, "da_diffusion")):
-        report = validate_derivatives(dataclasses.replace(base, diffusion=diffusion))
-        assert set(report.flagged) == {name}, report.flagged
-        np.testing.assert_allclose(report.flagged[name], 0.1, rtol=1e-6)
-
-
-def check_diffusion_constant(problem, samples=16, seed=1):
-    """Spot-check that sigma ignores (x, a, eta)."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    d, k = problem.state_dim, problem.control_dim
-    meas = EmpiricalMeasure(rng.standard_normal((8, d)), rng.standard_normal((8, k)))
-    t = 0.5 * problem.horizon
-    ref = problem.diffusion(t, np.zeros((1, d)), np.zeros((1, k)), meas)
-    for _ in range(samples):
-        x = rng.standard_normal((1, d)) * 3.0
-        a = rng.standard_normal((1, k)) * 3.0
-        m2 = EmpiricalMeasure(rng.standard_normal((5, d)), rng.standard_normal((5, k)))
-        if not np.allclose(problem.diffusion(t, x, a, m2), ref, atol=1e-12):
-            return False
-    return True
-
-
-def test_declared_constant_diffusions_are_constant():
-    assert check_diffusion_constant(portfolio_problem())
-    assert check_diffusion_constant(cs2d_problem())
-
-
 def test_portfolio_pointwise_values():
     prob = portfolio_problem()
     eta = EmpiricalMeasure(np.array([[2.0, 1.0]]), np.array([[0.0]]))
@@ -93,6 +54,18 @@ def test_portfolio_pointwise_values():
     eta2 = EmpiricalMeasure(np.array([[2.0, 1.0], [2.0, 1.0]]), np.array([[1.0], [3.0]]))
     b = prob.drift(0.0, x, a, eta2)
     np.testing.assert_allclose(b, [[0.5 * 2.0, 0.0]], atol=1e-14)
+
+
+def test_model_sigma_is_one_read_only_matrix():
+    rng = np.random.default_rng(1)
+    etas = [EmpiricalMeasure(rng.standard_normal((L, 2)), rng.standard_normal((L, 1)))
+            for L in (3, 8)]
+    for prob, want in ((portfolio_problem(), [[0.7], [0.0]]), (cs2d_problem(), [[0.0], [0.1]])):
+        sig = prob.diffusion(0.0, etas[0])
+        np.testing.assert_array_equal(sig, want)
+        assert prob.diffusion(0.5 * prob.horizon, etas[1]) is sig
+        with pytest.raises(ValueError, match="read-only"):
+            sig[0, 0] = 1.0
 
 
 def test_cs2d_alignment_kernel_values():
