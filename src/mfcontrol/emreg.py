@@ -84,18 +84,16 @@ def _cell_means(
 class PiecewiseConstantAdjoint(BoundAdjoint):
     """Cell-constant adjoint approximation with the PDE-field protocol.
 
-    regress_adjoint binds it to the particle law (ensemble,
-    kernel_subsample) it was regressed on.  u_at_points looks up each
-    point's cell; kernel_mean(j) is the mean of slice j over the kernel
-    atoms, which the regression stores in `means` as it reads them off its
-    cell counts.
+    regress_adjoint binds it to the particle law (ensemble) it was
+    regressed on.  u_at_points looks up each point's cell; kernel_mean(j)
+    is the mean of slice j over the kernel atoms, which the regression
+    stores in `means` as it reads them off its cell counts.
     """
 
     grid: SpaceTimeGrid
     cells: np.ndarray  # (M+1, num_cells, c)
     means: np.ndarray  # (M+1, c)
     ensemble: ParticleEnsemble
-    kernel_subsample: Optional[int] = None
 
     def u_at_points(self, j: int, x: np.ndarray) -> np.ndarray:
         return self.cells[j].take(cell_index(self.grid, x), axis=0)
@@ -130,10 +128,10 @@ def regress_adjoint(
     visits keep their row of `previous`, the (M+1, num_cells, d) cells of
     an earlier regression (zero without one).
 
-    The returned adjoint is bound to `ensemble` and problem.kernel_subsample.
-    Its kernel means, the mean of each slice's cell values over the kernel
-    atoms (every stride-th particle), are read off the cell counts that the
-    regression computes anyway.
+    The returned adjoint is bound to `ensemble`.  Its kernel means, the mean
+    of each slice's cell values over the kernel atoms (every stride-th
+    particle under the ensemble's kernel_subsample), are read off the cell
+    counts that the regression computes anyway.
     """
     M = grid.time_steps
     d = problem.state_dim
@@ -142,9 +140,9 @@ def regress_adjoint(
 
     cells = np.empty((M + 1, ncells, d))
     means = np.empty((M + 1, d))
-    stride = ensemble.measure(M).stride(problem.kernel_subsample)
+    stride = ensemble.measure(M).stride(ensemble.kernel_subsample)
     # the sources of the loop read the slices and means regressed so far
-    adjoint = PiecewiseConstantAdjoint(grid, cells, means, ensemble, problem.kernel_subsample)
+    adjoint = PiecewiseConstantAdjoint(grid, cells, means, ensemble)
 
     def regress(j, idx, targets):
         counts = np.bincount(idx, minlength=ncells)

@@ -170,7 +170,7 @@ class MonotoneOperator:
 @dataclass
 class AdjointField(BoundAdjoint):
     """Adjoint decoupling field u on the grid, bound to the particle law
-    (ensemble, kernel_subsample) it was solved on.
+    (ensemble) it was solved on.
 
     u_at_points interpolates slice j at each point; kernel_mean gives only
     the mean of that interpolant over the slice's kernel atoms, read off
@@ -179,7 +179,6 @@ class AdjointField(BoundAdjoint):
 
     u: GridField
     ensemble: ParticleEnsemble
-    kernel_subsample: Optional[int] = None
 
     def u_at_nodes(self, j: int) -> np.ndarray:
         return self.u.slice_flat(j)
@@ -230,8 +229,8 @@ def build_operator(
     b+, backward by b-), the diagonal of sigma sigma^T centrally.  sigma is
     read once per slice, as the (d, n) matrix problem.diffusion(t, eta); a
     wrong shape raises ValueError.  Requires a diagonal diffusion matrix;
-    off-diagonal mass would produce negative stencil weights and is
-    rejected.
+    off-diagonal mass above 1e-12 of the largest diagonal entry would
+    produce negative stencil weights and is rejected.
 
     I - dt*L is written straight into CSR on the fixed (2d+1)-point row
     pattern, with exact zeros dropped: the same arrays, bit for bit, as
@@ -248,8 +247,7 @@ def build_operator(
     d = grid.state_dim
     diag = np.diagonal(a2)
     offdiag = a2 - np.diag(diag)
-    scale = max(np.abs(a2).max(), 1.0)
-    if np.abs(offdiag).max() > 1e-12 * scale:
+    if np.abs(offdiag).max() > 1e-12 * diag.max():
         raise ValueError(
             "sigma sigma^T has off-diagonal mass; the upwind/central stencil "
             "is monotone only for diagonal diffusion"
@@ -317,8 +315,8 @@ def backward_sweep(
 ) -> AdjointField:
     """Solve the adjoint PDE system backward on the grid.
 
-    The returned field is bound to `ensemble` and problem.kernel_subsample,
-    the law that its sources and the control gradient are linearised at.
+    The returned field is bound to `ensemble`, the law that its sources and
+    the control gradient are linearised at, under the ensemble's atom cap.
     Terminal slice is the discretized terminal condition; boundary nodes
     hold the terminal data as Dirichlet data for all times; each interior
     step solves (I - dt L) U^{j-1} = U^j + dt f per component with a shared
@@ -342,7 +340,7 @@ def backward_sweep(
     U = np.empty((M + 1, grid.num_nodes, d))
     # a view of U: the slices the sweep writes show through to the sources
     u = GridField(grid, U.reshape((M + 1,) + grid.nodes + (d,)))
-    adjoint = AdjointField(u, ensemble, problem.kernel_subsample)
+    adjoint = AdjointField(u, ensemble)
     term = problem.terminal_derivative(grid.node_coords(), adjoint)
     U[M] = term
     op = None

@@ -10,7 +10,7 @@ the adjoint field at the carrier points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,10 +18,16 @@ import numpy as np
 
 @dataclass
 class EmpiricalMeasure:
-    """Uniform atomic measure on N pairs (x, a) in R^d x R^k."""
+    """Uniform atomic measure on N pairs (x, a) in R^d x R^k.
+
+    kernel_subsample is the atom cap of the interaction sums over this law
+    (MfcProblem.kernel_subsample, None keeps all): the coefficients that
+    sum over the atoms sum over strided(kernel_subsample).
+    """
 
     x: np.ndarray  # (N, d)
     a: np.ndarray  # (N, k)
+    kernel_subsample: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -57,7 +63,7 @@ class EmpiricalMeasure:
         step = self.stride(max_atoms)
         if step == 1:
             return self
-        return EmpiricalMeasure(self.x[::step], self.a[::step])
+        return EmpiricalMeasure(self.x[::step], self.a[::step], self.kernel_subsample)
 
 
 @dataclass
@@ -67,11 +73,10 @@ class MeasureKernel:
     The kernel value at (carrier, evaluation) has shape ``out_shape``; the
     leading axis of ``out_shape`` indexes the coefficient component at the
     carrier, trailing axes index derivative directions at the evaluation
-    point.  At most one of the three representations is populated:
+    point.  At most one of the two representations is populated:
 
-    * ``const``       -- kernel independent of carrier and evaluation point;
-    * ``carrier_fn``  -- depends on the carrier only,
-      signature ``(t, cx, ca, measure) -> (L, *out_shape)``;
+    * ``const``       -- kernel independent of carrier and evaluation point,
+      contracted by :meth:`const_contract`;
     * ``contract_fn`` -- full dependence in contracted form, signature
       ``(t, measure, eval_x, eval_a, weights)``, returning what
       :meth:`mean_contract` returns for the same arguments.
@@ -81,7 +86,6 @@ class MeasureKernel:
 
     out_shape: tuple
     const: Optional[np.ndarray] = None
-    carrier_fn: Optional[Callable] = None
     contract_fn: Optional[Callable] = None
     # not a field: perfbench/run.py reads it to count pairwise evaluations
     pair_fn = None
@@ -97,16 +101,12 @@ class MeasureKernel:
 
     @property
     def is_zero(self) -> bool:
-        return (
-            self.const is None
-            and self.carrier_fn is None
-            and self.contract_fn is None
-        )
+        return self.const is None and self.contract_fn is None
 
     def const_contract(self, mean_weights: np.ndarray) -> np.ndarray:
         """A constant kernel contracted against the carrier mean of the
-        weights, shape out_shape[mean_weights.ndim:]: the value that
-        mean_contract returns at every evaluation point."""
+        weights, shape out_shape[mean_weights.ndim:], the same at every
+        evaluation point."""
         return np.tensordot(mean_weights, self.const, axes=mean_weights.ndim)
 
     def mean_contract(
@@ -117,42 +117,16 @@ class MeasureKernel:
         eval_a: Optional[np.ndarray],
         weights: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Particle average of the kernel, contracted against carrier weights.
+        """Particle average of a ``contract_fn`` kernel, contracted against
+        carrier weights.
 
         With ``weights`` of shape (L, *out_shape[:r]) the leading r axes of
         the kernel are contracted against the weights before averaging over
         carriers; the result has shape (P, *out_shape[r:]).  Without weights
-        the plain carrier average (P, *out_shape) is returned.
+        the plain carrier average (P, *out_shape) is returned.  A constant
+        or zero kernel raises ValueError: const_contract serves the first,
+        and the second adds nothing.
         """
-        P = eval_x.shape[0]
-        L = measure.size
-        if self.is_zero:
-            tail = self.out_shape if weights is None else self.out_shape[weights.ndim - 1 :]
-            return np.zeros((P,) + tail)
-
-        if self.const is not None:
-            if weights is None:
-                return np.broadcast_to(self.const, (P,) + self.out_shape).copy()
-            contracted = self.const_contract(weights.mean(axis=0))
-            return np.broadcast_to(contracted, (P,) + contracted.shape).copy()
-
-        if self.carrier_fn is not None:
-            K = np.asarray(self.carrier_fn(t, measure.x, measure.a, measure))
-            K = np.broadcast_to(K, (L,) + self.out_shape)
-            if weights is None:
-                avg = K.mean(axis=0)
-            else:
-                avg = _contract_carrier(K, weights)
-            return np.broadcast_to(avg, (P,) + avg.shape).copy()
-
+        if self.contract_fn is None:
+            raise ValueError("mean_contract serves contract_fn kernels only")
         return np.asarray(self.contract_fn(t, measure, eval_x, eval_a, weights))
-
-
-def _contract_carrier(K: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """mean_l sum over leading kernel axes of weights[l] * K[l]."""
-    naxes = weights.ndim - 1
-    letters = "ijk"[:naxes]
-    rest = "mn"[: K.ndim - 1 - naxes]
-    expr = f"l{letters},l{letters}{rest}->{rest}"
-    return np.einsum(expr, weights, K) / K.shape[0]
-

@@ -29,10 +29,15 @@ _OUT_OF_BOX_WARN = 0.01
 
 @dataclass
 class ParticleEnsemble:
-    """N particle paths on the Euler grid with per-step control evaluations."""
+    """N particle paths on the Euler grid with per-step control evaluations.
+
+    kernel_subsample is the atom cap of the problem that simulated them;
+    the law of each step, measure(j), carries it.
+    """
 
     states: np.ndarray  # (M+1, N, d)
     controls: np.ndarray  # (M+1, N, k)
+    kernel_subsample: Optional[int] = None
 
     @property
     def num_particles(self) -> int:
@@ -43,24 +48,24 @@ class ParticleEnsemble:
         return self.states.shape[0] - 1
 
     def measure(self, j: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.states[j], self.controls[j])
+        return EmpiricalMeasure(self.states[j], self.controls[j], self.kernel_subsample)
 
 
 class BoundAdjoint:
     """Base of the adjoint fields: the particle law an adjoint was solved on.
 
     Each gradient is linearised at one law, so an adjoint carries the
-    training `ensemble` and the `kernel_subsample` cap of the measure
-    kernels it was solved with; the subclasses declare both as fields.
+    training `ensemble`, with the atom cap it was simulated under; the
+    subclasses declare it as a field.
     """
 
     ensemble: ParticleEnsemble
-    kernel_subsample: Optional[int]
 
     def kernel_atoms(self, j: int) -> EmpiricalMeasure:
         """The atoms that the measure kernels average over at slice j: the
-        law of slice j, every stride-th atom under kernel_subsample."""
-        return self.ensemble.measure(j).strided(self.kernel_subsample)
+        law of slice j, every stride-th atom under its kernel_subsample."""
+        eta = self.ensemble.measure(j)
+        return eta.strided(eta.kernel_subsample)
 
 
 def _noise_streams(seed: int):
@@ -94,7 +99,8 @@ def _euler(
 
     Yields (j, eta) for j = 0..M: the empirical measure of the step, whose
     eta.x holds the (N, d) states at t_j and eta.a the (N, k) policy
-    controls there; the drift and sigma of the step see the same measure.
+    controls there, with the problem's kernel_subsample; the drift and sigma
+    of the step see the same measure.
     Each step's arrays are new, so a consumer may keep them, but must not
     write to them.  The Brownian increments are drawn one step at a time,
     an (N, n) block per step from a counter-based (Philox) stream: the same
@@ -114,7 +120,7 @@ def _euler(
     in some dimension; the warning points at the caller of the function that
     iterates this one.
     """
-    d, n = problem.state_dim, problem.noise_dim
+    d, n, cap = problem.state_dim, problem.noise_dim, problem.kernel_subsample
     dt = problem.horizon / M
     sqrt_dt = np.sqrt(dt)
     rng_init, rng_noise = _noise_streams(seed)
@@ -144,7 +150,7 @@ def _euler(
             if col_min < lo[i] or col_max > hi[i]:
                 outside[i] += int(np.count_nonzero((col < lo[i]) | (col > hi[i])))
         a = policy.eval_slice(j, x)
-        eta = EmpiricalMeasure(x, a)
+        eta = EmpiricalMeasure(x, a, cap)
         yield j, eta
         if j == M:
             break
@@ -190,8 +196,9 @@ def simulate(
 ) -> ParticleEnsemble:
     """Forward Euler-Maruyama interacting-particle system under `policy`.
 
-    Records every step of the particle loop (see _euler): the paths are
-    bitwise reproducible for a given (seed, N, M) regardless of scheduling.
+    Records every step of the particle loop (see _euler) and the problem's
+    kernel_subsample: the paths are bitwise reproducible for a given
+    (seed, N, M) regardless of scheduling.
     sigma is the (d, n) matrix diffusion(t, eta), and a wrong shape raises
     ValueError; a non-finite state raises FloatingPointError naming its
     step and particle.
@@ -213,7 +220,7 @@ def simulate(
     for j, eta in _euler(problem, policy, N, M, seed):
         states[j] = eta.x
         controls[j] = eta.a
-    return ParticleEnsemble(states=states, controls=controls)
+    return ParticleEnsemble(states, controls, problem.kernel_subsample)
 
 
 def _check_memory(need: int, N: int, M: int) -> None:

@@ -32,15 +32,18 @@ class MfcProblem:
       terminal_cost(x, mu) -> (P,)
       dx_drift -> (P,d,d) with [p,i,l] = d b_i / d x_l;  da_drift -> (P,d,k)
       dx_running -> (P,d);  da_running -> (P,k);  dx_terminal -> (P,d)
-    Measure kernels follow the carrier/evaluation convention of MeasureKernel
-    with out_shape (d,d) for mu_drift, (d,k) for nu_drift, (d,) for
-    mu_running / mu_terminal and (k,) for nu_running.  The adjoint solver
-    holds the terminal data on the boundary of its truncated box.
+    The measure derivatives of the drift are MeasureKernels with the
+    carrier/evaluation convention, out_shape (d,d) for mu_drift and (d,k)
+    for nu_drift; the costs' measure dependence enters only through their
+    pointwise derivatives under the law.  The adjoint solver holds the
+    terminal data on the boundary of its truncated box.
 
     kernel_subsample caps every interaction sum at every stride-th atom
-    (EmpiricalMeasure.strided; None keeps all); the adjoints carry it to the
-    measure kernels.  Set it with the factory (portfolio_problem, cs2d_problem),
-    whose drift closures read it too: dataclasses.replace would miss them.
+    (EmpiricalMeasure.strided; None keeps all).  simulate records it on the
+    ParticleEnsemble, whose measures carry it as their own kernel_subsample:
+    the coefficients sum over eta.strided(eta.kernel_subsample), and the
+    adjoints' kernel atoms come from the same law, so a problem made with
+    dataclasses.replace subsamples at its new cap everywhere.
     """
 
     state_dim: int
@@ -58,9 +61,6 @@ class MfcProblem:
     dx_terminal: Callable
     mu_drift: MeasureKernel
     nu_drift: MeasureKernel
-    mu_running: MeasureKernel
-    nu_running: MeasureKernel
-    mu_terminal: MeasureKernel
     initial_sampler: Callable[[int, np.random.Generator], np.ndarray]
     nonsmooth_cost: ProxSpec = field(default_factory=ProxSpec.none)
     name: str = "problem"
@@ -85,24 +85,22 @@ class MfcProblem:
 
         The adjoint source (wrt="x", shape (P, d)) and the control gradient
         (wrt="a", shape (P, k)) are the same linearisation; only the drift
-        and cost derivatives and the two measure kernels differ.  U (P, d)
+        and cost derivatives and the drift's measure kernel differ.  U (P, d)
         holds the adjoint at the points.  `adjoint` is its field, bound to
         the particle law it was solved on (particles.BoundAdjoint): the
-        coefficients see the law of slice j, and both kernels average over
-        adjoint.kernel_atoms(j).  Terms: (d b)^T U, d f, the drift kernel
+        coefficients see the law of slice j, and the kernel averages over
+        adjoint.kernel_atoms(j).  Terms: (d b)^T U, d f and the drift kernel
         contracted against the adjoint over the kernel atoms (a constant
-        kernel needs only adjoint.kernel_mean(j)) and the cost kernel's
-        carrier mean.  sigma depends on neither x nor a, so it adds no term.
+        kernel needs only adjoint.kernel_mean(j), a zero one adds nothing).
+        sigma depends on neither x nor a, so it adds no term.
         (d b)^T U is summed one (P,) column product at a time, from +0.0 in
         order of i: bit for bit einsum's sum for d <= 2, but for d = 3 the
         two can differ in the last bit.
         """
         if wrt == "x":
-            db, df = self.dx_drift, self.dx_running
-            drift_kernel, cost_kernel = self.mu_drift, self.mu_running
+            db, df, kernel = self.dx_drift, self.dx_running, self.mu_drift
         elif wrt == "a":
-            db, df = self.da_drift, self.da_running
-            drift_kernel, cost_kernel = self.nu_drift, self.nu_running
+            db, df, kernel = self.da_drift, self.da_running, self.nu_drift
         else:
             raise ValueError(f"wrt must be 'x' or 'a', got {wrt!r}")
         eta = adjoint.ensemble.measure(j)
@@ -115,25 +113,19 @@ class MfcProblem:
                 out[:, l] += term
         out += np.asarray(df(t, x, a, eta))
 
-        atoms = adjoint.kernel_atoms(j)
-        if drift_kernel.const is not None:
-            out += drift_kernel.const_contract(adjoint.kernel_mean(j))
-        elif not drift_kernel.is_zero:
+        if kernel.const is not None:
+            out += kernel.const_contract(adjoint.kernel_mean(j))
+        elif not kernel.is_zero:
+            atoms = adjoint.kernel_atoms(j)
             w = adjoint.u_at_points(j, atoms.x)
-            out += drift_kernel.mean_contract(t, atoms, x, a, weights=w)
-        if not cost_kernel.is_zero:
-            out += cost_kernel.mean_contract(t, atoms, x, a)
+            out += kernel.mean_contract(t, atoms, x, a, weights=w)
         return out
 
     def terminal_derivative(self, x, adjoint) -> np.ndarray:
         """Terminal data of the adjoint at the points x, shape (P, d): dx g
-        under the adjoint's terminal law plus the mu_terminal mean over its
-        terminal kernel atoms."""
+        under the adjoint's terminal law."""
         M = adjoint.ensemble.time_steps
-        h = np.asarray(self.dx_terminal(x, adjoint.ensemble.measure(M)), dtype=float)
-        return h + self.mu_terminal.mean_contract(
-            self.horizon, adjoint.kernel_atoms(M), x, None
-        )
+        return np.asarray(self.dx_terminal(x, adjoint.ensemble.measure(M)), dtype=float)
 
 
 @dataclass
@@ -169,8 +161,11 @@ def validate_derivatives(
     Random points (t, x, a) are drawn around the initial law; the measure
     argument is held fixed while x or a is perturbed, so only pointwise
     derivatives are exercised.  sigma takes no x or a, so it has none to
-    check.  Returns the worst relative error per derivative and flags any
-    exceeding `tolerance`.
+    check.  The error of each output component is relative to its largest
+    magnitude over the samples, so scaling a coefficient scales no error
+    away; a component that is zero at every sample is checked by its
+    absolute error.  Returns the worst relative error per derivative and
+    flags any exceeding `tolerance`.
     """
     if not 0 < step <= 1e-3:
         raise ValueError("finite-difference step must lie in (0, 1e-3]")
@@ -181,7 +176,8 @@ def validate_derivatives(
     aa = rng.standard_normal((samples, k))
     ts = rng.uniform(0.0, problem.horizon, samples)
     meas = EmpiricalMeasure(
-        problem.initial_sampler(64, rng), rng.standard_normal((64, k))
+        problem.initial_sampler(64, rng), rng.standard_normal((64, k)),
+        problem.kernel_subsample,
     )
 
     def _check(name, base, deriv, wrt):
@@ -203,7 +199,8 @@ def validate_derivatives(
                 if not np.all(np.isfinite(fd)):
                     raise ValueError(f"non-finite value from base of {name} at t={t}")
                 exact = D[..., i] if D.ndim == fd.ndim + 1 else D[:, i]
-                rel = np.abs(exact - fd) / (1.0 + np.abs(exact))
+                scale = np.abs(exact).max(axis=0)
+                rel = np.abs(exact - fd) / np.where(scale > 0, scale, 1.0)
                 worst = max(worst, float(rel.max()))
         return worst
 

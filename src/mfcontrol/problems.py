@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .grids import SpaceTimeGrid
-from .measures import EmpiricalMeasure, MeasureKernel
+from .measures import MeasureKernel
 from .problem import MfcProblem
 from .prox import ProxSpec
 
@@ -120,9 +120,6 @@ def portfolio_problem(
         dx_terminal=dx_terminal,
         mu_drift=MeasureKernel.zero((2, 2)),
         nu_drift=MeasureKernel.constant([[p.lam], [0.0]]),
-        mu_running=MeasureKernel.zero((2,)),
-        nu_running=MeasureKernel.zero((1,)),
-        mu_terminal=MeasureKernel.zero((2,)),
         initial_sampler=initial_sampler,
         nonsmooth_cost=nonsmooth,
         name="portfolio",
@@ -309,8 +306,12 @@ def cs2d_problem(
     Dynamics: dx = v dt, dv = (E[kappa(x, v, x', v')] + a) dt + sigma dW with
     alignment kernel kappa = K (v' - v) / (1 + (x - x')^2)^beta.  Cost:
     integral of (v - E[v])^2 + gamma1 a^2 + gamma2 |a| plus terminal
-    (v_T - E[v_T])^2.  kernel_subsample (see MfcProblem) also caps the
-    alignment sums of the drift and dx_drift.
+    (v_T - E[v_T])^2.  The drift and dx_drift sum the alignment over
+    eta.strided(eta.kernel_subsample); kernel_subsample: see MfcProblem.
+
+    The dispersion costs carry no measure kernel: the L-derivative of
+    (v - E[v])^2 is -2 (v - E[v]) in the v-direction, at any atom, and the
+    adjoint averages it over v under the law, where it vanishes.
     """
     p = params
     sig_const = np.array([[0.0], [p.sigma]])
@@ -318,7 +319,7 @@ def cs2d_problem(
 
     def _align(x, v, eta):
         """E[kappa] at points (x, v) = (K/L) (A - v B), A = sum w v', B = sum w."""
-        etas = eta.strided(kernel_subsample)
+        etas = eta.strided(eta.kernel_subsample)
         if p.beta == 0:
             return p.K * (etas.x[:, 1].mean() - v)
         R = np.column_stack([etas.x[:, 1], np.ones(etas.size)])
@@ -356,7 +357,7 @@ def cs2d_problem(
     def dx_drift(t, x, a, eta):
         out = np.zeros((x.shape[0], 2, 2))
         out[:, 0, 1] = 1.0
-        etas = eta.strided(kernel_subsample)
+        etas = eta.strided(eta.kernel_subsample)
         if p.beta == 0:
             out[:, 1, 1] = -p.K
             return out
@@ -409,17 +410,6 @@ def cs2d_problem(
 
         mu_drift = MeasureKernel(out_shape=(2, 2), contract_fn=mu_drift_contract)
 
-    # measure derivatives of the dispersion costs; the carrier averages
-    # vanish identically but are kept so every declared derivative is exact
-    def dispersion_kernel(t, cx, ca, measure):
-        vbar = measure.x[:, 1].mean()
-        out = np.zeros((cx.shape[0], 2))
-        out[:, 1] = -2.0 * (cx[:, 1] - vbar)
-        return out
-
-    mu_running = MeasureKernel(out_shape=(2,), carrier_fn=dispersion_kernel)
-    mu_terminal = MeasureKernel(out_shape=(2,), carrier_fn=dispersion_kernel)
-
     def initial_sampler(n, rng):
         comp = rng.random(n) < 0.5
         means = np.where(
@@ -444,9 +434,6 @@ def cs2d_problem(
         dx_terminal=dx_terminal,
         mu_drift=mu_drift,
         nu_drift=MeasureKernel.zero((2, 1)),
-        mu_running=mu_running,
-        nu_running=MeasureKernel.zero((1,)),
-        mu_terminal=mu_terminal,
         initial_sampler=initial_sampler,
         nonsmooth_cost=nonsmooth,
         name="cucker-smale-2d",

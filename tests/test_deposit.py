@@ -74,7 +74,7 @@ def test_deposit_is_the_transpose_of_interpolation(d, seed, n):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(F).max() * n)
 
 
-def _affine_problem(d, rng, kernel_subsample=None):
+def _affine_problem(d, rng):
     """A d-dimensional problem whose adjoint source and terminal data are
     random affine maps of the state, with no measure interaction: enough
     for regress_adjoint to fill its cells."""
@@ -88,9 +88,7 @@ def _affine_problem(d, rng, kernel_subsample=None):
         da_running=None,
         dx_terminal=lambda x, mu: x @ G,
         mu_drift=MeasureKernel.zero((d, d)), nu_drift=MeasureKernel.zero((d, 1)),
-        mu_running=MeasureKernel.zero((d,)), nu_running=MeasureKernel.zero((1,)),
-        mu_terminal=MeasureKernel.zero((d,)),
-        initial_sampler=None, kernel_subsample=kernel_subsample,
+        initial_sampler=None,
     )
 
 
@@ -101,14 +99,14 @@ def test_kernel_mean_is_the_mean_of_the_point_values(d, seed, n):
     M = grid.time_steps
     # each slice holds the points in another order, so each keeps other atoms
     states = np.stack([rng.permutation(x) for _ in range(M + 1)])
-    ensemble = ParticleEnsemble(states, np.zeros((M + 1, n, 1)))
     subsample = int(rng.integers(1, n + 2))
+    ensemble = ParticleEnsemble(states, np.zeros((M + 1, n, 1)), subsample)
     pde = AdjointField(
-        GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (d,))), ensemble, subsample
+        GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (d,))), ensemble
     )
     ncells = int(np.prod(np.array(grid.nodes) - 1))
     reg = regress_adjoint(
-        _affine_problem(d, rng, kernel_subsample=subsample), ensemble, grid,
+        _affine_problem(d, rng), ensemble, grid,
         previous=rng.standard_normal((M + 1, ncells, d)),
     )
     for adjoint in (pde, reg):
@@ -135,7 +133,7 @@ def _gradient_slice_per_atom(problem, policy, ensemble, adjoint, j, kernel_subsa
     grad += np.asarray(problem.da_running(t, X, psi, eta))
     eta_k = eta.strided(kernel_subsample)
     w = adjoint.u_at_points(j, eta_k.x)
-    grad += problem.nu_drift.mean_contract(t, eta_k, X, psi, weights=w)
+    grad += w.mean(axis=0) @ problem.nu_drift.const
     return grad
 
 
@@ -161,7 +159,8 @@ def test_gradient_slice_matches_the_per_atom_path(method, subsample):
 def test_assemble_source_matches_the_per_atom_path():
     # Cucker-Smale at beta = 0 has a constant mu_drift kernel
     params = CuckerSmaleParams(beta=0.0)
-    problem, grid = cs2d_problem(params), cs2d_grid(params, cells=12, time_steps=6)
+    problem = cs2d_problem(params, kernel_subsample=90)
+    grid = cs2d_grid(params, cells=12, time_steps=6)
     assert problem.mu_drift.const is not None
     rng = np.random.default_rng(9)
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
@@ -170,7 +169,7 @@ def test_assemble_source_matches_the_per_atom_path():
     j = 4
     vals = np.zeros((grid.time_steps + 1,) + grid.nodes + (2,))
     vals[j] = U.reshape(grid.nodes + (2,))
-    adjoint = AdjointField(GridField(grid, vals), ensemble, 90)
+    adjoint = AdjointField(GridField(grid, vals), ensemble)
     got = assemble_source(problem, policy, adjoint, grid, j)
     # the constant kernel's part, against U interpolated at every atom
     t, X, psi = j * grid.dt, grid.node_coords(), policy.slice_flat(j)
@@ -179,6 +178,5 @@ def test_assemble_source_matches_the_per_atom_path():
     w = multilinear_eval(grid, U.reshape(grid.nodes + (2,)), eta_k.x)
     want = np.einsum("pil,pi->pl", problem.dx_drift(t, X, psi, eta), U)
     want += problem.dx_running(t, X, psi, eta)
-    want += problem.mu_drift.mean_contract(t, eta_k, X, psi, weights=w)
-    want += problem.mu_running.mean_contract(t, eta_k, X, psi)
+    want += w.mean(axis=0) @ problem.mu_drift.const
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())

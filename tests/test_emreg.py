@@ -136,9 +136,7 @@ def _regress_reference(problem, policy, ensemble, grid, previous, kernel_subsamp
     M = grid.time_steps
     cells = np.empty_like(previous)
     mu_T = ensemble.measure(M)
-    term = problem.dx_terminal(ensemble.states[M], mu_T) + problem.mu_terminal.mean_contract(
-        problem.horizon, mu_T.strided(kernel_subsample), ensemble.states[M], None
-    )
+    term = problem.dx_terminal(ensemble.states[M], mu_T)
     cells[M] = cell_regression(grid, ensemble.states[M], term, previous[M])
     adj = PiecewiseConstantAdjoint(grid=grid, cells=cells, means=None, ensemble=None)
     for j in range(M, 0, -1):
@@ -151,8 +149,6 @@ def _regress_reference(problem, policy, ensemble, grid, previous, kernel_subsamp
         if not problem.mu_drift.is_zero:
             u_k = u[:: eta.stride(kernel_subsample)]
             src += problem.mu_drift.mean_contract(t, eta_k, x, a, weights=u_k)
-        if not problem.mu_running.is_zero:
-            src += problem.mu_running.mean_contract(t, eta_k, x, a)
         cells[j - 1] = cell_regression(
             grid, ensemble.states[j - 1], u + grid.dt * src, previous[j - 1]
         )
@@ -192,7 +188,7 @@ def test_regression_means_are_the_histogram_means_of_the_strided_atoms(
     ens = simulate(prob, policy, N, grid.time_steps, 5)
     previous = rng.standard_normal((grid.time_steps + 1, 100, 2))
     adj = regress_adjoint(prob, ens, grid, previous=previous)
-    assert adj.ensemble is ens and adj.kernel_subsample == subsample
+    assert adj.ensemble is ens and ens.kernel_subsample == subsample
     assert ens.measure(0).stride(subsample) == stride
     lookups = []
 

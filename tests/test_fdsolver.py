@@ -62,8 +62,6 @@ def _linear_1d_problem(b=0.0, sigma=np.sqrt(2.0), source=None, terminal=None):
         da_running=lambda t, x, a, eta: np.zeros((x.shape[0], 1)),
         dx_terminal=dx_terminal,
         mu_drift=MeasureKernel.zero((1, 1)), nu_drift=MeasureKernel.zero((1, 1)),
-        mu_running=MeasureKernel.zero((1,)), nu_running=MeasureKernel.zero((1,)),
-        mu_terminal=MeasureKernel.zero((1,)),
         initial_sampler=lambda n, rng: rng.uniform(0.3, 0.7, (n, 1)),
     )
 
@@ -135,6 +133,22 @@ def test_off_diagonal_diffusion_rejected():
     ens = simulate(portfolio_problem(), policy, 32, grid.time_steps, 0)
     with pytest.raises(ValueError, match="off-diagonal"):
         build_operator(prob, policy, ens, grid, 0)
+
+
+def test_small_off_diagonal_diffusion_rejected():
+    # sigma = 1e-7 [1, 1]^T: sigma sigma^T has as much mass off the diagonal
+    # as on it, however small both are
+    grid = portfolio_grid(cells=10, time_steps=4)
+    policy = PolicyField.zeros(grid, 1)
+    ens = simulate(portfolio_problem(), policy, 32, grid.time_steps, 0)
+    skew = np.full((2, 1), 1e-7)
+    prob = dataclasses.replace(portfolio_problem(), diffusion=lambda t, eta: skew)
+    with pytest.raises(ValueError, match="off-diagonal"):
+        build_operator(prob, policy, ens, grid, 0)
+    # a diagonal sigma sigma^T of the same size passes
+    diagonal = np.array([[1e-7], [0.0]])
+    prob = dataclasses.replace(portfolio_problem(), diffusion=lambda t, eta: diagonal)
+    build_operator(prob, policy, ens, grid, 0)
 
 
 def test_m_matrix_inverse_nonnegativity():
@@ -482,33 +496,6 @@ def test_portfolio_source_and_terminal_data():
     np.testing.assert_allclose(
         term, np.stack([-X[:, 1], -X[:, 0] + X[:, 1]], axis=1), atol=1e-12
     )
-
-
-def test_terminal_data_averages_the_kernel_over_the_strided_atoms():
-    # the carrier mean of x**2 depends on which atoms are kept, so the
-    # terminal data tells a strided contraction from one over all atoms
-    base = portfolio_problem()
-    kernel = MeasureKernel(out_shape=(2,), carrier_fn=lambda t, cx, ca, m: cx**2)
-    prob = dataclasses.replace(base, mu_terminal=kernel)
-    grid = portfolio_grid(cells=10, time_steps=6)
-    rng = np.random.default_rng(6)
-    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
-    ens = simulate(prob, policy, 300, grid.time_steps, 0)
-    mu_T = ens.measure(grid.time_steps)
-    X = grid.node_coords()
-    for subsample in (40, None):
-        kept = mu_T.strided(subsample)
-        # dx g plus the mu_terminal mean over the strided atoms, as the
-        # regression takes it at the particles
-        want = base.dx_terminal(X, mu_T) + (kept.x**2).mean(axis=0)
-        capped = portfolio_problem(kernel_subsample=subsample)
-        capped = dataclasses.replace(capped, mu_terminal=kernel)
-        adj = backward_sweep(capped, policy, ens, grid)
-        np.testing.assert_array_equal(adj.u.slice_flat(grid.time_steps), want)
-        np.testing.assert_array_equal(capped.terminal_derivative(X, adj), want)
-    assert mu_T.stride(40) == 8
-    full, strided = (mu_T.x**2).mean(axis=0), (mu_T.strided(40).x**2).mean(axis=0)
-    assert np.abs(full - strided).min() > 1e-3
 
 
 def test_large_time_step_warns():

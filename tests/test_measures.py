@@ -30,6 +30,9 @@ def test_strided_subsample(measure):
     # non-divisible count: step = ceil(40/12) = 4 keeps every 4th atom
     assert measure.strided(12).size == 10
     assert [measure.stride(n) for n in (None, 40, 41, 12, 10, 1)] == [1, 1, 1, 4, 4, 40]
+    # the subsample keeps the cap of the law it was taken from
+    capped = EmpiricalMeasure(measure.x, measure.a, 12)
+    assert capped.strided(10).kernel_subsample == 12
 
 
 @pytest.mark.parametrize("cap", [0, -3])
@@ -43,35 +46,18 @@ def test_non_positive_subsample_cap_is_rejected(measure, cap):
 def test_zero_kernel(measure):
     kern = MeasureKernel.zero((2, 1))
     assert kern.is_zero
-    out = kern.mean_contract(0.0, measure, np.zeros((5, 2)), None)
-    assert out.shape == (5, 2, 1)
-    assert np.all(out == 0.0)
-    w = np.ones((measure.size, 2))
-    out = kern.mean_contract(0.0, measure, np.zeros((5, 2)), None, weights=w)
-    assert out.shape == (5, 1)
+    assert not MeasureKernel.constant([[0.0], [0.0]]).is_zero
+    # mean_contract serves contract_fn kernels; a zero kernel adds nothing
+    # and a constant one goes through const_contract
+    for other in (kern, MeasureKernel.constant([[0.5], [0.0]])):
+        with pytest.raises(ValueError, match="contract_fn"):
+            other.mean_contract(0.0, measure, np.zeros((5, 2)), None)
 
 
 def test_constant_kernel_with_weights(measure):
     kern = MeasureKernel.constant([[0.5], [0.0]])
-    P = 7
     w = np.random.default_rng(1).standard_normal((measure.size, 2))
-    out = kern.mean_contract(0.0, measure, np.zeros((P, 2)), None, weights=w)
+    out = kern.const_contract(w.mean(axis=0))
     expected = w.mean(axis=0) @ np.array([[0.5], [0.0]])
-    np.testing.assert_allclose(out, np.tile(expected, (P, 1)), atol=1e-14)
-
-
-def test_carrier_kernel_matches_brute_force(measure):
-    def carrier(t, cx, ca, eta):
-        return np.stack([cx[:, 0], cx[:, 1] * 2.0], axis=1)  # (L, 2)
-
-    kern = MeasureKernel(out_shape=(2,), carrier_fn=carrier)
-    P = 5
-    out = kern.mean_contract(0.3, measure, np.zeros((P, 2)), None)
-    expected = np.stack([measure.x[:, 0], 2.0 * measure.x[:, 1]], axis=1).mean(axis=0)
-    np.testing.assert_allclose(out, np.tile(expected, (P, 1)), atol=1e-14)
-
-    w = np.random.default_rng(2).standard_normal((measure.size, 2))
-    outw = kern.mean_contract(0.3, measure, np.zeros((P, 2)), None, weights=w)
-    K = np.stack([measure.x[:, 0], 2.0 * measure.x[:, 1]], axis=1)
-    np.testing.assert_allclose(outw, np.full(P, (w * K).sum(axis=1).mean()), atol=1e-14)
+    np.testing.assert_allclose(out, expected, atol=1e-14)
 

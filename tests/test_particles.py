@@ -119,8 +119,6 @@ def test_non_finite_states_raise():
         dx_running=base.dx_running, da_running=base.da_running,
         dx_terminal=base.dx_terminal,
         mu_drift=MeasureKernel.zero((2, 2)), nu_drift=MeasureKernel.zero((2, 1)),
-        mu_running=MeasureKernel.zero((2,)), nu_running=MeasureKernel.zero((1,)),
-        mu_terminal=MeasureKernel.zero((2,)),
         initial_sampler=base.initial_sampler,
     )
     with pytest.raises(FloatingPointError):
@@ -198,7 +196,7 @@ def _upfront_simulate(problem, policy, N, M, seed):
         x = states[j]
         a = policy.eval_slice(j, x)
         controls[j] = a
-        eta = EmpiricalMeasure(x, a)
+        eta = EmpiricalMeasure(x, a, problem.kernel_subsample)
         b = problem.drift(j * dt, x, a, eta)
         sig = np.broadcast_to(problem.diffusion(j * dt, eta), (N, d, n))
         states[j + 1] = x + b * dt + np.einsum("pir,pr->pi", sig, dW[j])

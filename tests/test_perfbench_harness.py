@@ -39,10 +39,11 @@ try:
     )
     calls = {name: tracer.calls(name) for name in names}
     # the PDE sweep: its counters read the operator's system matrix, the
-    # measure kernels and the problem callbacks the run builds
+    # measure kernels and the problem callbacks the run builds; Cucker-Smale
+    # at beta = 1 has the one kernel that goes through mean_contract
     experiments.execute_run(RunConfig(
-        problem="portfolio", method="fipde", cells=10, time_steps=10,
-        particles=200, iterations=1,
+        problem="cs2d", method="fipde", cells=10, time_steps=10,
+        particles=200, iterations=1, problem_overrides={"beta": 1.0},
     ))
 finally:
     tracer.restore()

@@ -1,5 +1,6 @@
 """Problem definitions: derivative callbacks and model-specific values."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -36,6 +37,24 @@ def test_cs2d_derivatives_match_finite_differences():
         prob = cs2d_problem(CuckerSmaleParams(beta=beta))
         report = validate_derivatives(prob, tolerance=1e-6)
         assert report.ok, (beta, report.flagged)
+
+
+def test_derivative_errors_are_relative_to_the_derivative_scale():
+    # a terminal cost scaled by 1e-5 whose derivative is twice too large is
+    # as wrong as the unscaled one: the error is the derivative itself
+    base = portfolio_problem()
+
+    def scaled(factor):
+        return dataclasses.replace(
+            base,
+            terminal_cost=lambda x, mu: 1e-5 * base.terminal_cost(x, mu),
+            dx_terminal=lambda x, mu: factor * 1e-5 * base.dx_terminal(x, mu),
+        )
+
+    report = validate_derivatives(scaled(2.0))
+    assert set(report.flagged) == {"dx_terminal"}
+    assert report.max_rel_error["dx_terminal"] == pytest.approx(0.5, rel=1e-6)
+    assert validate_derivatives(scaled(1.0), tolerance=1e-6).ok
 
 
 def test_portfolio_pointwise_values():
@@ -124,8 +143,6 @@ def _gradient_slice_einsum(problem, policy, ensemble, adjoint, j, kernel_subsamp
     elif not problem.nu_drift.is_zero:
         w = adjoint.u_at_points(j, eta_k.x)
         grad += problem.nu_drift.mean_contract(t, eta_k, X, psi, weights=w)
-    if not problem.nu_running.is_zero:
-        grad += problem.nu_running.mean_contract(t, eta_k, X, psi)
     return grad
 
 
@@ -145,8 +162,6 @@ def _assemble_source_einsum(problem, policy, ensemble, U_next, j, kernel_subsamp
     elif not problem.mu_drift.is_zero:
         w = multilinear_eval(grid, U_next.reshape(grid.nodes + (-1,)), eta_k.x)
         src += problem.mu_drift.mean_contract(t, eta_k, X, psi, weights=w)
-    if not problem.mu_running.is_zero:
-        src += problem.mu_running.mean_contract(t, eta_k, X, psi)
     return src
 
 
@@ -159,7 +174,7 @@ def _bits(a):
 def test_hamiltonian_derivative_matches_the_einsum_copies_bitwise(model, subsample, stride):
     # d = 2: the column products sum as einsum does, bit for bit.  Portfolio
     # has a constant control kernel, Cucker-Smale a contracted (beta = 1) or
-    # constant (beta = 0) state kernel and a carrier cost kernel.
+    # constant (beta = 0) state kernel.
     if model == "portfolio":
         prob = portfolio_problem(kernel_subsample=subsample)
         grid = portfolio_grid(cells=10, time_steps=6)
@@ -174,9 +189,7 @@ def test_hamiltonian_derivative_matches_the_einsum_copies_bitwise(model, subsamp
         warnings.simplefilter("ignore", RuntimeWarning)  # particles leaving the box
         ens = simulate(prob, policy, 400, M, 2)
     assert ens.measure(0).stride(subsample) == stride
-    pde = AdjointField(
-        GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (2,))), ens, subsample
-    )
+    pde = AdjointField(GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (2,))), ens)
     ncells = int(np.prod(np.array(grid.nodes) - 1))
     reg = regress_adjoint(
         prob, ens, grid,

@@ -7,6 +7,8 @@ distinct x-values than interpolation nodes they interpolate the sums in x,
 which agrees to rounding level.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,11 @@ from hypothesis import strategies as st
 from mfcontrol import (
     CuckerSmaleParams,
     EmpiricalMeasure,
+    PolicyField,
     cs2d_grid,
     cs2d_problem,
     portfolio_problem,
+    simulate,
 )
 from mfcontrol.problems import _cheb_nodes, _inv_pow, _kernel_sums
 
@@ -85,12 +89,13 @@ def _assert_close(got, want):
 @pytest.mark.parametrize("kind", ["lattice", "cloud", "repeated"])
 def test_cs_kernels_match_pairwise_oracle(beta, kind):
     p = CuckerSmaleParams(beta=beta, K=1.3)
-    prob = cs2d_problem(p, kernel_subsample=150)
+    prob = cs2d_problem(p)
     rng = np.random.default_rng(int(beta * 10) + len(kind))
+    # the drift sums over the atoms under the law's own cap
     eta = EmpiricalMeasure(
-        rng.normal((1.5, 1.5), 0.6, (450, 2)), rng.standard_normal((450, 1))
+        rng.normal((1.5, 1.5), 0.6, (450, 2)), rng.standard_normal((450, 1)), 150
     )
-    etas = eta.strided(prob.kernel_subsample)
+    etas = eta.strided(150)
     X = _points(kind, rng)
     a = rng.standard_normal((X.shape[0], 1))
 
@@ -105,6 +110,28 @@ def test_cs_kernels_match_pairwise_oracle(beta, kind):
     for weights in (None, u):
         got = prob.mu_drift.mean_contract(0.0, eta, X, a, weights=weights)
         _assert_close(got, _oracle_mean_contract(p, eta, X, weights))
+
+
+def test_the_cap_follows_dataclasses_replace():
+    # the drift closures read the cap from the law that simulate hands them,
+    # so a replaced cap reaches them as it reaches the adjoints
+    params = CuckerSmaleParams(beta=10.0)
+    replaced = dataclasses.replace(cs2d_problem(params, kernel_subsample=500), kernel_subsample=50)
+    fresh = cs2d_problem(params, kernel_subsample=50)
+    policy = PolicyField.zeros(cs2d_grid(params, cells=10, time_steps=2), 1)
+    got = simulate(replaced, policy, 2000, 2, 0)
+    want = simulate(fresh, policy, 2000, 2, 0)
+    np.testing.assert_array_equal(got.states, want.states)
+    assert got.kernel_subsample == want.kernel_subsample == 50
+    eta, eta_fresh = got.measure(1), want.measure(1)
+    for name in ("drift", "dx_drift"):
+        np.testing.assert_array_equal(
+            getattr(replaced, name)(0.5, eta.x, eta.a, eta),
+            getattr(fresh, name)(0.5, eta_fresh.x, eta_fresh.a, eta_fresh),
+        )
+    # the cap matters at N = 2000: 500 atoms give other paths than 50
+    other = simulate(cs2d_problem(params, kernel_subsample=500), policy, 2000, 2, 0)
+    assert not np.array_equal(other.states, want.states)
 
 
 @pytest.mark.parametrize("cap", [2.5, "500"])
