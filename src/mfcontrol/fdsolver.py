@@ -5,102 +5,359 @@ discretized with implicit timestepping for the local generator (upwind
 first-order terms, central second-order terms, all stencil weights
 nonnegative) and explicit timestepping for the nonlocal source.  Boundary
 nodes of the truncated box hold the terminal condition as Dirichlet data.
-Each interior step solves a sparse M-matrix system per solution
-component, factored once per slice by a sparse LU without pivoting.
+Each interior step solves an M-matrix system per solution component, with
+an exact direct solve in numpy alone.
 
-The elimination order is block-triangular.  A model that diffuses in only
-some dimensions has only upwind advection in the others, so the graph of
-I - dt*L splits into many strongly connected components, and sorting the
-nodes by component makes the system block lower-triangular: the LU fills
-only the diagonal blocks.  Within a component the nodes keep the lattice's
-fill-reducing order.  A sweep whose operator does not change from one slice
-to the next (the zero policy of a first iteration) factors it once.
-
-scipy is imported inside the functions that use it, not at the top of the
-module: importing scipy.sparse, its linalg and csgraph costs about 0.3 s
-and 25-33 MB of resident memory, and only the PDE adjoint needs them.
-`import mfcontrol` and a job with the regression adjoint (method = emreg)
-load no scipy; a PDE job loads it at its first build_operator.
+The solve follows the stencil's line structure.  At most one dimension
+diffuses.  The lines of nodes along it (along the last dimension if none
+diffuses) are tridiagonal blocks of I - dt*L.  Every other dimension is
+only advected, upwind, and couples a line to a neighbouring line through a
+diagonal block, where the drift points from the one to the other.  So the
+graph of the lines splits into strongly connected components: single lines,
+and runs of lines where the drift across them changes sign towards each
+other.  In the components' topological order the system is block
+lower-triangular, and one walk over the components solves it: a single
+line applies the precomputed inverse of its tridiagonal block, a run is
+eliminated line by line.  A sweep whose operator does not change from one
+slice to the next (the zero policy of a first iteration) plans it once.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-from .grids import GridField, PolicyField, SpaceTimeGrid, _read_only, deposit
+from .grids import GridField, PolicyField, SpaceTimeGrid, deposit
 # bound only because perfbench/run.py traces this name on this module
 from .grids import multilinear_eval  # noqa: F401
 from .particles import BoundAdjoint, ParticleEnsemble
 from .problem import MfcProblem
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 _SOLVE_TOL = 1e-10  # on the residual relative to |rhs|_inf
 
-# SuperLU settings of the per-slice factorisation.  The matrix arrives in a
-# fill-reducing order (_elimination_order), so no column ordering is computed
-# ("NATURAL"), and the diagonal pivot is always taken (threshold 0).  Small
-# supernodes (relax, panel_size) cut the factor time of a 51 x 51 portfolio
-# slice by a quarter to two thirds against SuperLU's defaults.
-_LU_OPTIONS = dict(
-    permc_spec="NATURAL",
-    diag_pivot_thresh=0.0,
-    relax=1,
-    panel_size=1,
-    options={"SymmetricMode": True},
-)
+# Work allowed for the elimination of one multi-line component, in entries
+# of its n x n block products (n nodes per line).  A run of m adjacent lines
+# in 2D takes 2(m - 1) products; a component whose fill takes more raises
+# instead of running for minutes.
+_MAX_RUN_WORK = 1 << 24
 
 
-@functools.lru_cache(maxsize=16)
-def _fill_order(nodes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Fill-reducing elimination order of the (2d+1)-point node lattice.
+def _c_strides(nodes: tuple[int, ...]) -> list[int]:
+    """Flat-index step of each dimension of a C-order lattice."""
+    return [int(np.prod(nodes[i + 1:])) for i in range(len(nodes))]
 
-    _elimination_order keeps it within each strongly connected component
-    of a slice's system.  Returns (order, rank), read-only: order lists
-    the flat node indices in elimination order and rank is its inverse,
-    rank[order[k]] = k.  The order comes from SuperLU's minimum degree on
-    A + A^T for a strictly diagonally dominant matrix on the full lattice
-    stencil, whose pattern contains that of every I - dt*L on these nodes.  SuperLU's perm_c maps
-    a column to its position, so it is the rank and its inverse the order.
+
+class BandMatrix:
+    """Square matrix on a node lattice, stored by stencil entry.
+
+    band has shape (2d+1, P): band[e, k] is the entry of row k in column
+    k + offsets[e], with offsets -s_0 < ... < -s_{d-1} < 0 < s_{d-1} < ...
+    < s_0 for the C-order strides s_i of `nodes`.  So band[i] holds the
+    backward neighbours in dimension i, band[2d - i] the forward ones and
+    band[d] the diagonal.  Rows on the boundary of the lattice hold only
+    their diagonal entry, so no entry reaches past the lattice.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
 
-    lattice = None
-    for n in reversed(nodes):  # C order: the last dimension has stride 1
-        path = sp.diags([-1.0, -1.0], [-1, 1], shape=(n, n))
-        lattice = path if lattice is None else sp.kronsum(lattice, path)
-    dominant = lattice + (2 * len(nodes) + 1) * sp.identity(lattice.shape[0])
-    lu = splu(
-        dominant.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    rank = lu.perm_c.astype(np.int64)
-    return _read_only(np.argsort(rank)), _read_only(rank)
+    def __init__(self, band: np.ndarray, nodes: tuple[int, ...]):
+        self.band, self.nodes = band, tuple(nodes)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.band.shape[1],) * 2
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.band))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """Product with x of shape (P,) or (P, c), by shifted slices."""
+        d, band = len(self.nodes), self.band
+        xt = np.ascontiguousarray(x.T)  # (c, P): each slice runs along P
+        y = band[d] * xt
+        for i, s in enumerate(_c_strides(self.nodes)):
+            y[..., s:] += band[i, s:] * xt[..., :-s]
+            y[..., :-s] += band[2 * d - i, :-s] * xt[..., s:]
+        return y.T
+
+    def toarray(self) -> np.ndarray:
+        """Dense copy, with +0.0 wherever the band holds a zero."""
+        s = np.array(_c_strides(self.nodes))
+        offsets = np.concatenate([-s, [0], s[::-1]])
+        e, rows = np.nonzero(self.band)
+        out = np.zeros(self.shape)
+        out[rows, rows + offsets[e]] = self.band[e, rows]
+        return out
 
 
-def _elimination_order(system: sp.csr_matrix, lattice_rank: np.ndarray) -> np.ndarray:
-    """Block-triangular elimination order of one slice's system.
+def _tridiagonal_inverses(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Inverses of L tridiagonal n x n matrices; shape (n, n, L), the inverse
+    of matrix l in [:, :, l].
 
-    Nodes are sorted by their strongly connected component in the graph of
-    the system (an edge r -> c for each nonzero (r, c)), ties broken by
-    their rank in the lattice's fill order.  scipy numbers the components
-    so that comp[r] >= comp[c] for every nonzero, which makes the reordered
-    system block lower-triangular.
+    Row p of matrix l holds a[l, p] in column p - 1, b[l, p] on the
+    diagonal and c[l, p] in column p + 1.  Above its diagonal entry a column
+    of the inverse decays by the ratios c_p / top_p of the elimination from
+    the top, below it by the ratios a_p / bot_p of the elimination from the
+    bottom (Meurant, SIAM J. Matrix Anal. Appl. 13(3), 1992).  The pivots of
+    a nonsingular M-matrix are positive and its ratios lie in [0, 1), so the
+    decay is stable.  A zero pivot raises RuntimeError.
     """
-    from scipy.sparse.csgraph import connected_components
+    L, n = b.shape
+    a, b, c = (np.ascontiguousarray(v.T) for v in (a, b, c))  # (n, L): row p
+    ca = c[:-1] * a[1:]  # c_p a_{p+1}, shared by both eliminations
+    # the pivots from the top and from the bottom, side by side:
+    # piv[p] = (top_p, bot_{n-1-p})
+    piv = np.empty((n, 2, L))
+    piv[0] = b[0], b[-1]
+    rows, cross = np.stack([b[1:], b[-2::-1]], axis=1), np.stack([ca, ca[::-1]], axis=1)
+    tmp = np.empty((2, L))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p in range(n - 1):
+            np.divide(cross[p], piv[p], out=tmp)
+            np.subtract(rows[p], tmp, out=piv[p + 1])
+        top, bot = piv[:, 0], piv[::-1, 1]
+        up = -c[:-1] / top[:-1]  # negated ratios
+        down = -a[1:] / bot[1:]
+        mid = top.copy()  # b_p - a_p c_{p-1} / top_{p-1} - c_p a_{p+1} / bot_{p+1}
+        mid[:-1] -= ca / bot[1:]
+    if not (top.all() and bot.all() and mid.all()):
+        raise RuntimeError("zero pivot in a line block of I - dt L: the system is singular")
+    # the lines innermost, so that each step is one run over contiguous rows
+    inv = np.empty((n, n, L))
+    inv[range(n), range(n)] = 1.0 / mid
+    for p in range(n - 2, -1, -1):
+        np.multiply(up[p], inv[p + 1, p + 1:], out=inv[p, p + 1:])
+    for p in range(1, n):
+        np.multiply(down[p - 1], inv[p - 1, :p], out=inv[p, :p])
+    return inv
 
-    _, comp = connected_components(system, directed=True, connection="strong")
-    # unique keys: component first, then lattice rank
-    return np.argsort(comp.astype(np.int64) * lattice_rank.size + lattice_rank)
+
+def _strong_components(succ: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of a digraph given by successor lists,
+    each sorted, every component listed after all components it reaches
+    (Tarjan's algorithm, without recursion)."""
+    n = len(succ)
+    index, low = [-1] * n, [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, i = work.pop()
+            if i == 0:
+                index[v] = low[v] = count
+                count += 1
+                stack.append(v)
+                on_stack[v] = True
+            for k in range(i, len(succ[v])):
+                w = succ[v][k]
+                if index[w] < 0:
+                    work += [(v, k + 1), (w, 0)]
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack[comp[-1]] = False
+                    comps.append(sorted(comp))
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+    return comps
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for n x n blocks, either of them given as the 1-D diagonal of a
+    diagonal block (not both)."""
+    if a.ndim == 1:
+        return a[:, None] * b
+    return a * b if b.ndim == 1 else a @ b
+
+
+def _pivot_inverse(row: np.ndarray, line_inverse: np.ndarray, updates: list, D: int):
+    """Inverse of the pivot block T - sum(multiplier @ block) of one line.
+
+    row is the line's slice of the band, (2d+1, n), T its tridiagonal block
+    and line_inverse T^{-1}.  In a run of lines in 2D the pivot loses one
+    product M diag(f), and f, the coupling to the next line, is nonzero
+    only on the nodes where the drift points there, often a few.  Then the
+    Sherman-Morrison-Woodbury formula corrects T^{-1} through a small
+    system on those nodes instead of inverting the whole block.
+    """
+    if not updates:
+        return line_inverse
+    n = row.shape[1]
+    try:
+        if len(updates) == 1 and updates[0][1].ndim == 1:
+            multiplier, f = updates[0]
+            J = np.flatnonzero(f)
+            if 2 * J.size <= n:
+                # T - M diag(f) = T - U E_J^T with U = M[:, J] f_J
+                W = line_inverse @ (multiplier[:, J] * f[J])
+                small = np.eye(J.size) - W[J]
+                return line_inverse + W @ np.linalg.solve(small, line_inverse[J])
+        d = row.shape[0] // 2
+        block = np.zeros((n, n))
+        block.flat[:: n + 1] = row[d]
+        block.flat[n :: n + 1] = row[D, 1:]
+        block.flat[1 :: n + 1] = row[2 * d - D, :-1]
+        for multiplier, upper in updates:
+            block -= _times(multiplier, upper)
+        return np.linalg.inv(block)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"singular pivot block in I - dt L: {exc}") from exc
+
+
+class _LinePlan:
+    """Exact solve of a BandMatrix system on its line structure (see the
+    module docstring), made once per distinct system.
+
+    line_dim is the dimension whose neighbours enter some row on both sides
+    (the diffusive one), the last dimension if there is none.  Lines are
+    numbered in C order over the other dimensions; components lists the
+    lines of each strongly connected component of the line graph in solve
+    order, after every component it reads.
+    """
+
+    def __init__(self, system: BandMatrix):
+        nodes, band = system.nodes, system.band
+        d = len(nodes)
+        two_sided = [np.logical_and(band[i], band[2 * d - i]).any() for i in range(d)]
+        D = self.line_dim = int(np.argmax(two_sided)) if any(two_sided) else d - 1
+        n = nodes[D]
+        across = nodes[:D] + nodes[D + 1:]
+        # rhs (nodes..., c) -> (lines..., c, n) and back
+        self._to_lines = [i for i in range(d) if i != D] + [d, D]
+        self._from_lines = list(np.argsort(self._to_lines))
+        self._nodes, self._lines = nodes, across + (n,)
+        lined = np.moveaxis(band.reshape((2 * d + 1,) + nodes), 1 + D, -1).reshape(2 * d + 1, -1, n)
+        inv = _tridiagonal_inverses(lined[D], lined[d], lined[2 * d - D])
+
+        # line l reads line l + step through the coefficients coef[l] (n,)
+        links = []
+        for i, t in zip([i for i in range(d) if i != D], _c_strides(across)):
+            links += [(lined[i], -t), (lined[2 * d - i], t)]
+        succ: list[list[int]] = [[] for _ in range(lined.shape[1])]
+        reads = []
+        for coef, t in links:
+            reads.append(coef.any(axis=1).tolist())
+            for line in np.flatnonzero(reads[-1]).tolist():
+                succ[line].append(line + t)
+        self.components = _strong_components(succ)
+
+        # a single line l: (l, its inverse transposed, the lines it reads
+        # as (coefficients, line)); a run of lines: its _Run
+        self._steps: list = []
+        for lines in self.components:
+            if len(lines) == 1:
+                line = lines[0]
+                reads_from = [(coef[line], line + t) for (coef, t), r in zip(links, reads) if r[line]]
+                self._steps.append((line, inv[:, :, line].T, reads_from))
+                continue
+            pos = {line: k for k, line in enumerate(lines)}
+            outside: list[list] = [[] for _ in lines]
+            inside = {}
+            for k, line in enumerate(lines):
+                for (coef, t), r in zip(links, reads):
+                    if r[line]:
+                        j = pos.get(line + t)
+                        if j is None:
+                            outside[k].append((coef[line], line + t))
+                        else:
+                            inside[k, j] = coef[line]
+            self._steps.append(_Run(lines, outside, inside, lined, inv, D))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution of system @ x = rhs, rhs of shape (P,) or (P, c)."""
+        c = rhs.size // rhs.shape[0]
+        # line l's right-hand sides as the rows of R[l], (c, n)
+        R = np.empty(self._lines[:-1] + (c, self._lines[-1]))
+        R[...] = rhs.reshape(self._nodes + (c,)).transpose(self._to_lines)
+        R = R.reshape(-1, c, self._lines[-1])
+        X = np.empty_like(R)
+        for step in self._steps:
+            if type(step) is _Run:
+                step.solve(R, X)
+                continue
+            line, inverse_t, reads_from = step
+            r = R[line]
+            for coef, other in reads_from:
+                r -= coef * X[other]
+            np.matmul(r, inverse_t, out=X[line])
+        X = X.reshape(self._lines[:-1] + (c, self._lines[-1])).transpose(self._from_lines)
+        return X.reshape(rhs.shape)
+
+
+class _Run:
+    """Block LU, without pivoting, of one multi-line component.
+
+    lines are increasing; outside[k] lists the couplings of line k to lines
+    of earlier components, (coefficients, line), and blocks maps (k, j) to
+    the coefficients of line k's rows in line j's columns inside the
+    component, the diagonal of that block.  The elimination keeps, per line
+    k, the inverse pivot block, the multipliers (j, A_kj P_j^{-1}) for j < k
+    and the blocks (j, U_kj) for j > k, a 1-D diagonal where no fill
+    reached them.  For a run of adjacent lines in 2D this is
+    block-tridiagonal elimination and fills nothing.  Raises RuntimeError
+    once the block products pass _MAX_RUN_WORK entries.
+    """
+
+    def __init__(self, lines, outside, blocks, lined, inv, D):
+        m, n = len(lines), lined.shape[2]
+        self.lines, self.outside = lines, outside
+        self.pivots, self.lower, self.upper = [], [[] for _ in lines], [[] for _ in lines]
+        # per line, the products (multiplier, block) its pivot block lost
+        updates: dict[int, list] = {}
+        work = 0
+        for k in range(m):
+            self.pivots.append(_pivot_inverse(lined[:, lines[k]], inv[:, :, lines[k]],
+                                              updates.pop(k, []), D))
+            upper = [(j, blocks.pop((k, j))) for j in range(k + 1, m) if (k, j) in blocks]
+            self.upper[k] = upper
+            for i in range(k + 1, m):
+                if (i, k) not in blocks:
+                    continue
+                multiplier = _times(blocks.pop((i, k)), self.pivots[k])
+                self.lower[i].append((k, multiplier))
+                work += n * n * (1 + len(upper))
+                if work > _MAX_RUN_WORK:
+                    raise RuntimeError(
+                        f"the elimination of a component of {m} lines of {n} nodes takes "
+                        f"more than {_MAX_RUN_WORK} entries of block products; the line "
+                        "solve expects lines coupled upwind, as with one diffusive dimension"
+                    )
+                for j, block in upper:
+                    if i == j:
+                        updates.setdefault(i, []).append((multiplier, block))
+                        continue
+                    old = blocks.get((i, j), 0.0)
+                    old = np.diag(old) if np.ndim(old) == 1 else old
+                    blocks[i, j] = old - _times(multiplier, block)
+
+    def solve(self, R: np.ndarray, X: np.ndarray) -> None:
+        """Write the solution of the component's lines into X, given those of
+        the components it reads; R, the right-hand sides, is overwritten."""
+        lines = self.lines
+        for k, line in enumerate(lines):
+            r = R[line]
+            for coef, other in self.outside[k]:
+                r -= coef * X[other]
+            for j, multiplier in self.lower[k]:
+                r -= R[lines[j]] @ multiplier.T
+        for k in range(len(lines) - 1, -1, -1):
+            r = R[lines[k]]
+            for j, block in self.upper[k]:
+                r -= _times(X[lines[j]], block.T)
+            np.matmul(r, self.pivots[k].T, out=X[lines[k]])
 
 
 @dataclass
@@ -113,48 +370,25 @@ class MonotoneOperator:
     """
 
     grid: SpaceTimeGrid
-    system: sp.csr_matrix
-    _lu: object = None
-    _order: Optional[np.ndarray] = None
-    _rank: Optional[np.ndarray] = None
+    system: BandMatrix
+    _plan: Optional[_LinePlan] = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Direct sparse solve of (I - dt L) u = rhs with a cached LU factor.
+        """Direct solve of (I - dt L) u = rhs with a cached line plan.
 
-        The system is factored as B = Q^T (I - dt L) Q without pivoting, Q
-        the block-triangular order of _elimination_order: nodes sorted by
-        strongly connected component, each component in the lattice's
-        fill-reducing order (_fill_order).  B is block lower-triangular, so
-        the factor fills only its diagonal blocks.  Skipping the pivoting
-        is safe: I - dt L is a nonsingular M-matrix (nonpositive
+        The plan (_LinePlan) orders the lines of the system by strongly
+        connected component and eliminates without pivoting.  Skipping the
+        pivoting is safe: I - dt L is a nonsingular M-matrix (nonpositive
         off-diagonal entries, row sums 1, hence strictly diagonally
-        dominant), every symmetric permutation of an M-matrix is one, and
-        so is every Schur complement of one, so each pivot of the
-        elimination is positive, whatever the order.  A failed
-        factorisation (a zero pivot on a system not built by
-        build_operator) or a residual above _SOLVE_TOL * |rhs|_inf raises
-        RuntimeError at once; a zero rhs must give a zero residual.
+        dominant), every symmetric permutation of an M-matrix is one, and so
+        is every Schur complement of one, so each pivot of the elimination
+        is positive, whatever the order.  A zero pivot (on a system not
+        built by build_operator) or a residual above _SOLVE_TOL * |rhs|_inf
+        raises RuntimeError at once; a zero rhs must give a zero residual.
         """
-        if self._lu is None:
-            from scipy.sparse.linalg import splu
-
-            order = _elimination_order(self.system, _fill_order(self.grid.nodes)[1])
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            # rows in elimination order, then columns relabelled by rank;
-            # tocsc sorts each column's row indices
-            permuted = self.system[order]
-            permuted.indices = rank[permuted.indices]
-            permuted.has_sorted_indices = False
-            try:
-                self._lu = splu(permuted.tocsc(), **_LU_OPTIONS)
-            except RuntimeError as exc:
-                raise RuntimeError(f"sparse LU of I - dt L failed: {exc}") from exc
-            self._order, self._rank = order, rank
-        # take gathers rows with the bits of fancy indexing in a tenth of its
-        # time on (n, c) arrays; rank, the inverse of order, returns the
-        # solution to node order
-        sol = self._lu.solve(rhs.take(self._order, axis=0)).take(self._rank, axis=0)
+        if self._plan is None:
+            self._plan = _LinePlan(self.system)
+        sol = self._plan.solve(rhs)
         res = np.abs(self.system @ sol - rhs).max()
         scale = np.abs(rhs).max()
         tol = _SOLVE_TOL * scale
@@ -193,29 +427,6 @@ class AdjointField(BoundAdjoint):
         return deposit(self.u.grid, x) @ self.u_at_nodes(j) / x.shape[0]
 
 
-def _pattern_csr(data: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix from per-row entries (num_rows, width), exact zeros dropped."""
-    import scipy.sparse as sp
-
-    n = data.shape[0]
-    keep = data != 0.0
-    counts = np.zeros(n, dtype=np.int64)
-    for column in keep.T:  # faster than a row-wise reduction over a few columns
-        counts += column
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return sp.csr_matrix((data[keep], cols[keep], indptr), shape=(n, n))
-
-
-def _same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
-    """Whether two CSR matrices hold equal indptr, indices and data arrays."""
-    return (
-        np.array_equal(a.indptr, b.indptr)
-        and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.data, b.data)
-    )
-
-
 def build_operator(
     problem: MfcProblem,
     policy: PolicyField,
@@ -230,11 +441,13 @@ def build_operator(
     read once per slice, as the (d, n) matrix problem.diffusion(t, eta); a
     wrong shape raises ValueError.  Requires a diagonal diffusion matrix;
     off-diagonal mass above 1e-12 of the largest diagonal entry would
-    produce negative stencil weights and is rejected.
+    produce negative stencil weights and is rejected.  So is diffusion in
+    more than one dimension, which would join all interior nodes into one
+    component of the line solve (see the module docstring).
 
-    I - dt*L is written straight into CSR on the fixed (2d+1)-point row
-    pattern, with exact zeros dropped: the same arrays, bit for bit, as
-    assembling L from COO and forming I - dt*L with scipy's sparse algebra.
+    I - dt*L is kept as the (P, 2d+1) band of the (2d+1)-point stencil
+    (BandMatrix): entry for entry, bit for bit, the matrix that assembling L
+    from COO triplets and forming I - dt*L with sparse algebra gives.
     """
     t, X, psi = j * grid.dt, grid.node_coords(), policy.slice_flat(j)
     eta = ensemble.measure(j)
@@ -252,36 +465,37 @@ def build_operator(
             "sigma sigma^T has off-diagonal mass; the upwind/central stencil "
             "is monotone only for diagonal diffusion"
         )
+    if np.count_nonzero(diag > 0) > 1:
+        raise ValueError(
+            f"sigma sigma^T diffuses in dimensions {np.flatnonzero(diag > 0).tolist()}; "
+            "the adjoint's line solve needs at most one diffusive dimension"
+        )
 
     P = grid.num_nodes
     h = grid.h
-    strides = grid.strides
     boundary = grid.boundary_mask()
 
-    # Row k holds columns k - s_0 < ... < k - s_{d-1} < k < k + s_{d-1} < ...
-    # < k + s_0 (s_i the stride of dimension i): entry i is the backward
-    # neighbour in dimension i, entry 2d - i the forward one, entry d the
-    # diagonal.  Boundary rows of L are zero, so their out-of-range columns
-    # are always dropped.
-    offsets = np.concatenate([-strides, [0], strides[::-1]])
-    cols = np.arange(P)[:, None] + offsets
-    L = np.zeros((P, 2 * d + 1))
+    # Entries e = 0 .. 2d of row k lie in columns k - s_0 < ... < k - s_{d-1}
+    # < k < k + s_{d-1} < ... < k + s_0 (s_i the stride of dimension i):
+    # entry i is the backward neighbour in dimension i, entry 2d - i the
+    # forward one, entry d the diagonal.  Boundary rows of L are zero.
+    L = np.zeros((2 * d + 1, P))
     for i in range(d):
         half_diffusion = 0.5 * diag[i] / h[i] ** 2
         up = np.maximum(b[:, i], 0.0) / h[i] + half_diffusion
         dn = np.maximum(-b[:, i], 0.0) / h[i] + half_diffusion
         if np.any((np.minimum(up, dn) < 0) & ~boundary):
             raise ValueError(f"negative stencil weight along dimension {i}")
-        L[:, 2 * d - i] = up
-        L[:, i] = dn
-        L[:, d] -= up + dn
-    L[boundary] = 0.0
+        L[2 * d - i] = up
+        L[i] = dn
+        L[d] -= up + dn
+    L[:, boundary] = 0.0
 
     # 1 - dt*L_kk on the diagonal, -dt*L_kq off it; x * -dt equals
     # 0 - dt*x and 1 + x * -dt equals 1 - dt*x, bit for bit
     system = L * -grid.dt
-    system[:, d] += 1.0
-    return MonotoneOperator(grid=grid, system=_pattern_csr(system, cols))
+    system[d] += 1.0
+    return MonotoneOperator(grid=grid, system=BandMatrix(system, grid.nodes))
 
 
 def assemble_source(
@@ -319,12 +533,11 @@ def backward_sweep(
     the control gradient are linearised at, under the ensemble's atom cap.
     Terminal slice is the discretized terminal condition; boundary nodes
     hold the terminal data as Dirichlet data for all times; each interior
-    step solves (I - dt L) U^{j-1} = U^j + dt f per component with a shared
-    sparse factorization.  A slice whose system has the CSR arrays of the
-    previous slice's (indptr, indices and data all equal) reuses that
-    operator and its factor, so the result is the same, bit for bit, as
-    factoring every slice: under the zero policy of a first iteration all
-    M slices share one factor.
+    step solves (I - dt L) U^{j-1} = U^j + dt f for all components at once.
+    A slice whose system band equals the previous slice's reuses that
+    operator and its line plan, so the result is the same, bit for bit, as
+    planning every slice: under the zero policy of a first iteration all M
+    slices share one plan.
     """
     d = problem.state_dim
     dt, h = grid.dt, grid.h
@@ -346,7 +559,7 @@ def backward_sweep(
     op = None
     for j in range(M, 0, -1):
         new_op = build_operator(problem, policy, ensemble, grid, j - 1)
-        if op is None or not _same_csr(new_op.system, op.system):
+        if op is None or not np.array_equal(new_op.system.band, op.system.band):
             op = new_op
         src = assemble_source(problem, policy, adjoint, grid, j)
         rhs = U[j] + dt * src

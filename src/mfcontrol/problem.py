@@ -158,7 +158,9 @@ def validate_derivatives(
 ) -> DerivativeReport:
     """Check every declared pointwise derivative against central differences.
 
-    Random points (t, x, a) are drawn around the initial law; the measure
+    Random points (x, a) are drawn around the initial law and checked at
+    four of the random times, spread over the horizon: the earliest, the
+    latest and two between.  The measure
     argument is held fixed while x or a is perturbed, so only pointwise
     derivatives are exercised.  sigma takes no x or a, so it has none to
     check.  The error of each output component is relative to its largest
@@ -175,6 +177,7 @@ def validate_derivatives(
     xs = problem.initial_sampler(samples, rng) + 0.5 * rng.standard_normal((samples, d))
     aa = rng.standard_normal((samples, k))
     ts = rng.uniform(0.0, problem.horizon, samples)
+    times = np.unique(np.sort(ts)[np.linspace(0, samples - 1, 4).round().astype(int)])
     meas = EmpiricalMeasure(
         problem.initial_sampler(64, rng), rng.standard_normal((64, k)),
         problem.kernel_subsample,
@@ -182,7 +185,7 @@ def validate_derivatives(
 
     def _check(name, base, deriv, wrt):
         worst = 0.0
-        for t in np.unique(ts)[:4]:
+        for t in times:
             x0, a0 = xs.copy(), aa.copy()
 
             def base_at(arg):

@@ -340,7 +340,7 @@ _SCIPY_PROBE = """
 import json, sys
 
 def scipy_state():
-    return {name: name in sys.modules for name in ("scipy", "scipy.sparse.linalg")}
+    return {name: name in sys.modules for name in ("scipy", "scipy.sparse")}
 
 import mfcontrol
 from mfcontrol import experiments
@@ -357,7 +357,7 @@ print(json.dumps(seen))
 """
 
 
-def test_only_the_pde_adjoint_loads_scipy(tmp_path):
+def test_no_job_stage_loads_scipy(tmp_path):
     # a fresh process: this one has scipy loaded already
     emreg = tmp_path / "emreg.cfg"
     emreg.write_text(TINY + "method = emreg\n")
@@ -369,15 +369,41 @@ def test_only_the_pde_adjoint_loads_scipy(tmp_path):
         check=True, timeout=300,
     )
     seen = json.loads(done.stdout.splitlines()[-1])
-    for stage in ("import", "build", "emreg run"):
-        assert seen[stage] == {"scipy": False, "scipy.sparse.linalg": False}, stage
-    assert seen["fipde run"] == {"scipy": True, "scipy.sparse.linalg": True}
+    for stage in ("import", "build", "emreg run", "fipde run"):
+        assert seen[stage] == {"scipy": False, "scipy.sparse": False}, stage
+
+
+_NO_SCIPY = """
+import sys
+
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from mfcontrol.cli import main
+
+sys.exit(main(["run", sys.argv[1]]) or main(["run", sys.argv[2]]))
+"""
+
+
+def test_pde_jobs_run_without_scipy(tmp_path):
+    # as on an install with numpy alone: both models through the PDE adjoint
+    portfolio = _cfg(tmp_path, TINY + f"method = fipde\noutput = {tmp_path / 'p'}\n")
+    cs = tmp_path / "cs.cfg"
+    cs.write_text(
+        "problem = cs2d\ngrid.cells = 8\ngrid.time_steps = 5\nparticles = 200\n"
+        f"iterations = 1\nmethod = fipde\noutput = {tmp_path / 'cs'}\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, portfolio, str(cs)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        check=True, timeout=300,
+    )
+    for out in ("p", "cs"):
+        assert (tmp_path / out / "report.json").exists()
 
 
 def test_sweep_is_thread_count_invariant_from_a_fresh_process(tmp_path):
     # unlike test_robustness_sweep_is_thread_count_invariant, the process
-    # starts without scipy, so with four workers its first import runs on
-    # concurrent threads, in the cells' PDE reference solves
+    # starts cold, so with four workers the cells' first PDE reference
+    # solves run on concurrent threads
     cfg = _cfg(
         tmp_path,
         "problem = portfolio\ngrid.cells = 6\ngrid.time_steps = 6\nparticles = 200\n"

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from mfcontrol import (
     AdjointField,
@@ -27,7 +26,7 @@ from mfcontrol import (
     simulate,
 )
 from mfcontrol import fdsolver
-from mfcontrol.fdsolver import MonotoneOperator
+from mfcontrol.fdsolver import BandMatrix, MonotoneOperator
 
 
 def _linear_1d_problem(b=0.0, sigma=np.sqrt(2.0), source=None, terminal=None):
@@ -111,14 +110,13 @@ def test_stencil_nonnegative_off_diagonal_on_models():
     for prob, grid in [(portfolio_problem(), portfolio_grid())]:
         policy, ens = _setup(prob, grid, N=256)
         for j in (0, 25, 49):
-            op = build_operator(prob, policy, ens, grid, j)
-            sys_ = op.system.tocoo()
-            off_sys = sys_.data[sys_.row != sys_.col]
+            band = build_operator(prob, policy, ens, grid, j).system.band
+            off_sys = np.delete(band, grid.state_dim, axis=0)
             assert np.all(off_sys <= 0.0)  # M-matrix sign pattern
             # rows of L sum to zero, so every row of I - dt*L sums to one
             # and the diagonal dominates strictly
-            np.testing.assert_allclose(op.system.sum(axis=1).A1, 1.0, rtol=0, atol=1e-12)
-            assert np.all(op.system.diagonal() >= 1.0)
+            np.testing.assert_allclose(band.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+            assert np.all(band[grid.state_dim] >= 1.0)
 
 
 def test_off_diagonal_diffusion_rejected():
@@ -191,7 +189,16 @@ def _coo_system(problem, policy, ensemble, grid, j):
     return (sp.identity(P, format="csr") - grid.dt * L).tocsr()
 
 
-def _assert_same_csr(got, want):
+def _as_csr(system):
+    """The nonzero entries of a BandMatrix as a CSR matrix."""
+    s = np.array([int(np.prod(system.nodes[i + 1:])) for i in range(len(system.nodes))])
+    e, rows = np.nonzero(system.band)
+    cols = rows + np.concatenate([-s, [0], s[::-1]])[e]
+    return sp.csr_matrix((system.band[e, rows], (rows, cols)), shape=system.shape)
+
+
+def _assert_same_csr(system, want):
+    got = _as_csr(system)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype
@@ -225,9 +232,9 @@ def test_system_matches_coo_assembly_bitwise_1d():
 def test_singular_system_raises_promptly():
     grid = _grid_1d(nodes=21)
     P = grid.num_nodes
-    op = MonotoneOperator(grid=grid, system=sp.csr_matrix((P, P)))
+    op = MonotoneOperator(grid=grid, system=BandMatrix(np.zeros((3, P)), grid.nodes))
     tic = time.perf_counter()
-    with pytest.raises(RuntimeError, match="sparse LU"):
+    with pytest.raises(RuntimeError, match="zero pivot"):
         op.solve(np.ones((P, 1)))
     assert time.perf_counter() - tic < 5.0
 
@@ -256,22 +263,22 @@ def test_solve_tolerance_is_relative_also_below_unit_scale():
     op = build_operator(prob, policy, ens, grid, 0)
     rhs = 1e-12 * np.random.default_rng(3).standard_normal((grid.num_nodes, 1))
     op.solve(rhs)
-    exact = op._lu
+    exact = op._plan
 
-    class Factor:
+    class Plan:
         def __init__(self, scale, shift):
             self.scale, self.shift = scale, shift
 
         def solve(self, b):
             return self.scale * exact.solve(b) + self.shift
 
-    op._lu = Factor(1.01, 0.0)
+    op._plan = Plan(1.01, 0.0)
     with pytest.raises(RuntimeError, match=r"relative residual \S+ > 1e-10"):
         op.solve(rhs)
-    # a zero rhs needs a zero residual: the scaled factor still solves it
+    # a zero rhs needs a zero residual: the scaled plan still solves it
     zero = np.zeros_like(rhs)
     np.testing.assert_array_equal(op.solve(zero), zero)
-    op._lu = Factor(1.0, 1e-300)
+    op._plan = Plan(1.0, 1e-300)
     with pytest.raises(RuntimeError, match="relative residual inf"):
         op.solve(zero)
 
@@ -297,7 +304,9 @@ def _cs2d_slice(j=3):
 
 def _slice_3d():
     """Space-dependent drift of both signs on a 9 x 8 x 7 lattice (strides
-    56, 7, 1), so that a mix-up of dimensions shows in the ordering."""
+    56, 7, 1), diffusing only along the middle dimension, so that a mix-up
+    of dimensions shows in the line layout and the lines merge into
+    components that are not runs."""
 
     def drift(t, x, a, eta):
         return np.stack(
@@ -305,7 +314,7 @@ def _slice_3d():
         )
 
     def diffusion(t, eta):
-        return np.diag([0.3, 0.2, 0.4])
+        return np.diag([0.0, 0.2, 0.0])
 
     prob = dataclasses.replace(
         _linear_1d_problem(), state_dim=3, noise_dim=3, drift=drift, diffusion=diffusion,
@@ -325,19 +334,13 @@ def test_solve_matches_dense_solve(make_slice):
     sol = op.solve(rhs)
     want = np.linalg.solve(op.system.toarray(), rhs)
     assert np.abs(sol - want).max() <= 1e-12 * np.abs(want).max()
-    # the factorisation took every diagonal pivot: no row was exchanged
-    np.testing.assert_array_equal(op._lu.perm_r, np.arange(P))
-    # and the lattice order keeps the fill near that of SuperLU's own
-    # per-matrix ordering with partial pivoting
-    default = splu(op.system.tocsc())
-    assert op._lu.L.nnz + op._lu.U.nnz <= 1.25 * (default.L.nnz + default.U.nnz)
 
 
 def test_solve_obeys_discrete_maximum_principle():
     # I - dt*L has row sums 1 and a nonnegative inverse, so each entry of
     # the solution is a convex combination of the right-hand side
     op = _coupled_portfolio_slice()
-    np.testing.assert_allclose(op.system.sum(axis=1).A1, 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(op.system.band.sum(axis=0), 1.0, rtol=0, atol=1e-12)
     rhs = np.random.default_rng(8).uniform(-3.0, 5.0, (op.grid.num_nodes, 2))
     sol = op.solve(rhs)
     assert np.all(sol >= rhs.min(axis=0) - 1e-12)
@@ -360,55 +363,84 @@ def _liquidating_portfolio_slice(j=17):
     return build_operator(prob, policy, ens, grid, j)
 
 
-@pytest.mark.parametrize("make_slice", [_liquidating_portfolio_slice, _cs2d_slice])
-def test_elimination_order_is_block_triangular(make_slice):
+def _line_of_nodes(grid, line_dim):
+    """Line number of every node: its C-order index over the other dimensions."""
+    idx = np.indices(grid.nodes).reshape(grid.state_dim, -1)
+    other = [i for i in range(grid.state_dim) if i != line_dim]
+    return np.ravel_multi_index(tuple(idx[other]), [grid.nodes[i] for i in other])
+
+
+@pytest.mark.parametrize(
+    "make_slice, line_dim",
+    [(_liquidating_portfolio_slice, 0), (_cs2d_slice, 1), (_coupled_portfolio_slice, 0),
+     (_slice_3d, 1)],
+    ids=["_liquidating_portfolio_slice", "_cs2d_slice", "_coupled_portfolio_slice", "_slice_3d"],
+)
+def test_elimination_order_is_block_triangular(make_slice, line_dim):
     op = make_slice()
-    P = op.grid.num_nodes
-    op.solve(np.ones((P, 1)))
-    ncomp, comp = connected_components(op.system, directed=True, connection="strong")
-    assert ncomp > 200
-    # scipy's labels order the components topologically: the system is
-    # block lower-triangular in the order of increasing label
-    coo = op.system.tocoo()
-    assert np.all(comp[coo.row] >= comp[coo.col])
-    # the order sorts by component, and within one by lattice rank
-    lattice, lattice_rank = fdsolver._fill_order(op.grid.nodes)
-    key = comp[op._order].astype(np.int64) * P + lattice_rank[op._order]
-    assert np.all(np.diff(key) > 0)
-    np.testing.assert_array_equal(op._rank[op._order], np.arange(P))
-    # the factor fills only the diagonal blocks: far less than the lattice
-    # order alone
-    in_lattice_order = splu(op.system[lattice][:, lattice].tocsc(), **fdsolver._LU_OPTIONS)
-    lattice_fill = in_lattice_order.L.nnz + in_lattice_order.U.nnz
-    assert op._lu.L.nnz + op._lu.U.nnz <= 0.8 * lattice_fill
+    op.solve(np.ones((op.grid.num_nodes, 1)))
+    plan = op._plan
+    # the lines run along the one diffusive dimension
+    assert plan.line_dim == line_dim
+    line = _line_of_nodes(op.grid, line_dim)
+    rank = np.empty(line.max() + 1, dtype=np.int64)
+    for k, lines in enumerate(plan.components):
+        rank[lines] = k
+    # every component comes after the components it reads: in the plan's
+    # order the system is block lower-triangular
+    coo = _as_csr(op.system).tocoo()
+    assert np.all(rank[line[coo.row]] >= rank[line[coo.col]])
+    # the components are the strongly connected components of the line
+    # graph, with scipy as the oracle
+    L = rank.size
+    lines_graph = sp.csr_matrix((np.ones(coo.nnz), (line[coo.row], line[coo.col])), shape=(L, L))
+    ncomp, label = connected_components(lines_graph, directed=True, connection="strong")
+    assert len(plan.components) == ncomp
+    for lines in plan.components:
+        assert np.unique(label[lines]).size == 1
+    # so each strongly connected component of the nodes lies in one of them
+    ncomp, comp = connected_components(coo, directed=True, connection="strong")
+    assert np.unique(np.stack([comp, rank[line]]), axis=1).shape[1] == ncomp
+    if make_slice is not _coupled_portfolio_slice:
+        assert ncomp > 200
 
 
-def _counting_splu(monkeypatch):
-    calls = []
+def test_band_product_matches_the_dense_matrix():
+    op = _slice_3d()
+    dense = op.system.toarray()
+    assert np.count_nonzero(dense) == op.system.nnz
+    rng = np.random.default_rng(4)
+    for shape in [(op.grid.num_nodes,), (op.grid.num_nodes, 3)]:
+        x = rng.standard_normal(shape)
+        np.testing.assert_allclose(op.system @ x, dense @ x, rtol=0, atol=1e-13)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
 
-    # the factor branch of MonotoneOperator.solve imports splu when it runs
-    monkeypatch.setattr("scipy.sparse.linalg.splu", counted)
-    return calls
+def _counting_plans(monkeypatch):
+    plans = []
+
+    class Counted(fdsolver._LinePlan):
+        def __init__(self, system):
+            plans.append(1)
+            super().__init__(system)
+
+    monkeypatch.setattr(fdsolver, "_LinePlan", Counted)
+    return plans
 
 
 @pytest.mark.parametrize("policy_kind, factors", [("zero", 1), ("liquidating", 10)])
 def test_sweep_factors_once_per_distinct_operator(monkeypatch, policy_kind, factors):
     # under the zero policy every slice has b = 0 and the same sigma, so
-    # all M slices share one operator; a time-varying policy changes it
+    # all M slices share one operator and its line plan; a time-varying
+    # policy changes it
     prob, grid = portfolio_problem(), portfolio_grid(cells=20, time_steps=10)
     if policy_kind == "zero":
         policy = PolicyField.zeros(grid, 1)
     else:
         policy = _liquidating_policy(grid)
     ens = simulate(prob, policy, 256, grid.time_steps, 0)
-    fdsolver._fill_order(grid.nodes)  # its own splu call stays out of the count
-    calls = _counting_splu(monkeypatch)
+    plans = _counting_plans(monkeypatch)
     backward_sweep(prob, policy, ens, grid)
-    assert len(calls) == factors
+    assert len(plans) == factors
 
 
 def test_reused_factor_matches_a_factor_per_slice_bitwise(monkeypatch):
@@ -416,26 +448,66 @@ def test_reused_factor_matches_a_factor_per_slice_bitwise(monkeypatch):
     policy = PolicyField.zeros(grid, 1)
     ens = simulate(prob, policy, 256, grid.time_steps, 0)
     reused = backward_sweep(prob, policy, ens, grid).u.values
-    monkeypatch.setattr(fdsolver, "_same_csr", lambda a, b: False)
-    calls = _counting_splu(monkeypatch)
+    solve = MonotoneOperator.solve
+
+    def solve_with_a_fresh_plan(op, rhs):
+        op._plan = None
+        return solve(op, rhs)
+
+    monkeypatch.setattr(MonotoneOperator, "solve", solve_with_a_fresh_plan)
+    plans = _counting_plans(monkeypatch)
     fresh = backward_sweep(prob, policy, ens, grid).u.values
-    assert len(calls) == grid.time_steps
+    assert len(plans) == grid.time_steps
     np.testing.assert_array_equal(reused.view(np.int64), fresh.view(np.int64))
 
 
-def test_fill_order_is_one_permutation_per_node_lattice():
-    fdsolver._fill_order.cache_clear()
-    prob = _linear_1d_problem()
-    for horizon, steps in [(1.0, 40), (2.0, 7)]:
-        grid = SpaceTimeGrid(horizon=horizon, time_steps=steps, lo=(0.0,), hi=(1.0,), nodes=(33,))
-        prob = dataclasses.replace(prob, horizon=horizon)
-        policy, ens = _setup(prob, grid)
-        build_operator(prob, policy, ens, grid, 0).solve(np.ones((33, 1)))
-    assert fdsolver._fill_order.cache_info().misses == 1
-    order, rank = fdsolver._fill_order((33,))
-    np.testing.assert_array_equal(np.sort(order), np.arange(33))
-    np.testing.assert_array_equal(rank[order], np.arange(33))
-    assert not order.flags.writeable and not rank.flags.writeable
+def test_two_diffusive_dimensions_rejected():
+    grid = portfolio_grid(cells=10, time_steps=4)
+    policy = PolicyField.zeros(grid, 1)
+    ens = simulate(portfolio_problem(), policy, 32, grid.time_steps, 0)
+    sigma = np.diag([0.7, 0.1])
+    prob = dataclasses.replace(portfolio_problem(), noise_dim=2, diffusion=lambda t, eta: sigma)
+    with pytest.raises(ValueError, match=r"diffuses in dimensions \[0, 1\]"):
+        build_operator(prob, policy, ens, grid, 0)
+
+
+def _laplacian_system(nodes, weight=30.0):
+    """I - dt*L for an L that diffuses equally in every dimension, with a
+    Dirichlet boundary: a system that build_operator refuses to assemble."""
+    d = len(nodes)
+    idx = np.indices(nodes).reshape(d, -1)
+    boundary = np.any((idx == 0) | (idx == np.array(nodes)[:, None] - 1), axis=0)
+    band = np.full((2 * d + 1, idx.shape[1]), -weight)
+    band[d] = 1.0 + 2 * d * weight
+    band[:, boundary] = 0.0
+    band[d, boundary] = 1.0
+    return BandMatrix(band, tuple(nodes))
+
+
+def test_lines_that_read_each_other_are_eliminated_as_one_run():
+    # diffusion in both dimensions of a 2D lattice joins the nine interior
+    # lines along dimension 0 into one component, a run that
+    # block-tridiagonal elimination solves
+    grid = SpaceTimeGrid(horizon=1.0, time_steps=10, lo=(0.0, 0.0), hi=(1.0, 1.0), nodes=(13, 11))
+    op = MonotoneOperator(grid=grid, system=_laplacian_system(grid.nodes))
+    rhs = np.random.default_rng(9).standard_normal((grid.num_nodes, 2))
+    sol = op.solve(rhs)
+    want = np.linalg.solve(op.system.toarray(), rhs)
+    assert np.abs(sol - want).max() <= 1e-12 * np.abs(want).max()
+    assert op._plan.line_dim == 0
+    assert max(len(lines) for lines in op._plan.components) == 9
+
+
+def test_a_component_past_the_work_cap_raises_promptly():
+    # in 3D the run's elimination fills between lines; on a 20^3 lattice
+    # it would take about four times the cap
+    nodes = (20, 20, 20)
+    grid = SpaceTimeGrid(horizon=1.0, time_steps=10, lo=(0.0,) * 3, hi=(1.0,) * 3, nodes=nodes)
+    op = MonotoneOperator(grid=grid, system=_laplacian_system(nodes))
+    tic = time.perf_counter()
+    with pytest.raises(RuntimeError, match="block products"):
+        op.solve(np.ones((grid.num_nodes, 1)))
+    assert time.perf_counter() - tic < 5.0
 
 
 def test_zero_source_sweep_obeys_maximum_principle():

@@ -55,9 +55,9 @@ def test_build_operator_portfolio_slice(benchmark):
 
 def test_factor_and_solve_portfolio_slice(benchmark):
     # one implicit step of the adjoint sweep on a coupled slice (a policy of
-    # mixed sign keeps every stencil entry): assembly, LU factor and solve.
-    # The random signs merge the lattice into one strongly connected
-    # component, so this is the worst case of the block-triangular order.
+    # mixed sign keeps every stencil entry): assembly, line plan and solve.
+    # The random signs merge 49 of the 51 lines into one run, so this is
+    # the worst case of the line solve.
     problem, grid = portfolio_problem(), portfolio_grid()
     rng = np.random.default_rng(1)
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
@@ -74,9 +74,9 @@ def test_factor_and_solve_portfolio_slice(benchmark):
 def test_factor_and_solve_portfolio_liquidating_slice(benchmark):
     # the same step under a smooth policy that sells on most of the box,
     # a = (0.5 - q)(1 + t), as a solved liquidation policy does: the
-    # inventory dimension, advected but not diffused, splits the lattice
-    # into about 250 strongly connected components, and the LU fills only
-    # their diagonal blocks
+    # inventory dimension, advected but not diffused, splits the lines
+    # into 50 strongly connected components, all but one of them single
+    # lines
     problem, grid = portfolio_problem(), portfolio_grid()
     q = grid.node_coords()[:, 1]
     vals = np.outer(1.0 + grid.times, 0.5 - q)

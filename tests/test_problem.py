@@ -57,6 +57,19 @@ def test_derivative_errors_are_relative_to_the_derivative_scale():
     assert validate_derivatives(scaled(1.0), tolerance=1e-6).ok
 
 
+def test_a_derivative_wrong_late_in_the_horizon_is_flagged():
+    # dx_running twice too large for t > 0.5 only: the check must sample
+    # times from the whole horizon, not only its start
+    base = portfolio_problem()
+
+    def dx_running(t, x, a, eta):
+        return (2.0 if t > 0.5 else 1.0) * base.dx_running(t, x, a, eta)
+
+    report = validate_derivatives(dataclasses.replace(base, dx_running=dx_running))
+    assert set(report.flagged) == {"dx_running"}
+    assert report.max_rel_error["dx_running"] == pytest.approx(0.5, rel=1e-6)
+
+
 def test_portfolio_pointwise_values():
     prob = portfolio_problem()
     eta = EmpiricalMeasure(np.array([[2.0, 1.0]]), np.array([[0.0]]))
