@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import GridField, PolicyField, SpaceTimeGrid, deposit
+from .grids import GridField, PolicyField, SpaceTimeGrid, c_strides, deposit
 # bound only because perfbench/run.py traces this name on this module
 from .grids import multilinear_eval  # noqa: F401
 from .particles import BoundAdjoint, ParticleEnsemble
@@ -43,11 +43,6 @@ _SOLVE_TOL = 1e-10  # on the residual relative to |rhs|_inf
 # in 2D takes 2(m - 1) products; a component whose fill takes more raises
 # instead of running for minutes.
 _MAX_RUN_WORK = 1 << 24
-
-
-def _c_strides(nodes: tuple[int, ...]) -> list[int]:
-    """Flat-index step of each dimension of a C-order lattice."""
-    return [int(np.prod(nodes[i + 1:])) for i in range(len(nodes))]
 
 
 class BandMatrix:
@@ -72,23 +67,27 @@ class BandMatrix:
     def nnz(self) -> int:
         return int(np.count_nonzero(self.band))
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """Column offset of each stencil entry from its row; shape (2d+1,)."""
+        s = c_strides(self.nodes)
+        return np.concatenate([-s, [0], s[::-1]])
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """Product with x of shape (P,) or (P, c), by shifted slices."""
         d, band = len(self.nodes), self.band
         xt = np.ascontiguousarray(x.T)  # (c, P): each slice runs along P
         y = band[d] * xt
-        for i, s in enumerate(_c_strides(self.nodes)):
+        for i, s in enumerate(c_strides(self.nodes).tolist()):
             y[..., s:] += band[i, s:] * xt[..., :-s]
             y[..., :-s] += band[2 * d - i, :-s] * xt[..., s:]
         return y.T
 
     def toarray(self) -> np.ndarray:
         """Dense copy, with +0.0 wherever the band holds a zero."""
-        s = np.array(_c_strides(self.nodes))
-        offsets = np.concatenate([-s, [0], s[::-1]])
         e, rows = np.nonzero(self.band)
         out = np.zeros(self.shape)
-        out[rows, rows + offsets[e]] = self.band[e, rows]
+        out[rows, rows + self.offsets[e]] = self.band[e, rows]
         return out
 
 
@@ -187,31 +186,19 @@ def _pivot_inverse(row: np.ndarray, line_inverse: np.ndarray, updates: list, D: 
     """Inverse of the pivot block T - sum(multiplier @ block) of one line.
 
     row is the line's slice of the band, (2d+1, n), T its tridiagonal block
-    and line_inverse T^{-1}.  In a run of lines in 2D the pivot loses one
-    product M diag(f), and f, the coupling to the next line, is nonzero
-    only on the nodes where the drift points there, often a few.  Then the
-    Sherman-Morrison-Woodbury formula corrects T^{-1} through a small
-    system on those nodes instead of inverting the whole block.
+    and line_inverse T^{-1}, returned as it is when nothing was eliminated
+    into the line.
     """
     if not updates:
         return line_inverse
-    n = row.shape[1]
+    d, n = row.shape[0] // 2, row.shape[1]
+    block = np.zeros((n, n))
+    block.flat[:: n + 1] = row[d]
+    block.flat[n :: n + 1] = row[D, 1:]
+    block.flat[1 :: n + 1] = row[2 * d - D, :-1]
+    for multiplier, upper in updates:
+        block -= _times(multiplier, upper)
     try:
-        if len(updates) == 1 and updates[0][1].ndim == 1:
-            multiplier, f = updates[0]
-            J = np.flatnonzero(f)
-            if 2 * J.size <= n:
-                # T - M diag(f) = T - U E_J^T with U = M[:, J] f_J
-                W = line_inverse @ (multiplier[:, J] * f[J])
-                small = np.eye(J.size) - W[J]
-                return line_inverse + W @ np.linalg.solve(small, line_inverse[J])
-        d = row.shape[0] // 2
-        block = np.zeros((n, n))
-        block.flat[:: n + 1] = row[d]
-        block.flat[n :: n + 1] = row[D, 1:]
-        block.flat[1 :: n + 1] = row[2 * d - D, :-1]
-        for multiplier, upper in updates:
-            block -= _times(multiplier, upper)
         return np.linalg.inv(block)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"singular pivot block in I - dt L: {exc}") from exc
@@ -244,7 +231,7 @@ class _LinePlan:
 
         # line l reads line l + step through the coefficients coef[l] (n,)
         links = []
-        for i, t in zip([i for i in range(d) if i != D], _c_strides(across)):
+        for i, t in zip([i for i in range(d) if i != D], c_strides(across).tolist()):
             links += [(lined[i], -t), (lined[2 * d - i], t)]
         succ: list[list[int]] = [[] for _ in range(lined.shape[1])]
         reads = []

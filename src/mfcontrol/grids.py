@@ -23,6 +23,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def c_strides(nodes: Sequence[int]) -> np.ndarray:
+    """Flat-index step of each dimension of a C-order node lattice; shape (d,)."""
+    strides = np.ones(len(nodes), dtype=np.int64)
+    for i in range(len(nodes) - 2, -1, -1):
+        strides[i] = strides[i + 1] * nodes[i + 1]
+    return strides
+
+
 @dataclass(frozen=True)
 class SpaceTimeGrid:
     """Uniform tensor grid on [0, T] x prod_i [lo_i, hi_i]."""
@@ -77,10 +85,7 @@ class SpaceTimeGrid:
     @cached_property
     def strides(self) -> np.ndarray:
         """Flat-index step of each dimension in C order; shape (d,)."""
-        strides = np.ones(self.state_dim, dtype=np.int64)
-        for i in range(self.state_dim - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.nodes[i + 1]
-        return _read_only(strides)
+        return _read_only(c_strides(self.nodes))
 
     def node_coords(self) -> np.ndarray:
         """All node coordinates, flattened in C order; shape (num_nodes, d)."""

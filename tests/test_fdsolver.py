@@ -191,9 +191,8 @@ def _coo_system(problem, policy, ensemble, grid, j):
 
 def _as_csr(system):
     """The nonzero entries of a BandMatrix as a CSR matrix."""
-    s = np.array([int(np.prod(system.nodes[i + 1:])) for i in range(len(system.nodes))])
     e, rows = np.nonzero(system.band)
-    cols = rows + np.concatenate([-s, [0], s[::-1]])[e]
+    cols = rows + system.offsets[e]
     return sp.csr_matrix((system.band[e, rows], (rows, cols)), shape=system.shape)
 
 
