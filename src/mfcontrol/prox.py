@@ -1,20 +1,17 @@
 """Pointwise proximal maps of the nonsmooth control cost.
 
-Supported costs: none (prox = identity), a weighted l1 norm
-(prox = componentwise soft-thresholding) and a box indicator
-(prox = componentwise projection).
+Supported costs: none (prox = identity) and a weighted l1 norm
+(prox = componentwise soft-thresholding).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 KIND_NONE = "none"
 KIND_L1 = "l1"
-KIND_BOX = "box"
 
 
 @dataclass(frozen=True)
@@ -23,21 +20,12 @@ class ProxSpec:
 
     kind: str = KIND_NONE
     kappa: float = 0.0
-    lo: Optional[np.ndarray] = None
-    hi: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_NONE, KIND_L1, KIND_BOX):
+        if self.kind not in (KIND_NONE, KIND_L1):
             raise ValueError(f"unknown nonsmooth cost kind: {self.kind!r}")
         if self.kind == KIND_L1 and self.kappa < 0:
             raise ValueError("l1 weight must be nonnegative")
-        if self.kind == KIND_BOX:
-            lo = np.asarray(self.lo, dtype=float)
-            hi = np.asarray(self.hi, dtype=float)
-            if np.any(lo > hi):
-                raise ValueError("box bounds must satisfy lo <= hi componentwise")
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
 
     @classmethod
     def none(cls) -> "ProxSpec":
@@ -46,10 +34,6 @@ class ProxSpec:
     @classmethod
     def l1(cls, kappa: float) -> "ProxSpec":
         return cls(KIND_L1, kappa=float(kappa))
-
-    @classmethod
-    def box(cls, lo, hi) -> "ProxSpec":
-        return cls(KIND_BOX, lo=np.asarray(lo, float), hi=np.asarray(hi, float))
 
 
 def prox_apply(spec: ProxSpec, tau: float, a: np.ndarray) -> np.ndarray:
@@ -63,28 +47,13 @@ def prox_apply(spec: ProxSpec, tau: float, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if spec.kind == KIND_NONE:
         return a.copy()
-    if spec.kind == KIND_L1:
-        thr = tau * spec.kappa
-        return np.sign(a) * np.maximum(np.abs(a) - thr, 0.0)
-    return np.clip(a, spec.lo, spec.hi)
+    thr = tau * spec.kappa
+    return np.sign(a) * np.maximum(np.abs(a) - thr, 0.0)
 
 
-def ell_value(spec: ProxSpec, a: np.ndarray, box_tol: float = 1e-9) -> np.ndarray:
-    """Value of ell along the trailing (component) axis of a.
-
-    For the box indicator, controls outside the box beyond box_tol signal a
-    broken prox step and raise instead of returning +inf.
-    """
+def ell_value(spec: ProxSpec, a: np.ndarray) -> np.ndarray:
+    """Value of ell along the trailing (component) axis of a."""
     a = np.asarray(a, dtype=float)
     if spec.kind == KIND_NONE:
         return np.zeros(a.shape[:-1])
-    if spec.kind == KIND_L1:
-        return spec.kappa * np.abs(a).sum(axis=-1)
-    viol = np.maximum(spec.lo - a, a - spec.hi).max(axis=-1)
-    if np.any(viol > box_tol):
-        idx = np.unravel_index(np.argmax(viol), viol.shape)
-        raise ValueError(
-            f"control outside box constraint by {viol[idx]:.3e} at index {idx}; "
-            "prox projection appears to be broken"
-        )
-    return np.zeros(a.shape[:-1])
+    return spec.kappa * np.abs(a).sum(axis=-1)

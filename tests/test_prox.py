@@ -10,17 +10,13 @@ def _objective(spec, tau, a, z):
     base = 0.5 * (z - a) ** 2
     if spec.kind == "l1":
         return base + tau * spec.kappa * np.abs(z)
-    if spec.kind == "box":
-        out = base.copy()
-        out[(z < spec.lo[0]) | (z > spec.hi[0])] = np.inf
-        return out
     return base
 
 
 @pytest.mark.parametrize(
     "spec",
-    [ProxSpec.none(), ProxSpec.l1(0.7), ProxSpec.l1(2.0), ProxSpec.box([-0.4], [1.1])],
-    ids=["none", "l1_small", "l1_large", "box"],
+    [ProxSpec.none(), ProxSpec.l1(0.7), ProxSpec.l1(2.0)],
+    ids=["none", "l1_small", "l1_large"],
 )
 def test_prox_matches_grid_search(spec):
     tau = 1.0 / 6.0
@@ -52,16 +48,6 @@ def test_soft_threshold_continuous_at_kink():
     assert abs(hi - lo) <= 2e-12
 
 
-def test_box_projection_and_indicator():
-    spec = ProxSpec.box([-1.0, 0.0], [1.0, 2.0])
-    a = np.array([[3.0, -1.0], [-2.0, 1.0]])
-    out = prox_apply(spec, 0.5, a)
-    np.testing.assert_array_equal(out, [[1.0, 0.0], [-1.0, 1.0]])
-    assert np.all(ell_value(spec, out) == 0.0)
-    with pytest.raises(ValueError):
-        ell_value(spec, np.array([[5.0, 1.0]]))
-
-
 def test_l1_value():
     spec = ProxSpec.l1(2.0)
     vals = ell_value(spec, np.array([[1.0, -3.0], [0.0, 0.0]]))
@@ -69,11 +55,10 @@ def test_l1_value():
 
 
 def test_invalid_specs_rejected():
-    with pytest.raises(ValueError):
-        ProxSpec("nonsense")
+    for kind in ("nonsense", "box"):
+        with pytest.raises(ValueError, match="unknown nonsmooth cost kind"):
+            ProxSpec(kind)
     with pytest.raises(ValueError):
         ProxSpec.l1(-1.0)
-    with pytest.raises(ValueError):
-        ProxSpec.box([1.0], [0.0])
     with pytest.raises(ValueError):
         prox_apply(ProxSpec.none(), 0.0, np.zeros(3))
