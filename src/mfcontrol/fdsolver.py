@@ -8,18 +8,23 @@ nodes of the truncated box hold the terminal condition as Dirichlet data.
 Each interior step solves an M-matrix system per solution component, with
 an exact direct solve in numpy alone.
 
-The solve follows the stencil's line structure.  At most one dimension
-diffuses.  The lines of nodes along it (along the last dimension if none
-diffuses) are tridiagonal blocks of I - dt*L.  Every other dimension is
-only advected, upwind, and couples a line to a neighbouring line through a
-diagonal block, where the drift points from the one to the other.  So the
-graph of the lines splits into strongly connected components: single lines,
-and runs of lines where the drift across them changes sign towards each
-other.  In the components' topological order the system is block
-lower-triangular, and one walk over the components solves it: a single
-line applies the precomputed inverse of its tridiagonal block, a run is
-eliminated line by line.  A sweep whose operator does not change from one
-slice to the next (the zero policy of a first iteration) plans it once.
+The solve follows the stencil's line structure on a planar lattice.  At
+most one dimension diffuses.  The lines of nodes along it (along the last
+dimension if none diffuses) are tridiagonal blocks of I - dt*L.  The other
+dimension is only advected, upwind, and couples a line to a neighbouring
+line through a diagonal block, where the drift points from the one to the
+other.  So the lines form a path, and its strongly connected components are
+intervals: single lines, and runs of adjacent lines that read each other
+both ways, where the drift across them changes sign towards each other.
+Solved in order of the longest chain of reads out of each component, the
+system is block lower-triangular, and one walk over the components solves
+it: a single line applies the precomputed inverse of its tridiagonal block,
+a run of m lines is eliminated block-tridiagonally, at the cost of m - 1
+dense inversions of line-sized blocks.  A slice whose operator does not
+change from one slice to the next (the zero policy of a first iteration)
+plans it once.  A lattice of three or more dimensions has no path of lines
+and raises ValueError at its first solve; method = emreg, the regression
+adjoint, runs in any dimension.
 """
 
 from __future__ import annotations
@@ -37,12 +42,6 @@ from .particles import BoundAdjoint, ParticleEnsemble
 from .problem import MfcProblem
 
 _SOLVE_TOL = 1e-10  # on the residual relative to |rhs|_inf
-
-# Work allowed for the elimination of one multi-line component, in entries
-# of its n x n block products (n nodes per line).  A run of m adjacent lines
-# in 2D takes 2(m - 1) products; a component whose fill takes more raises
-# instead of running for minutes.
-_MAX_RUN_WORK = 1 << 24
 
 
 class BandMatrix:
@@ -133,91 +132,26 @@ def _tridiagonal_inverses(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.nda
     return inv
 
 
-def _strong_components(succ: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components of a digraph given by successor lists,
-    each sorted, every component listed after all components it reaches
-    (Tarjan's algorithm, without recursion)."""
-    n = len(succ)
-    index, low = [-1] * n, [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    count = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, i = work.pop()
-            if i == 0:
-                index[v] = low[v] = count
-                count += 1
-                stack.append(v)
-                on_stack[v] = True
-            for k in range(i, len(succ[v])):
-                w = succ[v][k]
-                if index[w] < 0:
-                    work += [(v, k + 1), (w, 0)]
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            else:
-                if low[v] == index[v]:
-                    comp = []
-                    while not comp or comp[-1] != v:
-                        comp.append(stack.pop())
-                        on_stack[comp[-1]] = False
-                    comps.append(sorted(comp))
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-    return comps
-
-
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for n x n blocks, either of them given as the 1-D diagonal of a
-    diagonal block (not both)."""
-    if a.ndim == 1:
-        return a[:, None] * b
-    return a * b if b.ndim == 1 else a @ b
-
-
-def _pivot_inverse(row: np.ndarray, line_inverse: np.ndarray, updates: list, D: int):
-    """Inverse of the pivot block T - sum(multiplier @ block) of one line.
-
-    row is the line's slice of the band, (2d+1, n), T its tridiagonal block
-    and line_inverse T^{-1}, returned as it is when nothing was eliminated
-    into the line.
-    """
-    if not updates:
-        return line_inverse
-    d, n = row.shape[0] // 2, row.shape[1]
-    block = np.zeros((n, n))
-    block.flat[:: n + 1] = row[d]
-    block.flat[n :: n + 1] = row[D, 1:]
-    block.flat[1 :: n + 1] = row[2 * d - D, :-1]
-    for multiplier, upper in updates:
-        block -= _times(multiplier, upper)
-    try:
-        return np.linalg.inv(block)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"singular pivot block in I - dt L: {exc}") from exc
-
-
 class _LinePlan:
     """Exact solve of a BandMatrix system on its line structure (see the
     module docstring), made once per distinct system.
 
     line_dim is the dimension whose neighbours enter some row on both sides
     (the diffusive one), the last dimension if there is none.  Lines are
-    numbered in C order over the other dimensions; components lists the
-    lines of each strongly connected component of the line graph in solve
-    order, after every component it reads.
+    numbered along the other dimension; components lists the lines of each
+    strongly connected component of the line graph, an interval, in solve
+    order, after every component it reads.  A lattice of three or more
+    dimensions raises ValueError.
     """
 
     def __init__(self, system: BandMatrix):
         nodes, band = system.nodes, system.band
         d = len(nodes)
+        if d > 2:
+            raise ValueError(
+                f"the adjoint's line solve is planar, and this system lies on a lattice of "
+                f"{d} dimensions; method = emreg runs in any dimension"
+            )
         two_sided = [np.logical_and(band[i], band[2 * d - i]).any() for i in range(d)]
         D = self.line_dim = int(np.argmax(two_sided)) if any(two_sided) else d - 1
         n = nodes[D]
@@ -229,39 +163,43 @@ class _LinePlan:
         lined = np.moveaxis(band.reshape((2 * d + 1,) + nodes), 1 + D, -1).reshape(2 * d + 1, -1, n)
         inv = _tridiagonal_inverses(lined[D], lined[d], lined[2 * d - D])
 
-        # line l reads line l + step through the coefficients coef[l] (n,)
-        links = []
-        for i, t in zip([i for i in range(d) if i != D], c_strides(across).tolist()):
-            links += [(lined[i], -t), (lined[2 * d - i], t)]
-        succ: list[list[int]] = [[] for _ in range(lined.shape[1])]
-        reads = []
-        for coef, t in links:
-            reads.append(coef.any(axis=1).tolist())
-            for line in np.flatnonzero(reads[-1]).tolist():
-                succ[line].append(line + t)
-        self.components = _strong_components(succ)
+        # line l reads line l - 1 through the coefficients down[l] (n,),
+        # line l + 1 through up[l]
+        if d == 2:
+            down, up = lined[1 - D], lined[3 + D]
+        else:
+            down = up = np.zeros_like(lined[0])
+        reads_down, reads_up = down.any(axis=1), up.any(axis=1)
+        # adjacent lines that read each other lie in one component, an
+        # interval [start, end) of lines
+        cuts = np.flatnonzero(~(reads_up[:-1] & reads_down[1:])) + 1
+        starts, ends = np.append(0, cuts), np.append(cuts, len(reads_up))
+        # Solve each component after those it reads: by the longest chain of
+        # reads out of it.  On a path that chain runs to one side only, over
+        # neighbours that each read the next one, so a pass from each end
+        # counts it.
+        k = np.arange(starts.size)
+        chain_down = k - np.maximum.accumulate(np.where(reads_down[starts], 0, k))
+        chain_up = (k - np.maximum.accumulate(np.where(reads_up[ends - 1][::-1], 0, k)))[::-1]
+        order = np.argsort(np.maximum(chain_down, chain_up), kind="stable")
+        starts, ends = starts.tolist(), ends.tolist()
+        self.components = [range(starts[c], ends[c]) for c in order.tolist()]
 
-        # a single line l: (l, its inverse transposed, the lines it reads
-        # as (coefficients, line)); a run of lines: its _Run
+        # a single line l: (l, its inverse transposed, its reads); a run of
+        # lines: its _Run.  The reads of a component's end lines from
+        # outside it are (line, coefficients, line read).
         self._steps: list = []
         for lines in self.components:
-            if len(lines) == 1:
-                line = lines[0]
-                reads_from = [(coef[line], line + t) for (coef, t), r in zip(links, reads) if r[line]]
-                self._steps.append((line, inv[:, :, line].T, reads_from))
-                continue
-            pos = {line: k for k, line in enumerate(lines)}
-            outside: list[list] = [[] for _ in lines]
-            inside = {}
-            for k, line in enumerate(lines):
-                for (coef, t), r in zip(links, reads):
-                    if r[line]:
-                        j = pos.get(line + t)
-                        if j is None:
-                            outside[k].append((coef[line], line + t))
-                        else:
-                            inside[k, j] = coef[line]
-            self._steps.append(_Run(lines, outside, inside, lined, inv, D))
+            a, b = lines[0], lines[-1]
+            outside = []
+            if reads_down[a]:
+                outside.append((a, down[a], a - 1))
+            if reads_up[b]:
+                outside.append((b, up[b], b + 1))
+            if a == b:
+                self._steps.append((a, inv[:, :, a].T, outside))
+            else:
+                self._steps.append(_Run(lines, outside, lined, inv, D, down, up))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The solution of system @ x = rhs, rhs of shape (P,) or (P, c)."""
@@ -275,9 +213,9 @@ class _LinePlan:
             if type(step) is _Run:
                 step.solve(R, X)
                 continue
-            line, inverse_t, reads_from = step
+            line, inverse_t, outside = step
             r = R[line]
-            for coef, other in reads_from:
+            for _, coef, other in outside:
                 r -= coef * X[other]
             np.matmul(r, inverse_t, out=X[line])
         X = X.reshape(self._lines[:-1] + (c, self._lines[-1])).transpose(self._from_lines)
@@ -285,66 +223,50 @@ class _LinePlan:
 
 
 class _Run:
-    """Block LU, without pivoting, of one multi-line component.
+    """Block-tridiagonal LU, without pivoting, of a run of adjacent lines
+    that each read their neighbours on both sides.
 
-    lines are increasing; outside[k] lists the couplings of line k to lines
-    of earlier components, (coefficients, line), and blocks maps (k, j) to
-    the coefficients of line k's rows in line j's columns inside the
-    component, the diagonal of that block.  The elimination keeps, per line
-    k, the inverse pivot block, the multipliers (j, A_kj P_j^{-1}) for j < k
-    and the blocks (j, U_kj) for j > k, a 1-D diagonal where no fill
-    reached them.  For a run of adjacent lines in 2D this is
-    block-tridiagonal elimination and fills nothing.  Raises RuntimeError
-    once the block products pass _MAX_RUN_WORK entries.
+    Line k's block row holds down[k] in line k - 1's columns, its tridiagonal
+    block T_k and up[k] in line k + 1's columns, both diagonal.  The
+    elimination keeps per line after the first the multiplier
+    down[k] P_{k-1}^{-1} and the inverse pivot P_k^{-1}, P_k = T_k -
+    multiplier up[k-1], the first line's pivot being its own block: m - 1
+    dense n x n inversions for a run of m lines.  outside lists the reads of
+    the end lines from the neighbouring components.
     """
 
-    def __init__(self, lines, outside, blocks, lined, inv, D):
-        m, n = len(lines), lined.shape[2]
-        self.lines, self.outside = lines, outside
-        self.pivots, self.lower, self.upper = [], [[] for _ in lines], [[] for _ in lines]
-        # per line, the products (multiplier, block) its pivot block lost
-        updates: dict[int, list] = {}
-        work = 0
-        for k in range(m):
-            self.pivots.append(_pivot_inverse(lined[:, lines[k]], inv[:, :, lines[k]],
-                                              updates.pop(k, []), D))
-            upper = [(j, blocks.pop((k, j))) for j in range(k + 1, m) if (k, j) in blocks]
-            self.upper[k] = upper
-            for i in range(k + 1, m):
-                if (i, k) not in blocks:
-                    continue
-                multiplier = _times(blocks.pop((i, k)), self.pivots[k])
-                self.lower[i].append((k, multiplier))
-                work += n * n * (1 + len(upper))
-                if work > _MAX_RUN_WORK:
-                    raise RuntimeError(
-                        f"the elimination of a component of {m} lines of {n} nodes takes "
-                        f"more than {_MAX_RUN_WORK} entries of block products; the line "
-                        "solve expects lines coupled upwind, as with one diffusive dimension"
-                    )
-                for j, block in upper:
-                    if i == j:
-                        updates.setdefault(i, []).append((multiplier, block))
-                        continue
-                    old = blocks.get((i, j), 0.0)
-                    old = np.diag(old) if np.ndim(old) == 1 else old
-                    blocks[i, j] = old - _times(multiplier, block)
+    def __init__(self, lines, outside, lined, inv, D, down, up):
+        d, n = lined.shape[0] // 2, lined.shape[2]
+        self.lines, self.outside, self.up = lines, outside, up
+        self.pivots, self.multipliers = [inv[:, :, lines[0]]], []
+        for k in lines[1:]:
+            multiplier = down[k][:, None] * self.pivots[-1]
+            block = np.zeros((n, n))
+            block.flat[:: n + 1] = lined[d, k]
+            block.flat[n :: n + 1] = lined[D, k, 1:]
+            block.flat[1 :: n + 1] = lined[2 * d - D, k, :-1]
+            block -= multiplier * up[k - 1]
+            try:
+                self.pivots.append(np.linalg.inv(block))
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(f"singular pivot block in I - dt L: {exc}") from exc
+            self.multipliers.append(multiplier)
 
     def solve(self, R: np.ndarray, X: np.ndarray) -> None:
-        """Write the solution of the component's lines into X, given those of
-        the components it reads; R, the right-hand sides, is overwritten."""
-        lines = self.lines
-        for k, line in enumerate(lines):
+        """Write the solution of the run's lines into X, given those of the
+        components it reads; R, the right-hand sides, is overwritten."""
+        for line, coef, other in self.outside:
             r = R[line]
-            for coef, other in self.outside[k]:
-                r -= coef * X[other]
-            for j, multiplier in self.lower[k]:
-                r -= R[lines[j]] @ multiplier.T
-        for k in range(len(lines) - 1, -1, -1):
-            r = R[lines[k]]
-            for j, block in self.upper[k]:
-                r -= _times(X[lines[j]], block.T)
-            np.matmul(r, self.pivots[k].T, out=X[lines[k]])
+            r -= coef * X[other]
+        for k, multiplier in zip(self.lines[1:], self.multipliers):
+            r = R[k]
+            r -= R[k - 1] @ multiplier.T
+        last = self.lines[-1]
+        np.matmul(R[last], self.pivots[-1].T, out=X[last])
+        for k, pivot in zip(self.lines[-2::-1], self.pivots[-2::-1]):
+            r = R[k]
+            r -= X[k + 1] * self.up[k]
+            np.matmul(r, pivot.T, out=X[k])
 
 
 @dataclass
@@ -363,8 +285,10 @@ class MonotoneOperator:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Direct solve of (I - dt L) u = rhs with a cached line plan.
 
-        The plan (_LinePlan) orders the lines of the system by strongly
-        connected component and eliminates without pivoting.  Skipping the
+        The plan (_LinePlan) splits the lines of a planar system into
+        intervals, its strongly connected components, orders them so that
+        each comes after those it reads, and eliminates each run of lines
+        block-tridiagonally without pivoting.  Skipping the
         pivoting is safe: I - dt L is a nonsingular M-matrix (nonpositive
         off-diagonal entries, row sums 1, hence strictly diagonally
         dominant), every symmetric permutation of an M-matrix is one, and so
@@ -372,6 +296,7 @@ class MonotoneOperator:
         is positive, whatever the order.  A zero pivot (on a system not
         built by build_operator) or a residual above _SOLVE_TOL * |rhs|_inf
         raises RuntimeError at once; a zero rhs must give a zero residual.
+        A system on a lattice of three or more dimensions raises ValueError.
         """
         if self._plan is None:
             self._plan = _LinePlan(self.system)

@@ -292,6 +292,16 @@ def _coupled_portfolio_slice(j=17):
     return build_operator(prob, policy, ens, grid, j)
 
 
+def _random_sign_portfolio_slice(j=10):
+    """The microbenchmark's worst case: a policy of random sign merges 49 of
+    the 51 portfolio lines into one run."""
+    prob, grid = portfolio_problem(), portfolio_grid()
+    rng = np.random.default_rng(1)
+    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
+    ens = simulate(prob, policy, 1000, grid.time_steps, 0)
+    return build_operator(prob, policy, ens, grid, j)
+
+
 def _cs2d_slice(j=3):
     params = CuckerSmaleParams(beta=10.0)
     prob, grid = cs2d_problem(params), cs2d_grid(params, time_steps=10)
@@ -304,8 +314,7 @@ def _cs2d_slice(j=3):
 def _slice_3d():
     """Space-dependent drift of both signs on a 9 x 8 x 7 lattice (strides
     56, 7, 1), diffusing only along the middle dimension, so that a mix-up
-    of dimensions shows in the line layout and the lines merge into
-    components that are not runs."""
+    of dimensions shows in the band product."""
 
     def drift(t, x, a, eta):
         return np.stack(
@@ -324,7 +333,9 @@ def _slice_3d():
     return build_operator(prob, policy, ens, grid, 4)
 
 
-@pytest.mark.parametrize("make_slice", [_coupled_portfolio_slice, _cs2d_slice, _slice_3d])
+@pytest.mark.parametrize(
+    "make_slice", [_coupled_portfolio_slice, _cs2d_slice, _random_sign_portfolio_slice]
+)
 def test_solve_matches_dense_solve(make_slice):
     op = make_slice()
     P = op.grid.num_nodes
@@ -372,8 +383,9 @@ def _line_of_nodes(grid, line_dim):
 @pytest.mark.parametrize(
     "make_slice, line_dim",
     [(_liquidating_portfolio_slice, 0), (_cs2d_slice, 1), (_coupled_portfolio_slice, 0),
-     (_slice_3d, 1)],
-    ids=["_liquidating_portfolio_slice", "_cs2d_slice", "_coupled_portfolio_slice", "_slice_3d"],
+     (_random_sign_portfolio_slice, 0)],
+    ids=["_liquidating_portfolio_slice", "_cs2d_slice", "_coupled_portfolio_slice",
+         "_random_sign_portfolio_slice"],
 )
 def test_elimination_order_is_block_triangular(make_slice, line_dim):
     op = make_slice()
@@ -400,7 +412,12 @@ def test_elimination_order_is_block_triangular(make_slice, line_dim):
     # so each strongly connected component of the nodes lies in one of them
     ncomp, comp = connected_components(coo, directed=True, connection="strong")
     assert np.unique(np.stack([comp, rank[line]]), axis=1).shape[1] == ncomp
-    if make_slice is not _coupled_portfolio_slice:
+    if make_slice is _random_sign_portfolio_slice:
+        # the 200 boundary nodes one by one, and the interior nodes of the
+        # one run of 49 lines as one component
+        assert ncomp == 201
+        assert max(len(lines) for lines in plan.components) == 49
+    elif make_slice is not _coupled_portfolio_slice:
         assert ncomp > 200
 
 
@@ -497,16 +514,15 @@ def test_lines_that_read_each_other_are_eliminated_as_one_run():
     assert max(len(lines) for lines in op._plan.components) == 9
 
 
-def test_a_component_past_the_work_cap_raises_promptly():
-    # in 3D the run's elimination fills between lines; on a 20^3 lattice
-    # it would take about four times the cap
+def test_a_3d_lattice_raises_at_its_first_solve():
+    # the line solve is planar; build_operator still assembles the 3D slice
     nodes = (20, 20, 20)
     grid = SpaceTimeGrid(horizon=1.0, time_steps=10, lo=(0.0,) * 3, hi=(1.0,) * 3, nodes=nodes)
-    op = MonotoneOperator(grid=grid, system=_laplacian_system(nodes))
-    tic = time.perf_counter()
-    with pytest.raises(RuntimeError, match="block products"):
-        op.solve(np.ones((grid.num_nodes, 1)))
-    assert time.perf_counter() - tic < 5.0
+    for op in (_slice_3d(), MonotoneOperator(grid=grid, system=_laplacian_system(nodes))):
+        tic = time.perf_counter()
+        with pytest.raises(ValueError, match="planar.*method = emreg"):
+            op.solve(np.ones((op.grid.num_nodes, 1)))
+        assert time.perf_counter() - tic < 1.0
 
 
 def test_zero_source_sweep_obeys_maximum_principle():
