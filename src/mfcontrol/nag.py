@@ -209,7 +209,9 @@ def run(
     Monte Carlo noise.  The evaluation sums the costs along its particle
     loop and keeps no paths, and it runs after the training ensemble is
     dropped with the adjoint bound to it, so at most one ensemble is held
-    at a time.  The interaction sums are subsampled at the problem's own
+    at a time.  At its peak a solve holds one ensemble, its adjoint, the
+    (phi, psi) pair and the gradient; the initial policy is released after
+    the first step.  The interaction sums are subsampled at the problem's own
     cap, problem.kernel_subsample.  Row m = 0 echoes the cost of the
     initial policy; row m >= 1 reports the cost of phi^m together with the
     gradient norm and wall time of the iteration producing it.  On
@@ -232,6 +234,8 @@ def run(
         else PolicyField.zeros(grid, problem.control_dim)
     )
     state = NagState(iteration=0, phi=phi0, psi=phi0.copy())
+    # the state alone holds the initial policy, so the first step releases it
+    del phi0
     settings = {
         "iterations": iterations,
         "tau": tau,

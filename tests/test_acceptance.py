@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,9 @@ from mfcontrol import (
 )
 from mfcontrol.experiments import sparsity_report
 from mfcontrol.nag import run
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _passed(line):
@@ -308,7 +312,7 @@ def test_criterion_7b_thread_count_reproducibility(tmp_path):
     )
 
     def run_with_threads(threads, out):
-        env = dict(os.environ, MFCONTROL_THREADS=str(threads))
+        env = dict(os.environ, PYTHONPATH=SRC, MFCONTROL_THREADS=str(threads))
         subprocess.run(
             [sys.executable, "-m", "mfcontrol.cli", "run", str(cfg), "--output", str(out)],
             capture_output=True, env=env, check=True,

@@ -36,6 +36,8 @@ def _cfg(tmp_path, text):
     return str(path)
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 TINY = (
     "problem = portfolio\n"
     "grid.cells = 10\n"
@@ -276,7 +278,7 @@ def test_sparsity_report_counts_exact_zeros(tmp_path):
 
 
 def _run_cli_subprocess(cfg, out_dir, threads):
-    env = dict(os.environ, MFCONTROL_THREADS=str(threads))
+    env = dict(os.environ, PYTHONPATH=SRC, MFCONTROL_THREADS=str(threads))
     return subprocess.run(
         [sys.executable, "-m", "mfcontrol.cli", "run", cfg, "--output", str(out_dir)],
         capture_output=True,
@@ -333,8 +335,6 @@ def test_robustness_sweep_is_thread_count_invariant(monkeypatch):
         assert a.shape == b.shape, f.name
         np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64), err_msg=f.name)
 
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 _SCIPY_PROBE = """
 import json, sys

@@ -226,6 +226,27 @@ def test_run_holds_one_ensemble_at_a_time(method, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("method", ["fipde", "ipde", "emreg"])
+def test_run_holds_one_policy_pair_at_a_time(method, monkeypatch):
+    # only phi and psi may be alive when a simulation or a cost row starts:
+    # the initial policy goes with the first step
+    alive_at_start = []
+
+    def watched(fn):
+        def call(*args):
+            gc.collect()
+            alive_at_start.append(sum(isinstance(o, PolicyField) for o in gc.get_objects()))
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(nag, "simulate", watched(nag.simulate))
+    monkeypatch.setattr(nag, "estimate_cost", watched(nag.estimate_cost))
+    prob = portfolio_problem()
+    grid = portfolio_grid(cells=10, time_steps=10)
+    run(prob, grid, iterations=2, num_particles=100, seed=0, method=method)
+    assert alive_at_start == [2, 2, 2, 2, 2]
+
+
 def test_failure_carries_partial_report():
     base = portfolio_problem()
 
