@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import nag
-from .grids import SpaceTimeGrid
+from .grids import PolicyField, SpaceTimeGrid
 from .particles import BoundAdjoint, ParticleEnsemble
 from .problem import MfcProblem
 
@@ -113,6 +113,7 @@ class PiecewiseConstantAdjoint(BoundAdjoint):
 
 def regress_adjoint(
     problem: MfcProblem,
+    policy: PolicyField,
     ensemble: ParticleEnsemble,
     grid: SpaceTimeGrid,
     previous: Optional[np.ndarray] = None,
@@ -123,10 +124,12 @@ def regress_adjoint(
     of Y_j(X_j) + dt * source(t_j, X_j), mirroring the explicit source
     treatment of the grid scheme.  The source is the x-derivative of the
     Hamiltonian (MfcProblem.hamiltonian_derivative) at the particles and
-    the controls stored with them; the diffusion does not depend on the
-    state, so no gradient term enters the targets.  Cells that no particle
-    visits keep their row of `previous`, the (M+1, num_cells, d) cells of
-    an earlier regression (zero without one).
+    the controls of `policy` there, re-evaluated per slice: under the policy
+    that simulated `ensemble`, the particle loop's controls bit for bit.
+    The diffusion does not depend on the state, so no gradient term enters
+    the targets.  Cells that no particle visits keep their row of
+    `previous`, the (M+1, num_cells, d) cells of an earlier regression
+    (zero without one).
 
     The returned adjoint is bound to `ensemble`.  Its kernel means, the mean
     of each slice's cell values over the kernel atoms (every stride-th
@@ -158,8 +161,9 @@ def regress_adjoint(
     regress(M, idx, term)
     for j in range(M, 0, -1):
         u_here = cells[j].take(idx, axis=0)
+        x = ensemble.states[j]
         src = problem.hamiltonian_derivative(
-            "x", j * grid.dt, ensemble.states[j], ensemble.controls[j], u_here, adjoint, j
+            "x", j * grid.dt, x, policy.eval_slice(j, x), u_here, adjoint, j
         )
         targets = u_here + grid.dt * src
         idx = cell_index(grid, ensemble.states[j - 1])

@@ -52,7 +52,7 @@ def execute_run(config: RunConfig) -> nag.RunReport:
 
 
 def write_artifacts(config: RunConfig, report: nag.RunReport, out_dir: Path) -> List[Path]:
-    """Write report.csv, report.json and the final policy CSVs."""
+    """Write report.csv, report.json and the final policy, policy_phi.csv."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     report.settings["config"] = config.to_items()
@@ -65,10 +65,6 @@ def write_artifacts(config: RunConfig, report: nag.RunReport, out_dir: Path) -> 
     if report.policy is not None:
         p = out_dir / "policy_phi.csv"
         field_to_csv(report.policy, p)
-        written.append(p)
-    if report.lookahead is not None:
-        p = out_dir / "policy_psi.csv"
-        field_to_csv(report.lookahead, p)
         written.append(p)
     return written
 

@@ -1,9 +1,9 @@
-"""Empirical measures on state-control space and measure-derivative kernels.
+"""Empirical measures of the state law and measure-derivative kernels.
 
-Laws of the state/control pair are always represented as uniform atomic
-measures on a finite particle cloud.  Derivatives of coefficients with
-respect to a measure argument enter the adjoint source and the control
-gradient only through particle averages of kernel functions
+The state law is always a uniform atomic measure on a finite particle
+cloud, and the action law enters only through its mean.  Derivatives of
+coefficients with respect to a measure argument enter the adjoint source
+and the control gradient only through particle averages of kernel functions
 ``kernel(carrier point)(evaluation point)``, contracted against values of
 the adjoint field at the carrier points.
 """
@@ -18,7 +18,8 @@ import numpy as np
 
 @dataclass
 class EmpiricalMeasure:
-    """Uniform atomic measure on N pairs (x, a) in R^d x R^k.
+    """Uniform atomic measure on N states x in R^d, with mean_a in R^k, the
+    mean of the controls there: no coefficient reads more of the action law.
 
     kernel_subsample is the atom cap of the interaction sums over this law
     (MfcProblem.kernel_subsample, None keeps all): the coefficients that
@@ -26,24 +27,18 @@ class EmpiricalMeasure:
     """
 
     x: np.ndarray  # (N, d)
-    a: np.ndarray  # (N, k)
+    mean_a: np.ndarray  # (k,)
     kernel_subsample: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        if self.x.shape[0] != self.a.shape[0]:
-            raise ValueError("state and control atoms must have equal counts")
+        self.mean_a = np.asarray(self.mean_a, dtype=float)
         if self.x.shape[0] < 1:
             raise ValueError("empirical measure needs at least one atom")
 
     @property
     def size(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def mean_a(self) -> np.ndarray:
-        return self.a.mean(axis=0)
 
     def stride(self, max_atoms: Optional[int]) -> int:
         """Step of the subsample kept by strided(max_atoms): ceil(N/max_atoms),
@@ -55,7 +50,8 @@ class EmpiricalMeasure:
         return int(np.ceil(self.size / max_atoms))
 
     def strided(self, max_atoms: Optional[int]) -> "EmpiricalMeasure":
-        """Deterministic uniform subsample (every stride(max_atoms)-th atom).
+        """Deterministic uniform subsample (every stride(max_atoms)-th atom),
+        with the full law's mean_a.
 
         Per-atom arrays such as adjoint values at the atoms are subsampled
         alongside as ``values[::measure.stride(max_atoms)]``.
@@ -63,7 +59,7 @@ class EmpiricalMeasure:
         step = self.stride(max_atoms)
         if step == 1:
             return self
-        return EmpiricalMeasure(self.x[::step], self.a[::step], self.kernel_subsample)
+        return EmpiricalMeasure(self.x[::step], self.mean_a, self.kernel_subsample)
 
 
 @dataclass
@@ -115,15 +111,14 @@ class MeasureKernel:
         measure: EmpiricalMeasure,
         eval_x: np.ndarray,
         eval_a: Optional[np.ndarray],
-        weights: Optional[np.ndarray] = None,
+        weights: np.ndarray,
     ) -> np.ndarray:
         """Particle average of a ``contract_fn`` kernel, contracted against
         carrier weights.
 
         With ``weights`` of shape (L, *out_shape[:r]) the leading r axes of
         the kernel are contracted against the weights before averaging over
-        carriers; the result has shape (P, *out_shape[r:]).  Without weights
-        the plain carrier average (P, *out_shape) is returned.  A constant
+        carriers; the result has shape (P, *out_shape[r:]).  A constant
         or zero kernel raises ValueError: const_contract serves the first,
         and the second adds nothing.
         """

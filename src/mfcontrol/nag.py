@@ -264,7 +264,7 @@ def run(
             tic = time.perf_counter()
             ensemble = simulate(problem, state.psi, num_particles, M, seed)
             if method == "emreg":
-                adjoint = emreg.regress_adjoint(problem, ensemble, grid, previous=previous)
+                adjoint = emreg.regress_adjoint(problem, state.psi, ensemble, grid, previous)
                 previous = adjoint.cells
             else:
                 adjoint = backward_sweep(problem, state.psi, ensemble, grid)

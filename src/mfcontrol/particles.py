@@ -2,7 +2,7 @@
 
 The state law under a feedback policy is realized by an Euler-Maruyama
 particle system whose coefficients see the empirical measure of the current
-slice (states paired with evaluated controls).  Costs are estimated by
+slice: its states and the mean of their controls.  Costs are estimated by
 Monte Carlo with left-rectangle time quadrature on the same Euler grid.
 """
 
@@ -29,14 +29,14 @@ _OUT_OF_BOX_WARN = 0.01
 
 @dataclass
 class ParticleEnsemble:
-    """N particle paths on the Euler grid with per-step control evaluations.
+    """N particle paths on the Euler grid and the mean of each step's controls.
 
     kernel_subsample is the atom cap of the problem that simulated them;
     the law of each step, measure(j), carries it.
     """
 
     states: np.ndarray  # (M+1, N, d)
-    controls: np.ndarray  # (M+1, N, k)
+    mean_a: np.ndarray  # (M+1, k)
     kernel_subsample: Optional[int] = None
 
     @property
@@ -48,7 +48,7 @@ class ParticleEnsemble:
         return self.states.shape[0] - 1
 
     def measure(self, j: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.states[j], self.controls[j], self.kernel_subsample)
+        return EmpiricalMeasure(self.states[j], self.mean_a[j], self.kernel_subsample)
 
 
 class BoundAdjoint:
@@ -94,13 +94,13 @@ def _euler(
     N: int,
     M: int,
     seed: int,
-) -> Iterator[tuple[int, EmpiricalMeasure]]:
+) -> Iterator[tuple[int, np.ndarray, EmpiricalMeasure]]:
     """Euler-Maruyama steps of the interacting-particle system under `policy`.
 
-    Yields (j, eta) for j = 0..M: the empirical measure of the step, whose
-    eta.x holds the (N, d) states at t_j and eta.a the (N, k) policy
-    controls there, with the problem's kernel_subsample; the drift and sigma
-    of the step see the same measure.
+    Yields (j, a, eta) for j = 0..M: the (N, k) policy controls at the
+    states and the empirical measure of the step, whose eta.x holds the
+    (N, d) states at t_j and eta.mean_a the mean of a, with the problem's
+    kernel_subsample; the drift and sigma of the step see the same measure.
     Each step's arrays are new, so a consumer may keep them, but must not
     write to them.  The Brownian increments are drawn one step at a time,
     an (N, n) block per step from a counter-based (Philox) stream: the same
@@ -150,8 +150,8 @@ def _euler(
             if col_min < lo[i] or col_max > hi[i]:
                 outside[i] += int(np.count_nonzero((col < lo[i]) | (col > hi[i])))
         a = policy.eval_slice(j, x)
-        eta = EmpiricalMeasure(x, a, cap)
-        yield j, eta
+        eta = EmpiricalMeasure(x, a.mean(axis=0), cap)
+        yield j, a, eta
         if j == M:
             break
         b = problem.drift(j * dt, x, a, eta)
@@ -203,24 +203,25 @@ def simulate(
     ValueError; a non-finite state raises FloatingPointError naming its
     step and particle.
 
-    Memory: the states and the controls of all steps, plus one step's
-    noise, (M+1)·N·(d + k) + N·n doubles, that is O(M·N·(d + k)); about
-    12 MB for the portfolio model at M = 50, N = 10 000.  A need above the
-    machine's physical memory raises MemoryError before anything is
-    allocated.
+    Memory: the states and the control means of all steps, plus one step's
+    noise, (M+1)·(N·d + k) + N·n doubles, that is O(M·N·d); about 8 MB for
+    the portfolio model at M = 50, N = 10 000.  A reader that needs the
+    controls re-evaluates the policy at the states, as `simulate` did.  A
+    need above the machine's physical memory raises MemoryError before
+    anything is allocated.
 
     Warns when more than _OUT_OF_BOX_WARN of the particle-steps lie outside
     the policy grid's box in some dimension.
     """
     _check_inputs(problem, policy, N, M)
     d, k, n = problem.state_dim, problem.control_dim, problem.noise_dim
-    _check_memory(8 * ((M + 1) * N * (d + k) + N * n), N, M)
+    _check_memory(8 * ((M + 1) * (N * d + k) + N * n), N, M)
     states = np.empty((M + 1, N, d))
-    controls = np.empty((M + 1, N, k))
-    for j, eta in _euler(problem, policy, N, M, seed):
+    mean_a = np.empty((M + 1, k))
+    for j, _, eta in _euler(problem, policy, N, M, seed):
         states[j] = eta.x
-        controls[j] = eta.a
-    return ParticleEnsemble(states, controls, problem.kernel_subsample)
+        mean_a[j] = eta.mean_a
+    return ParticleEnsemble(states, mean_a, problem.kernel_subsample)
 
 
 def _check_memory(need: int, N: int, M: int) -> None:
@@ -232,7 +233,7 @@ def _check_memory(need: int, N: int, M: int) -> None:
     if 0 < total < need:
         raise MemoryError(
             f"simulate needs {need / 2**20:.0f} MiB for N={N} particles and "
-            f"M={M} steps, 8*((M+1)*N*(d+k) + N*n) bytes, more than the "
+            f"M={M} steps, 8*((M+1)*(N*d+k) + N*n) bytes, more than the "
             f"{total / 2**20:.0f} MiB of physical memory"
         )
 
@@ -256,10 +257,10 @@ def estimate_cost(
     _check_inputs(problem, policy, N, M)
     dt = problem.horizon / M
     total = np.zeros(N)
-    for j, eta in _euler(problem, policy, N, M, seed):
+    for j, a, eta in _euler(problem, policy, N, M, seed):
         if j < M:
-            f = problem.running_cost(j * dt, eta.x, eta.a, eta)
-            total += (f + ell_value(problem.nonsmooth_cost, eta.a)) * dt
+            f = problem.running_cost(j * dt, eta.x, a, eta)
+            total += (f + ell_value(problem.nonsmooth_cost, a)) * dt
         else:
             total += problem.terminal_cost(eta.x, eta)
     mean = _chunked_mean(total)

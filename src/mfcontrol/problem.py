@@ -38,6 +38,9 @@ class MfcProblem:
     pointwise derivatives under the law.  The adjoint solver holds the
     terminal data on the boundary of its truncated box.
 
+    eta, the law of a slice, holds its states eta.x and the mean eta.mean_a
+    of their controls: the coefficients read the action law through it.
+
     kernel_subsample caps every interaction sum at every stride-th atom
     (EmpiricalMeasure.strided; None keeps all).  simulate records it on the
     ParticleEnsemble, whose measures carry it as their own kernel_subsample:
@@ -179,7 +182,7 @@ def validate_derivatives(
     ts = rng.uniform(0.0, problem.horizon, samples)
     times = np.unique(np.sort(ts)[np.linspace(0, samples - 1, 4).round().astype(int)])
     meas = EmpiricalMeasure(
-        problem.initial_sampler(64, rng), rng.standard_normal((64, k)),
+        problem.initial_sampler(64, rng), rng.standard_normal((64, k)).mean(axis=0),
         problem.kernel_subsample,
     )
 

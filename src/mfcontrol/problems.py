@@ -399,14 +399,8 @@ def cs2d_problem(
             # only the v-row of the kernel is nonzero, so the weights enter
             # through their v-component; the gradient of kappa in the atom
             # keeps its value when state and atom swap places
-            u1 = np.ones(measure.size) if weights is None else weights[:, 1]
-            g_x, g_v = _atom_grad(ex[:, 0], ex[:, 1], measure.x, u1)
-            if weights is not None:
-                return np.column_stack([g_x, g_v])
-            out = np.zeros((ex.shape[0], 2, 2))
-            out[:, 1, 0] = g_x
-            out[:, 1, 1] = g_v
-            return out
+            g_x, g_v = _atom_grad(ex[:, 0], ex[:, 1], measure.x, weights[:, 1])
+            return np.column_stack([g_x, g_v])
 
         mu_drift = MeasureKernel(out_shape=(2, 2), contract_fn=mu_drift_contract)
 

@@ -130,7 +130,7 @@ def closed_loop_mean_velocity(
     M = grid.time_steps
     _check_inputs(problem, policy, num_particles, M)
     means = np.empty(M + 1)
-    for j, eta in _euler(problem, policy, num_particles, M, seed):
+    for j, _, eta in _euler(problem, policy, num_particles, M, seed):
         means[j] = eta.x[:, 1].mean()
     return means
 

@@ -234,14 +234,14 @@ class _FrozenControls:
         return self.table[j]
 
 
-def _per_particle_cost(problem, ensemble):
+def _per_particle_cost(problem, policy, ensemble):
     M = ensemble.time_steps
     dt = problem.horizon / M
     total = np.zeros(ensemble.num_particles)
     for j in range(M):
-        total += problem.running_cost(
-            j * dt, ensemble.states[j], ensemble.controls[j], ensemble.measure(j)
-        ) * dt
+        a = policy.eval_slice(j, ensemble.states[j])
+        assert ensemble.mean_a[j].tobytes() == a.mean(axis=0).tobytes()
+        total += problem.running_cost(j * dt, ensemble.states[j], a, ensemble.measure(j)) * dt
     total += problem.terminal_cost(ensemble.states[M], ensemble.measure(M))
     return total
 
@@ -275,7 +275,7 @@ def _directional_derivative_error(problem, grid, policy_base, N=50_000, seed=77,
 
     def cost_at(step):
         table = _FrozenControls(grid, controls + step * moves)
-        return _per_particle_cost(problem, simulate(problem, table, N, M, seed)).mean()
+        return _per_particle_cost(problem, table, simulate(problem, table, N, M, seed)).mean()
 
     fd = (cost_at(eps) - cost_at(-eps)) / (2 * eps)
     pairing = sum(

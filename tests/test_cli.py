@@ -59,6 +59,8 @@ def test_run_writes_artifacts(tmp_path):
     assert payload["settings"]["config"]["grid.cells"] == "10"
     policy = field_from_csv(out / "policy_phi.csv", policy=True)
     assert policy.grid.nodes == (11, 11)
+    # the lookahead has no reader, so no policy_psi.csv
+    assert sorted(p.name for p in out.iterdir()) == ["policy_phi.csv", "report.csv", "report.json"]
 
 
 def test_run_method_and_output_overrides(tmp_path):
@@ -142,7 +144,7 @@ def test_trajectories_csv_matches_the_per_value_formatter_byte_for_byte(
     keep = min(100, N)
     states[0, :4] = np.reshape(special, (4, 2))
     states[-1, keep - 4 : keep] = -np.reshape(special, (4, 2))[::-1]
-    ensemble = ParticleEnsemble(states, np.zeros((7, N, 1)))
+    ensemble = ParticleEnsemble(states, np.zeros((7, 1)))
     monkeypatch.setattr(experiments, "simulate", lambda *args: ensemble)
     report = SimpleNamespace(policy=None, lookahead=None)
     experiments._write_dumps(config, report, tmp_path)
@@ -296,10 +298,8 @@ def test_reports_are_byte_identical_across_thread_counts(tmp_path):
     cfg = _cfg(tmp_path, TINY)
     _run_cli_subprocess(cfg, tmp_path / "t1", 1)
     _run_cli_subprocess(cfg, tmp_path / "t4", 4)
-    for name in ("policy_phi.csv", "policy_psi.csv"):
-        a = (tmp_path / "t1" / name).read_bytes()
-        b = (tmp_path / "t4" / name).read_bytes()
-        assert a == b, name
+    a = (tmp_path / "t1" / "policy_phi.csv").read_bytes()
+    assert a == (tmp_path / "t4" / "policy_phi.csv").read_bytes()
     # every numeric column except the wall-time measurement is reproducible
     assert _strip_wall_time(tmp_path / "t1" / "report.csv") == _strip_wall_time(
         tmp_path / "t4" / "report.csv"

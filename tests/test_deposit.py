@@ -100,13 +100,13 @@ def test_kernel_mean_is_the_mean_of_the_point_values(d, seed, n):
     # each slice holds the points in another order, so each keeps other atoms
     states = np.stack([rng.permutation(x) for _ in range(M + 1)])
     subsample = int(rng.integers(1, n + 2))
-    ensemble = ParticleEnsemble(states, np.zeros((M + 1, n, 1)), subsample)
+    ensemble = ParticleEnsemble(states, np.zeros((M + 1, 1)), subsample)
     pde = AdjointField(
         GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (d,))), ensemble
     )
     ncells = int(np.prod(np.array(grid.nodes) - 1))
     reg = regress_adjoint(
-        _affine_problem(d, rng), ensemble, grid,
+        _affine_problem(d, rng), PolicyField.zeros(grid, 1), ensemble, grid,
         previous=rng.standard_normal((M + 1, ncells, d)),
     )
     for adjoint in (pde, reg):
@@ -147,7 +147,7 @@ def test_gradient_slice_matches_the_per_atom_path(method, subsample):
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ensemble = simulate(problem, policy, 500, grid.time_steps, 3)
     if method == "emreg":
-        adjoint = regress_adjoint(problem, ensemble, grid)
+        adjoint = regress_adjoint(problem, policy, ensemble, grid)
     else:
         adjoint = backward_sweep(problem, policy, ensemble, grid)
     for j in range(grid.time_steps + 1):

@@ -6,6 +6,8 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from mfcontrol import (
@@ -373,11 +375,39 @@ def _liquidating_portfolio_slice(j=17):
     return build_operator(prob, policy, ens, grid, j)
 
 
-def _line_of_nodes(grid, line_dim):
+def _line_of_nodes(nodes, line_dim):
     """Line number of every node: its C-order index over the other dimensions."""
-    idx = np.indices(grid.nodes).reshape(grid.state_dim, -1)
-    other = [i for i in range(grid.state_dim) if i != line_dim]
-    return np.ravel_multi_index(tuple(idx[other]), [grid.nodes[i] for i in other])
+    idx = np.indices(nodes).reshape(len(nodes), -1)
+    line = np.zeros(idx.shape[1], dtype=np.int64)
+    for i in range(len(nodes)):
+        if i != line_dim:
+            line = line * nodes[i] + idx[i]
+    return line
+
+
+def _assert_block_triangular(plan, system):
+    """Check the plan's components and their order against scipy's strongly
+    connected components; returns the number of those of the nodes."""
+    line = _line_of_nodes(system.nodes, plan.line_dim)
+    rank = np.empty(line.max() + 1, dtype=np.int64)
+    for k, lines in enumerate(plan.components):
+        rank[lines] = k
+    # every component comes after the components it reads: in the plan's
+    # order the system is block lower-triangular
+    coo = _as_csr(system).tocoo()
+    assert np.all(rank[line[coo.row]] >= rank[line[coo.col]])
+    # the components are the strongly connected components of the line
+    # graph, with scipy as the oracle
+    L = rank.size
+    lines_graph = sp.csr_matrix((np.ones(coo.nnz), (line[coo.row], line[coo.col])), shape=(L, L))
+    ncomp, label = connected_components(lines_graph, directed=True, connection="strong")
+    assert len(plan.components) == ncomp
+    for lines in plan.components:
+        assert np.unique(label[lines]).size == 1
+    # so each strongly connected component of the nodes lies in one of them
+    ncomp, comp = connected_components(coo, directed=True, connection="strong")
+    assert np.unique(np.stack([comp, rank[line]]), axis=1).shape[1] == ncomp
+    return ncomp
 
 
 @pytest.mark.parametrize(
@@ -393,25 +423,7 @@ def test_elimination_order_is_block_triangular(make_slice, line_dim):
     plan = op._plan
     # the lines run along the one diffusive dimension
     assert plan.line_dim == line_dim
-    line = _line_of_nodes(op.grid, line_dim)
-    rank = np.empty(line.max() + 1, dtype=np.int64)
-    for k, lines in enumerate(plan.components):
-        rank[lines] = k
-    # every component comes after the components it reads: in the plan's
-    # order the system is block lower-triangular
-    coo = _as_csr(op.system).tocoo()
-    assert np.all(rank[line[coo.row]] >= rank[line[coo.col]])
-    # the components are the strongly connected components of the line
-    # graph, with scipy as the oracle
-    L = rank.size
-    lines_graph = sp.csr_matrix((np.ones(coo.nnz), (line[coo.row], line[coo.col])), shape=(L, L))
-    ncomp, label = connected_components(lines_graph, directed=True, connection="strong")
-    assert len(plan.components) == ncomp
-    for lines in plan.components:
-        assert np.unique(label[lines]).size == 1
-    # so each strongly connected component of the nodes lies in one of them
-    ncomp, comp = connected_components(coo, directed=True, connection="strong")
-    assert np.unique(np.stack([comp, rank[line]]), axis=1).shape[1] == ncomp
+    ncomp = _assert_block_triangular(plan, op.system)
     if make_slice is _random_sign_portfolio_slice:
         # the 200 boundary nodes one by one, and the interior nodes of the
         # one run of 49 lines as one component
@@ -512,6 +524,71 @@ def test_lines_that_read_each_other_are_eliminated_as_one_run():
     assert np.abs(sol - want).max() <= 1e-12 * np.abs(want).max()
     assert op._plan.line_dim == 0
     assert max(len(lines) for lines in op._plan.components) == 9
+
+
+@st.composite
+def _planar_bands(draw):
+    """A random I - dt*L on a 1D or 2D lattice of 2-13 nodes per dimension:
+    upwind drift in every dimension, with random, sparse, striped or
+    constant signs, central diffusion in at most one, Dirichlet rows on the
+    boundary; an M-matrix with row sums 1, as build_operator makes them."""
+    d = draw(st.integers(1, 2))
+    nodes = tuple(draw(st.lists(st.integers(2, 13), min_size=d, max_size=d)))
+    diffuse = draw(st.sampled_from([None, *range(d)]))
+    kinds = draw(st.lists(st.sampled_from(["random", "sparse", "striped", "constant"]),
+                          min_size=d, max_size=d))
+    dt = 10.0 ** draw(st.floats(-3.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = np.indices(nodes).reshape(d, -1)
+    P = idx.shape[1]
+    band = np.zeros((2 * d + 1, P))
+    for i, kind in enumerate(kinds):
+        h = 1.0 / (nodes[i] - 1)
+        if kind == "random":
+            b = rng.standard_normal(P)
+        elif kind == "sparse":
+            b = rng.standard_normal(P) * (rng.random(P) < 0.2)
+        elif kind == "striped":
+            # a sign that flips along the drift's own dimension: lines on
+            # both sides of a flip towards each other read each other
+            stripe = idx[i] // rng.integers(1, 4)
+            b = np.where(stripe % 2 == 0, 1.0, -1.0) * rng.uniform(0.5, 1.5, P)
+        else:
+            b = np.full(P, rng.standard_normal())
+        w = dt * rng.uniform(0.0, 5.0) * np.abs(b) / h
+        band[2 * d - i] -= np.where(b > 0, w, 0.0)
+        band[i] -= np.where(b < 0, w, 0.0)
+        if diffuse == i:
+            s = dt * rng.uniform(0.0, 2.0, P) / h**2
+            band[i] -= s
+            band[2 * d - i] -= s
+    band[d] = 1.0 - band.sum(axis=0)
+    boundary = np.any((idx == 0) | (idx == np.array(nodes)[:, None] - 1), axis=0)
+    band[:, boundary] = 0.0
+    band[d, boundary] = 1.0
+    return BandMatrix(band, nodes)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(system=_planar_bands(), columns=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_line_plan_solves_random_planar_bands(system, columns, seed):
+    # a guard on the plan's interval split and chain order: a component
+    # solved before one it reads, or a run cut in two, breaks each check
+    plan = fdsolver._LinePlan(system)
+    _assert_block_triangular(plan, system)
+    rhs = np.random.default_rng(seed).standard_normal((system.shape[0], columns))
+    sol = plan.solve(rhs)
+    # |A^-1|_inf = 1 for an M-matrix with row sums 1, so |A|_inf is its
+    # condition number; the bound is the one the _Run docstring states
+    dense = system.toarray()
+    tol = 4 * np.finfo(float).eps * np.abs(dense).sum(axis=1).max()
+    scale = np.abs(rhs).max()
+    assert np.abs(system @ sol - rhs).max() <= tol * scale
+    want = np.linalg.solve(dense, rhs)
+    assert np.abs(sol - want).max() <= tol * np.abs(want).max()
+    # maximum principle: each entry is a convex combination of the rhs
+    assert np.all(sol >= rhs.min(axis=0) - tol * scale)
+    assert np.all(sol <= rhs.max(axis=0) + tol * scale)
 
 
 def test_a_3d_lattice_raises_at_its_first_solve():

@@ -9,16 +9,17 @@ from mfcontrol import EmpiricalMeasure, MeasureKernel
 @pytest.fixture
 def measure():
     rng = np.random.default_rng(0)
-    return EmpiricalMeasure(rng.standard_normal((40, 2)), rng.standard_normal((40, 1)))
+    x = rng.standard_normal((40, 2))
+    return EmpiricalMeasure(x, rng.standard_normal((40, 1)).mean(axis=0))
 
 
 def test_means_and_expect(measure):
-    np.testing.assert_allclose(measure.mean_a, measure.a.mean(axis=0))
-
-
-def test_atom_count_validation():
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(np.zeros((3, 2)), np.zeros((4, 1)))
+    # the law keeps the action mean it was given, and a subsample of its
+    # atoms keeps the full law's mean
+    assert measure.mean_a.shape == (1,)
+    assert measure.strided(10).mean_a is measure.mean_a
+    with pytest.raises(ValueError, match="at least one atom"):
+        EmpiricalMeasure(np.zeros((0, 2)), np.zeros(1))
 
 
 def test_strided_subsample(measure):
@@ -31,7 +32,7 @@ def test_strided_subsample(measure):
     assert measure.strided(12).size == 10
     assert [measure.stride(n) for n in (None, 40, 41, 12, 10, 1)] == [1, 1, 1, 4, 4, 40]
     # the subsample keeps the cap of the law it was taken from
-    capped = EmpiricalMeasure(measure.x, measure.a, 12)
+    capped = EmpiricalMeasure(measure.x, measure.mean_a, 12)
     assert capped.strided(10).kernel_subsample == 12
 
 
@@ -51,7 +52,7 @@ def test_zero_kernel(measure):
     # and a constant one goes through const_contract
     for other in (kern, MeasureKernel.constant([[0.5], [0.0]])):
         with pytest.raises(ValueError, match="contract_fn"):
-            other.mean_contract(0.0, measure, np.zeros((5, 2)), None)
+            other.mean_contract(0.0, measure, np.zeros((5, 2)), None, np.ones((40, 2)))
 
 
 def test_constant_kernel_with_weights(measure):

@@ -105,7 +105,7 @@ def test_estimate_cost_portfolio_10k_particles(benchmark):
 
 def test_simulate_portfolio_10k_particles(benchmark):
     # the training ensemble of a portfolio iteration: the same Euler loop
-    # at N = 10 000, M = 50, storing every step's states and controls
+    # at N = 10 000, M = 50, storing every step's states and control mean
     problem, grid = portfolio_problem(), portfolio_grid()
     policy = PolicyField.zeros(grid, 1)
     ensemble = benchmark.pedantic(
@@ -131,7 +131,7 @@ def test_gradient_field_portfolio_iteration(benchmark, portfolio_iteration, meth
     # the adjoint off the node deposit (fipde) or the cell histogram (emreg)
     problem, grid, policy, ensemble = portfolio_iteration
     if method == "emreg":
-        adjoint = regress_adjoint(problem, ensemble, grid)
+        adjoint = regress_adjoint(problem, policy, ensemble, grid)
     else:
         adjoint = backward_sweep(problem, policy, ensemble, grid)
     grad = benchmark.pedantic(
@@ -152,7 +152,7 @@ def test_cell_index_10k_points(benchmark):
 
 def _cs_measure(n, seed):
     rng = np.random.default_rng(seed)
-    return EmpiricalMeasure(rng.normal((1.5, 1.5), 0.3, (n, 2)), np.zeros((n, 1)))
+    return EmpiricalMeasure(rng.normal((1.5, 1.5), 0.3, (n, 2)), np.zeros(1))
 
 
 def test_cs_drift_5000_particles_500_atoms(benchmark):

@@ -74,7 +74,7 @@ def test_bitwise_reproducibility():
     a = simulate(prob, _zero_policy(grid), 500, grid.time_steps, 42)
     b = simulate(prob, _zero_policy(grid), 500, grid.time_steps, 42)
     np.testing.assert_array_equal(a.states, b.states)
-    np.testing.assert_array_equal(a.controls, b.controls)
+    np.testing.assert_array_equal(a.mean_a, b.mean_a)
     c = simulate(prob, _zero_policy(grid), 500, grid.time_steps, 43)
     assert not np.array_equal(a.states, c.states)
 
@@ -128,11 +128,13 @@ def test_non_finite_states_raise():
 def test_measure_slices_pair_states_with_controls():
     prob = portfolio_problem()
     grid = portfolio_grid()
-    ens = simulate(prob, _zero_policy(grid), 50, grid.time_steps, 3)
+    policy = _wavy_policy(grid, 1)
+    ens = simulate(prob, policy, 50, grid.time_steps, 3)
     eta = ens.measure(10)
     assert isinstance(eta, EmpiricalMeasure)
     np.testing.assert_array_equal(eta.x, ens.states[10])
-    np.testing.assert_array_equal(eta.a, ens.controls[10])
+    want = policy.eval_slice(10, ens.states[10]).mean(axis=0)
+    assert eta.mean_a.tobytes() == ens.mean_a[10].tobytes() == want.tobytes()
 
 
 def test_simulate_warns_when_particles_leave_the_grid_box():
@@ -167,12 +169,12 @@ def test_simulate_fails_fast_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
     prob = portfolio_problem()
     grid = portfolio_grid()
-    # (M+1)·N·(d+k) + N·n = 51·10 000·3 + 10 000·1 doubles, 12.3 MB
+    # (M+1)·(N·d+k) + N·n = 51·(10 000·2 + 1) + 10 000·1 doubles, 8.2 MB
     with pytest.raises(
-        MemoryError, match=r"N=10000 .* M=50 .*8\*\(\(M\+1\)\*N\*\(d\+k\) \+ N\*n\)"
+        MemoryError, match=r"N=10000 .* M=50 .*8\*\(\(M\+1\)\*\(N\*d\+k\) \+ N\*n\)"
     ):
         simulate(prob, _zero_policy(grid), 10_000, grid.time_steps, 0)
-    # a need within the limit runs: 51·100·3 + 100 doubles, 123 KB
+    # a need within the limit runs: 51·(100·2 + 1) + 100 doubles, 83 KB
     simulate(prob, _zero_policy(grid), 100, grid.time_steps, 0)
 
 
@@ -196,12 +198,17 @@ def _upfront_simulate(problem, policy, N, M, seed):
         x = states[j]
         a = policy.eval_slice(j, x)
         controls[j] = a
-        eta = EmpiricalMeasure(x, a, problem.kernel_subsample)
+        eta = EmpiricalMeasure(x, a.mean(axis=0), problem.kernel_subsample)
         b = problem.drift(j * dt, x, a, eta)
         sig = np.broadcast_to(problem.diffusion(j * dt, eta), (N, d, n))
         states[j + 1] = x + b * dt + np.einsum("pir,pr->pi", sig, dW[j])
     controls[M] = policy.eval_slice(M, states[M])
     return states, controls
+
+
+def _slice_means(controls):
+    """The action mean of each slice, as the particle loop takes it."""
+    return np.stack([a.mean(axis=0) for a in controls])
 
 
 def _ensemble_cost(problem, states, controls):
@@ -210,10 +217,11 @@ def _ensemble_cost(problem, states, controls):
     dt = problem.horizon / M
     total = np.zeros(N)
     for j in range(M):
-        eta = EmpiricalMeasure(states[j], controls[j])
+        eta = EmpiricalMeasure(states[j], controls[j].mean(axis=0))
         f = problem.running_cost(j * dt, states[j], controls[j], eta)
         total += (f + ell_value(problem.nonsmooth_cost, controls[j])) * dt
-    total += problem.terminal_cost(states[M], EmpiricalMeasure(states[M], controls[M]))
+    eta = EmpiricalMeasure(states[M], controls[M].mean(axis=0))
+    total += problem.terminal_cost(states[M], eta)
     acc = 0.0
     for lo in range(0, N, 4096):
         acc += total[lo : lo + 4096].sum(axis=0)
@@ -246,7 +254,7 @@ def test_streamed_loop_matches_upfront_noise_bitwise(prob, grid, N, seed):
     states, controls = _upfront_simulate(prob, policy, N, grid.time_steps, seed)
     ens = simulate(prob, policy, N, grid.time_steps, seed)
     assert ens.states.tobytes() == states.tobytes()
-    assert ens.controls.tobytes() == controls.tobytes()
+    assert ens.mean_a.tobytes() == _slice_means(controls).tobytes()
     cost = estimate_cost(prob, policy, N, grid.time_steps, seed)
     assert cost == _ensemble_cost(prob, states, controls)
     # a mean over a few particles keeps the last bits of each particle's sum
@@ -271,10 +279,37 @@ def test_estimate_cost_holds_one_step_not_the_paths():
         simulate_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # simulate holds (M+1)·N·(d+k) doubles, 12.2 MB; the evaluation a few
+    # simulate holds (M+1)·N·d doubles, 8.16 MB; the evaluation a few
     # (N, d+k+n) arrays
-    assert simulate_peak > 12e6
+    assert simulate_peak > 8.16e6
     assert cost_peak < simulate_peak / 4, (cost_peak, simulate_peak)
+
+
+@pytest.mark.parametrize(
+    "prob, grid",
+    [(portfolio_problem(), portfolio_grid()), (cs2d_problem(), cs2d_grid())],
+    ids=["portfolio", "cs2d"],
+)
+def test_simulate_keeps_the_states_and_the_action_means(prob, grid):
+    # the ensemble holds the paths and one action mean per step, no control
+    # per particle: the coefficients read the action law through its mean
+    N, M = 2_000, grid.time_steps
+    d, k = prob.state_dim, prob.control_dim
+    policy = _wavy_policy(grid, k)
+    simulate(prob, policy, 10, M, 0)  # warm the caches outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ens = simulate(prob, policy, N, M, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    arrays = {name: v.shape for name, v in vars(ens).items() if isinstance(v, np.ndarray)}
+    assert arrays == {"states": (M + 1, N, d), "mean_a": (M + 1, k)}
+    # (M+1)·N·d doubles, 1.63 MB, and one step of the loop on top; the
+    # controls of every step would add (M+1)·N·k
+    paths = 8 * (M + 1) * N * d
+    assert paths < peak < 1.2 * paths, (peak, paths)
 
 
 def test_particle_loop_builds_one_measure_per_step(monkeypatch):
@@ -325,7 +360,7 @@ def test_two_noise_step_matches_per_particle_einsum_bitwise():
     states, controls = _upfront_simulate(prob, policy, 2_000, grid.time_steps, 5)
     ens = simulate(prob, policy, 2_000, grid.time_steps, 5)
     assert ens.states.tobytes() == states.tobytes()
-    assert ens.controls.tobytes() == controls.tobytes()
+    assert ens.mean_a.tobytes() == _slice_means(controls).tobytes()
 
 
 def test_non_finite_state_names_its_step_and_first_particle():

@@ -72,7 +72,7 @@ def test_a_derivative_wrong_late_in_the_horizon_is_flagged():
 
 def test_portfolio_pointwise_values():
     prob = portfolio_problem()
-    eta = EmpiricalMeasure(np.array([[2.0, 1.0]]), np.array([[0.0]]))
+    eta = EmpiricalMeasure(np.array([[2.0, 1.0]]), np.array([0.0]))
     x = np.array([[2.0, 1.0]])
     a = np.array([[0.0]])
     # terminal cost -q(s - gamma q) has gradient (-q, -s + 2 gamma q)
@@ -83,15 +83,19 @@ def test_portfolio_pointwise_values():
         prob.running_cost(0.0, x, np.array([[1.0]]), eta), [2.0 + 1.0 + 1.0]
     )
     # price drift is lam * E[a]
-    eta2 = EmpiricalMeasure(np.array([[2.0, 1.0], [2.0, 1.0]]), np.array([[1.0], [3.0]]))
+    eta2 = EmpiricalMeasure(
+        np.array([[2.0, 1.0], [2.0, 1.0]]), np.array([[1.0], [3.0]]).mean(axis=0)
+    )
     b = prob.drift(0.0, x, a, eta2)
     np.testing.assert_allclose(b, [[0.5 * 2.0, 0.0]], atol=1e-14)
 
 
 def test_model_sigma_is_one_read_only_matrix():
     rng = np.random.default_rng(1)
-    etas = [EmpiricalMeasure(rng.standard_normal((L, 2)), rng.standard_normal((L, 1)))
-            for L in (3, 8)]
+    etas = [
+        EmpiricalMeasure(rng.standard_normal((L, 2)), rng.standard_normal((L, 1)).mean(axis=0))
+        for L in (3, 8)
+    ]
     for prob, want in ((portfolio_problem(), [[0.7], [0.0]]), (cs2d_problem(), [[0.0], [0.1]])):
         sig = prob.diffusion(0.0, etas[0])
         np.testing.assert_array_equal(sig, want)
@@ -105,7 +109,7 @@ def test_cs2d_alignment_kernel_values():
     prob = cs2d_problem(CuckerSmaleParams(beta=10.0))
     x = np.array([[0.0, 1.0], [1.0, 2.0]])
     a = np.zeros((2, 1))
-    eta = EmpiricalMeasure(x, a)
+    eta = EmpiricalMeasure(x, a.mean(axis=0))
     b = prob.drift(0.0, x[:1], a[:1], eta)
     # positions 0 and 1, velocities 1 and 2; the self term vanishes
     expected_align = 0.5 * (1.0 / 1024.0) * (2.0 - 1.0)
@@ -117,7 +121,7 @@ def test_cs2d_velocity_derivative_at_coincident_points():
     # velocity is exactly -K
     prob = cs2d_problem(CuckerSmaleParams(K=1.0, beta=10.0))
     x = np.array([[1.0, 1.5]])
-    eta = EmpiricalMeasure(x, np.zeros((1, 1)))
+    eta = EmpiricalMeasure(x, np.zeros(1))
     J = prob.dx_drift(0.0, x, np.zeros((1, 1)), eta)
     np.testing.assert_allclose(J[0], [[0.0, 1.0], [0.0, -1.0]], atol=1e-12)
 
@@ -205,7 +209,7 @@ def test_hamiltonian_derivative_matches_the_einsum_copies_bitwise(model, subsamp
     pde = AdjointField(GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (2,))), ens)
     ncells = int(np.prod(np.array(grid.nodes) - 1))
     reg = regress_adjoint(
-        prob, ens, grid,
+        prob, policy, ens, grid,
         previous=rng.standard_normal((M + 1, ncells, 2)),
     )
     X = grid.node_coords()
@@ -227,6 +231,6 @@ def test_hamiltonian_derivative_matches_the_einsum_copies_bitwise(model, subsamp
 
 def test_hamiltonian_derivative_names_a_bad_variable():
     prob = portfolio_problem()
-    eta = EmpiricalMeasure(np.zeros((2, 2)), np.zeros((2, 1)))
+    x, a = np.zeros((2, 2)), np.zeros((2, 1))
     with pytest.raises(ValueError, match="wrt"):
-        prob.hamiltonian_derivative("t", 0.0, eta.x, eta.a, np.zeros((2, 2)), None, 0)
+        prob.hamiltonian_derivative("t", 0.0, x, a, np.zeros((2, 2)), None, 0)
