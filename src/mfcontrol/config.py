@@ -4,8 +4,8 @@ Format: one `key = value` pair per line, `#` starts a comment, blank lines
 are ignored.  Dotted keys select nested settings: `problem.*` overrides a
 parameter of the chosen problem family, `grid.*` sets the discretization,
 `sweep.*` configures the robustness sweep lattice.  Unknown keys are
-rejected with a nearest-match suggestion; type mismatches report the
-offending line number.
+rejected with a nearest-match suggestion, and so is a key set twice; type
+mismatches report the offending line number.
 
 Each key is declared once, on the `RunConfig` field it sets, with its kind
 (str, int, float or bool) and, for counts, its lower bound.  Parsing, the
@@ -59,7 +59,6 @@ class RunConfig:
     dump_adjoint: bool = _key("dump_adjoint", bool, False)
     dump_trajectories: bool = _key("dump_trajectories", bool, False)
     kernel_subsample: Optional[int] = _key("kernel_subsample", int, None, lower=1)
-    momentum_cap: Optional[float] = _key("momentum_cap", float, None)
     initial_policy: Optional[str] = _key("initial_policy", str, None)
     sweep_q_min_lo: float = _key("sweep.q_min_lo", float, 0.5)
     sweep_q_min_hi: float = _key("sweep.q_min_hi", float, 1.5)
@@ -84,8 +83,6 @@ class RunConfig:
         # NaN fails every comparison, so it would pass `tau <= 0`
         if not 0 < self.tau < math.inf:
             raise ConfigError(f"tau must be positive and finite, got {self.tau!r}")
-        if self.momentum_cap is not None and math.isnan(self.momentum_cap):
-            raise ConfigError("momentum_cap must be a number, got nan")
 
     @property
     def sweep_q_min(self) -> Tuple[float, float]:
@@ -170,7 +167,11 @@ def parse_items(items: List[Tuple[str, str, int]]) -> RunConfig:
     values: Dict[str, object] = {}
     overrides: Dict[str, object] = {}
     problem_name = next((v.strip() for k, v, _ in items if k == "problem"), None)
-    lines = {key: line for key, _, line in items}
+    lines: Dict[str, int] = {}
+    for key, _, line in items:
+        if key in lines:
+            raise ConfigError(f"line {line}: key {key!r} is already set on line {lines[key]}")
+        lines[key] = line
     alias = None
     for key, raw, line in items:
         if key in _KEYS:

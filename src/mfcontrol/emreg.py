@@ -143,7 +143,7 @@ def regress_adjoint(
 
     cells = np.empty((M + 1, ncells, d))
     means = np.empty((M + 1, d))
-    stride = ensemble.measure(M).stride(ensemble.kernel_subsample)
+    stride = ensemble.measure(M).stride()
     # the sources of the loop read the slices and means regressed so far
     adjoint = PiecewiseConstantAdjoint(grid, cells, means, ensemble)
 

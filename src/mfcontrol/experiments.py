@@ -12,7 +12,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -47,7 +47,6 @@ def execute_run(config: RunConfig) -> nag.RunReport:
         problem, grid, iterations=config.iterations, tau=config.tau,
         num_particles=config.particles, seed=config.seed, eval_seed=config.eval_seed,
         method=config.method, initial_policy=_load_initial_policy(config),
-        momentum_cap=config.momentum_cap,
     )
 
 
@@ -163,28 +162,21 @@ def _sweep_cell(config: RunConfig, policy: PolicyField, q_min: float, q_max: flo
     return j_policy, ref.records[-1].cost
 
 
-def robustness_sweep(
-    config: RunConfig,
-    policy: PolicyField,
-    q_min_values: Optional[Sequence[float]] = None,
-    q_max_values: Optional[Sequence[float]] = None,
-) -> SweepResult:
+def robustness_sweep(config: RunConfig, policy: PolicyField) -> SweepResult:
     """Evaluate a frozen policy over a lattice of perturbed initial laws.
 
-    For each lattice cell the initial inventory law is U(q_min, q_max), the
-    frozen policy is evaluated by simulation, and the reference cost is a
-    freshly trained PDE-based policy at that law.  Cells run as independent
-    jobs; results are assembled in a fixed order so the output is
-    schedule-independent.
+    The lattice is the config's: sweep.steps evenly spaced values of q_min
+    over [sweep.q_min_lo, sweep.q_min_hi] against as many of q_max over
+    [sweep.q_max_lo, sweep.q_max_hi].  For each lattice cell the initial
+    inventory law is U(q_min, q_max), the frozen policy is evaluated by
+    simulation, and the reference cost is a freshly trained PDE-based policy
+    at that law.  Cells run as independent jobs; results are assembled in a
+    fixed order so the output is schedule-independent.
     """
     if config.problem != "portfolio":
         raise ValueError("the robustness sweep perturbs the portfolio inventory law")
-    if q_min_values is None:
-        q_min_values = np.linspace(*config.sweep_q_min, config.sweep_steps)
-    if q_max_values is None:
-        q_max_values = np.linspace(*config.sweep_q_max, config.sweep_steps)
-    q_min_values = np.asarray(q_min_values, dtype=float)
-    q_max_values = np.asarray(q_max_values, dtype=float)
+    q_min_values = np.linspace(*config.sweep_q_min, config.sweep_steps)
+    q_max_values = np.linspace(*config.sweep_q_max, config.sweep_steps)
 
     cells = [(i, j) for i in range(len(q_min_values)) for j in range(len(q_max_values))]
     policy_cost = np.empty((len(q_min_values), len(q_max_values)))
@@ -235,16 +227,8 @@ def sparsity_report(policy: PolicyField, threshold: float = 0.0) -> np.ndarray:
     return (flat <= threshold).mean(axis=1)
 
 
-def sparsity_to_csv(times: np.ndarray, fractions: np.ndarray, path) -> None:
-    """Write (t, zero_fraction) rows to a path or an open text stream."""
-
-    def emit(fh):
-        fh.write("t,zero_fraction\n")
-        for t, frac in zip(times, fractions):
-            fh.write(f"{t:.17g},{frac:.17g}\n")
-
-    if hasattr(path, "write"):
-        emit(path)
-    else:
-        with open(path, "w") as fh:
-            emit(fh)
+def sparsity_to_csv(times: np.ndarray, fractions: np.ndarray, fh) -> None:
+    """Write (t, zero_fraction) rows to an open text stream."""
+    fh.write("t,zero_fraction\n")
+    for t, frac in zip(times, fractions):
+        fh.write(f"{t:.17g},{frac:.17g}\n")

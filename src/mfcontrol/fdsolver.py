@@ -16,15 +16,15 @@ line through a diagonal block, where the drift points from the one to the
 other.  So the lines form a path, and its strongly connected components are
 intervals: single lines, and runs of adjacent lines that read each other
 both ways, where the drift across them changes sign towards each other.
-Solved in order of the longest chain of reads out of each component, the
-system is block lower-triangular, and one walk over the components solves
-it: a single line applies the precomputed inverse of its tridiagonal block,
-a run of m lines is eliminated block-tridiagonally, at the cost of m - 1
-dense inversions of line-sized blocks.  A slice whose operator does not
-change from one slice to the next (the zero policy of a first iteration)
-plans it once.  A lattice of three or more dimensions has no path of lines
-and raises ValueError at its first solve; method = emreg, the regression
-adjoint, runs in any dimension.
+Solved in a stable order of the chain of upward reads out of each
+component, the system is block lower-triangular, and one walk over the
+components solves it: a single line applies the precomputed inverse of its
+tridiagonal block, a run of m lines is eliminated block-tridiagonally, at
+the cost of m - 1 dense inversions of line-sized blocks.  A slice whose
+operator does not change from one slice to the next (the zero policy of a
+first iteration) plans it once.  A lattice of three or more dimensions
+has no path of lines and raises ValueError at its first solve; method =
+emreg, the regression adjoint, runs in any dimension.
 """
 
 from __future__ import annotations
@@ -174,14 +174,14 @@ class _LinePlan:
         # interval [start, end) of lines
         cuts = np.flatnonzero(~(reads_up[:-1] & reads_down[1:])) + 1
         starts, ends = np.append(0, cuts), np.append(cuts, len(reads_up))
-        # Solve each component after those it reads: by the longest chain of
-        # reads out of it.  On a path that chain runs to one side only, over
-        # neighbours that each read the next one, so a pass from each end
-        # counts it.
+        # Solve each component after those it reads: by a stable sort on the
+        # chain of components above it that each read the next one up, counted
+        # by one pass from the top.  A component that reads down reads a
+        # neighbour that reads nothing up (else the two would be one
+        # component), so that neighbour's chain is 0 and its index smaller.
         k = np.arange(starts.size)
-        chain_down = k - np.maximum.accumulate(np.where(reads_down[starts], 0, k))
         chain_up = (k - np.maximum.accumulate(np.where(reads_up[ends - 1][::-1], 0, k)))[::-1]
-        order = np.argsort(np.maximum(chain_down, chain_up), kind="stable")
+        order = np.argsort(chain_up, kind="stable")
         starts, ends = starts.tolist(), ends.tolist()
         self.components = [range(starts[c], ends[c]) for c in order.tolist()]
 

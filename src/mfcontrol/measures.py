@@ -16,6 +16,12 @@ from typing import Callable, Optional
 import numpy as np
 
 
+def check_kernel_subsample(cap) -> None:
+    """Raise ValueError unless the atom cap is None or an integer >= 1."""
+    if cap is not None and not (isinstance(cap, (int, np.integer)) and cap >= 1):
+        raise ValueError(f"kernel_subsample must be None or a positive integer, got {cap!r}")
+
+
 @dataclass
 class EmpiricalMeasure:
     """Uniform atomic measure on N states x in R^d, with mean_a in R^k, the
@@ -23,7 +29,8 @@ class EmpiricalMeasure:
 
     kernel_subsample is the atom cap of the interaction sums over this law
     (MfcProblem.kernel_subsample, None keeps all): the coefficients that
-    sum over the atoms sum over strided(kernel_subsample).
+    sum over the atoms sum over strided().  A cap that is neither None nor
+    an integer >= 1 raises ValueError when the measure is built.
     """
 
     x: np.ndarray  # (N, d)
@@ -35,28 +42,28 @@ class EmpiricalMeasure:
         self.mean_a = np.asarray(self.mean_a, dtype=float)
         if self.x.shape[0] < 1:
             raise ValueError("empirical measure needs at least one atom")
+        check_kernel_subsample(self.kernel_subsample)
 
     @property
     def size(self) -> int:
         return self.x.shape[0]
 
-    def stride(self, max_atoms: Optional[int]) -> int:
-        """Step of the subsample kept by strided(max_atoms): ceil(N/max_atoms),
-        or 1 when every atom is kept.  A cap below 1 raises ValueError."""
-        if max_atoms is not None and max_atoms < 1:
-            raise ValueError(f"subsample cap must be a positive atom count, got {max_atoms!r}")
-        if max_atoms is None or self.size <= max_atoms:
+    def stride(self) -> int:
+        """Step of the subsample kept by strided(): ceil(N/kernel_subsample),
+        or 1 when every atom is kept."""
+        cap = self.kernel_subsample
+        if cap is None or self.size <= cap:
             return 1
-        return int(np.ceil(self.size / max_atoms))
+        return int(np.ceil(self.size / cap))
 
-    def strided(self, max_atoms: Optional[int]) -> "EmpiricalMeasure":
-        """Deterministic uniform subsample (every stride(max_atoms)-th atom),
-        with the full law's mean_a.
+    def strided(self) -> "EmpiricalMeasure":
+        """Deterministic uniform subsample under the law's own cap (every
+        stride()-th atom), with the full law's mean_a and cap.
 
         Per-atom arrays such as adjoint values at the atoms are subsampled
-        alongside as ``values[::measure.stride(max_atoms)]``.
+        alongside as ``values[::measure.stride()]``.
         """
-        step = self.stride(max_atoms)
+        step = self.stride()
         if step == 1:
             return self
         return EmpiricalMeasure(self.x[::step], self.mean_a, self.kernel_subsample)

@@ -56,10 +56,9 @@ def gradient_field(
     return GridField(grid, vals)
 
 
-def momentum_coefficient(m: int, cap: Optional[float] = None) -> float:
+def momentum_coefficient(m: int) -> float:
     """Nesterov momentum weight of iteration m (0 at the first step)."""
-    coef = m / (m + 3.0)
-    return coef if cap is None else min(coef, cap)
+    return m / (m + 3.0)
 
 
 @dataclass
@@ -71,14 +70,10 @@ class NagState:
     psi: PolicyField
 
 
-def _check_step_settings(tau: float, momentum_cap: Optional[float]) -> None:
-    """Raise ValueError unless tau is positive and finite and the momentum
-    cap is not NaN; NaN passes every comparison with False, so a NaN cap
-    would leave the momentum uncapped."""
+def _check_step_settings(tau: float) -> None:
+    """Raise ValueError unless tau is positive and finite (NaN is neither)."""
     if not 0 < tau < np.inf:
         raise ValueError(f"stepsize tau must be positive and finite, got {tau!r}")
-    if momentum_cap is not None and np.isnan(momentum_cap):
-        raise ValueError("momentum_cap must be a number, got nan")
 
 
 def nag_step(
@@ -87,15 +82,15 @@ def nag_step(
     tau: float,
     problem: MfcProblem,
     accelerate: bool = True,
-    momentum_cap: Optional[float] = None,
 ) -> NagState:
-    """One proximal-gradient update with optional momentum extrapolation."""
-    _check_step_settings(tau, momentum_cap)
+    """One proximal-gradient update, with the momentum extrapolation
+    m / (m + 3) when accelerate is set."""
+    _check_step_settings(tau)
     grid = state.psi.grid
     phi_vals = prox_apply(
         problem.nonsmooth_cost, tau, state.psi.values - tau * grad.values
     )
-    coef = momentum_coefficient(state.iteration, momentum_cap) if accelerate else 0.0
+    coef = momentum_coefficient(state.iteration) if accelerate else 0.0
     psi_vals = phi_vals + coef * (phi_vals - state.phi.values)
     return NagState(
         iteration=state.iteration + 1,
@@ -195,13 +190,14 @@ def run(
     eval_seed: int = 1_000_003,
     method: str = "fipde",
     initial_policy: Optional[PolicyField] = None,
-    momentum_cap: Optional[float] = None,
     callback: Optional[Callable[[int, NagState, RunReport], None]] = None,
 ) -> RunReport:
     """Run the iterative solver and report per-iteration costs.
 
-    `method` is one of :data:`METHODS`.  The regression starts each
-    iteration's cells from the previous iteration's cells.  The
+    `method` is one of :data:`METHODS`: 'fipde' and 'emreg' extrapolate with
+    the momentum weight m / (m + 3), 'ipde' takes plain steps.  The
+    regression starts each iteration's cells from the previous iteration's
+    cells.  The
     training ensemble reuses the same seed every iteration so the scheme is
     a deterministic fixed-point iteration on the policy; cost rows are
     estimated on a separate fixed evaluation seed (common random numbers
@@ -226,7 +222,7 @@ def run(
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     if iterations < 0:
         raise ValueError("iteration count must be nonnegative")
-    _check_step_settings(tau, momentum_cap)
+    _check_step_settings(tau)
     M = grid.time_steps
     phi0 = (
         initial_policy.copy()
@@ -273,10 +269,7 @@ def run(
             # evaluation and the next simulate, so that one ensemble is alive
             # at a time
             del ensemble, adjoint
-            state = nag_step(
-                state, grad, tau, problem,
-                accelerate=(method != "ipde"), momentum_cap=momentum_cap,
-            )
+            state = nag_step(state, grad, tau, problem, accelerate=(method != "ipde"))
             grad_norm = _grad_norm(grad)
             del grad
             wall_ms = (time.perf_counter() - tic) * 1e3

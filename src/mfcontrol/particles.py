@@ -64,8 +64,7 @@ class BoundAdjoint:
     def kernel_atoms(self, j: int) -> EmpiricalMeasure:
         """The atoms that the measure kernels average over at slice j: the
         law of slice j, every stride-th atom under its kernel_subsample."""
-        eta = self.ensemble.measure(j)
-        return eta.strided(eta.kernel_subsample)
+        return self.ensemble.measure(j).strided()
 
 
 def _noise_streams(seed: int):

@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, MeasureKernel
+from .measures import EmpiricalMeasure, MeasureKernel, check_kernel_subsample
 from .prox import ProxSpec
 
 
@@ -42,11 +42,12 @@ class MfcProblem:
     of their controls: the coefficients read the action law through it.
 
     kernel_subsample caps every interaction sum at every stride-th atom
-    (EmpiricalMeasure.strided; None keeps all).  simulate records it on the
-    ParticleEnsemble, whose measures carry it as their own kernel_subsample:
-    the coefficients sum over eta.strided(eta.kernel_subsample), and the
-    adjoints' kernel atoms come from the same law, so a problem made with
-    dataclasses.replace subsamples at its new cap everywhere.
+    (EmpiricalMeasure.strided; None keeps all); a cap that is neither None
+    nor an integer >= 1 raises ValueError (measures.check_kernel_subsample).
+    simulate records it on the ParticleEnsemble, whose measures carry it as
+    their own kernel_subsample: the coefficients sum over eta.strided(), and
+    the adjoints' kernel atoms come from the same law, so a problem made
+    with dataclasses.replace subsamples at its new cap everywhere.
     """
 
     state_dim: int
@@ -77,9 +78,7 @@ class MfcProblem:
                 raise ValueError(f"{attr} must be a positive integer")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        cap = self.kernel_subsample
-        if cap is not None and not (isinstance(cap, (int, np.integer)) and cap >= 1):
-            raise ValueError(f"kernel_subsample must be None or a positive integer, got {cap!r}")
+        check_kernel_subsample(self.kernel_subsample)
 
     def hamiltonian_derivative(
         self, wrt: str, t: float, x, a, U, adjoint, j: int

@@ -307,7 +307,7 @@ def cs2d_problem(
     alignment kernel kappa = K (v' - v) / (1 + (x - x')^2)^beta.  Cost:
     integral of (v - E[v])^2 + gamma1 a^2 + gamma2 |a| plus terminal
     (v_T - E[v_T])^2.  The drift and dx_drift sum the alignment over
-    eta.strided(eta.kernel_subsample); kernel_subsample: see MfcProblem.
+    eta.strided(), under the law's own cap; kernel_subsample: see MfcProblem.
 
     The dispersion costs carry no measure kernel: the L-derivative of
     (v - E[v])^2 is -2 (v - E[v]) in the v-direction, at any atom, and the
@@ -319,7 +319,7 @@ def cs2d_problem(
 
     def _align(x, v, eta):
         """E[kappa] at points (x, v) = (K/L) (A - v B), A = sum w v', B = sum w."""
-        etas = eta.strided(eta.kernel_subsample)
+        etas = eta.strided()
         if p.beta == 0:
             return p.K * (etas.x[:, 1].mean() - v)
         R = np.column_stack([etas.x[:, 1], np.ones(etas.size)])
@@ -357,7 +357,7 @@ def cs2d_problem(
     def dx_drift(t, x, a, eta):
         out = np.zeros((x.shape[0], 2, 2))
         out[:, 0, 1] = 1.0
-        etas = eta.strided(eta.kernel_subsample)
+        etas = eta.strided()
         if p.beta == 0:
             out[:, 1, 1] = -p.K
             return out

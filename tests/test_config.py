@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import pytest
 
 from mfcontrol import ConfigError, RunConfig, parse_config
-from mfcontrol.config import _KEYS
+from mfcontrol.config import _KEYS, parse_items
 
 # every key set away from its default; the problem overrides come out sorted
 FULL = RunConfig(
@@ -23,7 +23,6 @@ FULL = RunConfig(
     dump_adjoint=True,
     dump_trajectories=True,
     kernel_subsample=500,
-    momentum_cap=0.8,
     initial_policy="warm/policy_phi.csv",
     sweep_q_min_lo=0.4,
     sweep_q_min_hi=1.2,
@@ -176,11 +175,21 @@ def test_non_finite_tau_is_rejected(tmp_path, tau):
         parse_config(_write(tmp_path, f"problem = portfolio\ntau = {tau}\n"))
 
 
-def test_nan_momentum_cap_is_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="momentum_cap"):
-        RunConfig(problem="portfolio", momentum_cap=float("nan"))
-    with pytest.raises(ConfigError, match="momentum_cap"):
-        parse_config(_write(tmp_path, "problem = portfolio\nmomentum_cap = nan\n"))
+def test_momentum_cap_is_an_unknown_key(tmp_path):
+    # the momentum weight is m / (m + 3); method = ipde takes plain steps
+    with pytest.raises(ConfigError, match="line 2: unknown key 'momentum_cap'"):
+        parse_config(_write(tmp_path, "problem = portfolio\nmomentum_cap = 0.5\n"))
+
+
+def test_a_key_set_twice_is_rejected():
+    items = [("problem", "portfolio", 1), ("iterations", "3", 2), ("iterations", "5", 3)]
+    with pytest.raises(ConfigError, match="line 3: key 'iterations' is already set on line 2"):
+        parse_items(items)
+    with pytest.raises(ConfigError, match="line 4: key 'problem.sigma' is already set on line 2"):
+        parse_items([
+            ("problem", "portfolio", 1), ("problem.sigma", "0.2", 2),
+            ("iterations", "3", 3), ("problem.sigma", "0.3", 4),
+        ])
 
 
 def test_dump_adjoint_rejected_for_emreg(tmp_path):
@@ -231,7 +240,6 @@ def test_to_items_is_frozen():
         "dump_adjoint": "true",
         "dump_trajectories": "true",
         "kernel_subsample": "500",
-        "momentum_cap": "0.8",
         "initial_policy": "warm/policy_phi.csv",
         "sweep.q_min_lo": "0.4",
         "sweep.q_min_hi": "1.2",

@@ -112,7 +112,7 @@ def test_kernel_mean_is_the_mean_of_the_point_values(d, seed, n):
     for adjoint in (pde, reg):
         for j in (0, M):
             atoms = adjoint.kernel_atoms(j)
-            assert atoms.size == -(-n // ensemble.measure(j).stride(subsample))
+            assert atoms.size == -(-n // ensemble.measure(j).stride())
             want = adjoint.u_at_points(j, atoms.x).mean(axis=0)
             got = adjoint.kernel_mean(j)
             assert got.shape == (d,)
@@ -120,7 +120,7 @@ def test_kernel_mean_is_the_mean_of_the_point_values(d, seed, n):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
 
 
-def _gradient_slice_per_atom(problem, policy, ensemble, adjoint, j, kernel_subsample=None):
+def _gradient_slice_per_atom(problem, policy, ensemble, adjoint, j):
     """gradient_slice with the drift kernel contracted against the adjoint at
     every atom, as it was before the constant kernel read the mean."""
     grid = policy.grid
@@ -131,7 +131,7 @@ def _gradient_slice_per_atom(problem, policy, ensemble, adjoint, j, kernel_subsa
     U = adjoint.u_at_nodes(j)
     grad = np.einsum("pim,pi->pm", np.asarray(problem.da_drift(t, X, psi, eta)), U)
     grad += np.asarray(problem.da_running(t, X, psi, eta))
-    eta_k = eta.strided(kernel_subsample)
+    eta_k = eta.strided()
     w = adjoint.u_at_points(j, eta_k.x)
     grad += w.mean(axis=0) @ problem.nu_drift.const
     return grad
@@ -152,7 +152,7 @@ def test_gradient_slice_matches_the_per_atom_path(method, subsample):
         adjoint = backward_sweep(problem, policy, ensemble, grid)
     for j in range(grid.time_steps + 1):
         got = gradient_slice(problem, policy, adjoint, j)
-        want = _gradient_slice_per_atom(problem, policy, ensemble, adjoint, j, subsample)
+        want = _gradient_slice_per_atom(problem, policy, ensemble, adjoint, j)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
@@ -174,7 +174,7 @@ def test_assemble_source_matches_the_per_atom_path():
     # the constant kernel's part, against U interpolated at every atom
     t, X, psi = j * grid.dt, grid.node_coords(), policy.slice_flat(j)
     eta = ensemble.measure(j)
-    eta_k = eta.strided(90)
+    eta_k = eta.strided()
     w = multilinear_eval(grid, U.reshape(grid.nodes + (2,)), eta_k.x)
     want = np.einsum("pil,pi->pl", problem.dx_drift(t, X, psi, eta), U)
     want += problem.dx_running(t, X, psi, eta)

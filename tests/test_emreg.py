@@ -129,7 +129,7 @@ def test_regressed_adjoint_tracks_terminal_condition():
     assert err < 0.1
 
 
-def _regress_reference(problem, policy, ensemble, grid, previous, kernel_subsample):
+def _regress_reference(problem, policy, ensemble, grid, previous):
     """The backward regression spelled out with the public pieces: cell
     indices recomputed for every lookup and the policy re-evaluated at the
     particles.  regress_adjoint must reproduce it bit for bit."""
@@ -145,9 +145,9 @@ def _regress_reference(problem, policy, ensemble, grid, previous, kernel_subsamp
         u = adj.u_at_points(j, x)
         src = np.einsum("pil,pi->pl", problem.dx_drift(t, x, a, eta), u)
         src += problem.dx_running(t, x, a, eta)
-        eta_k = eta.strided(kernel_subsample)
+        eta_k = eta.strided()
         if not problem.mu_drift.is_zero:
-            u_k = u[:: eta.stride(kernel_subsample)]
+            u_k = u[:: eta.stride()]
             src += problem.mu_drift.mean_contract(t, eta_k, x, a, weights=u_k)
         cells[j - 1] = cell_regression(
             grid, ensemble.states[j - 1], u + grid.dt * src, previous[j - 1]
@@ -169,7 +169,7 @@ def test_regress_adjoint_matches_reference_loop_bitwise(model):
     ens = simulate(prob, policy, 400, grid.time_steps, 0)
     previous = rng.standard_normal((grid.time_steps + 1, 100, 2))
     adj = regress_adjoint(prob, policy, ens, grid, previous=previous)
-    want = _regress_reference(prob, policy, ens, grid, previous, subsample)
+    want = _regress_reference(prob, policy, ens, grid, previous)
     np.testing.assert_array_equal(adj.cells, want)
     for j in (0, grid.time_steps):
         np.testing.assert_array_equal(
@@ -189,7 +189,7 @@ def test_regression_means_are_the_histogram_means_of_the_strided_atoms(
     previous = rng.standard_normal((grid.time_steps + 1, 100, 2))
     adj = regress_adjoint(prob, policy, ens, grid, previous=previous)
     assert adj.ensemble is ens and ens.kernel_subsample == subsample
-    assert ens.measure(0).stride(subsample) == stride
+    assert ens.measure(0).stride() == stride
     lookups = []
 
     def counted_cell_index(grid, x):
@@ -200,7 +200,7 @@ def test_regression_means_are_the_histogram_means_of_the_strided_atoms(
     for j in range(grid.time_steps + 1):
         # the gradient's atoms, as hamiltonian_derivative takes them
         x = adj.kernel_atoms(j).x
-        np.testing.assert_array_equal(x, ens.measure(j).strided(subsample).x)
+        np.testing.assert_array_equal(x, ens.measure(j).strided().x)
         counts = np.bincount(cell_index(grid, x), minlength=100)
         want = counts @ adj.cells[j] / x.shape[0]
         lookups.clear()

@@ -36,7 +36,6 @@ def test_momentum_schedule():
     assert momentum_coefficient(0) == 0.0
     assert momentum_coefficient(1) == 0.25
     assert momentum_coefficient(7) == 0.7
-    assert momentum_coefficient(7, cap=0.5) == 0.5
 
 
 def test_zero_gradient_is_a_fixed_point():
@@ -87,10 +86,6 @@ def test_non_finite_step_settings_are_rejected():
         # run checks before any particle is simulated
         with pytest.raises(ValueError, match="tau"):
             run(prob, grid, iterations=1, tau=tau, num_particles=10)
-    with pytest.raises(ValueError, match="momentum_cap"):
-        nag_step(state, grad, 0.1, prob, momentum_cap=float("nan"))
-    with pytest.raises(ValueError, match="momentum_cap"):
-        run(prob, grid, iterations=1, num_particles=10, momentum_cap=float("nan"))
 
 
 @pytest.mark.parametrize("method", ["fipde", "emreg"])

@@ -145,7 +145,7 @@ def test_nonsmooth_cost_follows_k2():
     assert prob.nonsmooth_cost.kappa == 1.0
 
 
-def _gradient_slice_einsum(problem, policy, ensemble, adjoint, j, kernel_subsample):
+def _gradient_slice_einsum(problem, policy, ensemble, adjoint, j):
     """The control gradient at the nodes, written out with einsum as
     nag.gradient_slice was before it called hamiltonian_derivative."""
     grid = policy.grid
@@ -154,7 +154,7 @@ def _gradient_slice_einsum(problem, policy, ensemble, adjoint, j, kernel_subsamp
     U = adjoint.u_at_nodes(j)
     grad = np.einsum("pim,pi->pm", problem.da_drift(t, X, psi, eta), U)
     grad += problem.da_running(t, X, psi, eta)
-    eta_k = eta.strided(kernel_subsample)
+    eta_k = eta.strided()
     if problem.nu_drift.const is not None:
         grad += problem.nu_drift.const_contract(adjoint.kernel_mean(j))
     elif not problem.nu_drift.is_zero:
@@ -163,7 +163,7 @@ def _gradient_slice_einsum(problem, policy, ensemble, adjoint, j, kernel_subsamp
     return grad
 
 
-def _assemble_source_einsum(problem, policy, ensemble, U_next, j, kernel_subsample):
+def _assemble_source_einsum(problem, policy, ensemble, U_next, j):
     """The adjoint source at the nodes for node values U_next of slice j,
     written out with einsum as fdsolver.assemble_source was before it
     called hamiltonian_derivative."""
@@ -172,7 +172,7 @@ def _assemble_source_einsum(problem, policy, ensemble, U_next, j, kernel_subsamp
     eta = ensemble.measure(j)
     src = np.einsum("pil,pi->pl", problem.dx_drift(t, X, psi, eta), U_next)
     src += problem.dx_running(t, X, psi, eta)
-    eta_k = eta.strided(kernel_subsample)
+    eta_k = eta.strided()
     if problem.mu_drift.const is not None:
         mean = deposit(grid, eta_k.x) @ U_next / eta_k.size
         src += problem.mu_drift.const_contract(mean)
@@ -205,7 +205,7 @@ def test_hamiltonian_derivative_matches_the_einsum_copies_bitwise(model, subsamp
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # particles leaving the box
         ens = simulate(prob, policy, 400, M, 2)
-    assert ens.measure(0).stride(subsample) == stride
+    assert ens.measure(0).stride() == stride
     pde = AdjointField(GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (2,))), ens)
     ncells = int(np.prod(np.array(grid.nodes) - 1))
     reg = regress_adjoint(
@@ -216,13 +216,13 @@ def test_hamiltonian_derivative_matches_the_einsum_copies_bitwise(model, subsamp
     for j in range(M + 1):
         t, psi = j * grid.dt, policy.slice_flat(j)
         for adjoint in (pde, reg):
-            want = _gradient_slice_einsum(prob, policy, ens, adjoint, j, subsample)
+            want = _gradient_slice_einsum(prob, policy, ens, adjoint, j)
             got = prob.hamiltonian_derivative("a", t, X, psi, adjoint.u_at_nodes(j), adjoint, j)
             np.testing.assert_array_equal(_bits(got), _bits(want))
             got = gradient_slice(prob, policy, adjoint, j)
             np.testing.assert_array_equal(_bits(got), _bits(want))
         U = pde.u_at_nodes(j)
-        want = _assemble_source_einsum(prob, policy, ens, U, j, subsample)
+        want = _assemble_source_einsum(prob, policy, ens, U, j)
         got = prob.hamiltonian_derivative("x", t, X, psi, U, pde, j)
         np.testing.assert_array_equal(_bits(got), _bits(want))
         got = assemble_source(prob, policy, pde, grid, j)

@@ -92,7 +92,7 @@ def test_cs_kernels_match_pairwise_oracle(beta, kind):
     # the drift sums over the atoms under the law's own cap
     x = rng.normal((1.5, 1.5), 0.6, (450, 2))
     eta = EmpiricalMeasure(x, rng.standard_normal((450, 1)).mean(axis=0), 150)
-    etas = eta.strided(150)
+    etas = eta.strided()
     X = _points(kind, rng)
     a = rng.standard_normal((X.shape[0], 1))
 
