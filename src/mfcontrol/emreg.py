@@ -115,13 +115,13 @@ def regress_adjoint(
     problem: MfcProblem,
     policy: PolicyField,
     ensemble: ParticleEnsemble,
-    grid: SpaceTimeGrid,
     previous: Optional[np.ndarray] = None,
 ) -> PiecewiseConstantAdjoint:
     """Backward indicator-basis regression of the adjoint along particles.
 
-    Cell values at slice j-1 are the per-cell means over particles X_{j-1}
-    of Y_j(X_j) + dt * source(t_j, X_j), mirroring the explicit source
+    The cells and time slices are those of policy.grid.  Cell values at
+    slice j-1 are the per-cell means over particles X_{j-1} of
+    Y_j(X_j) + dt * source(t_j, X_j), mirroring the explicit source
     treatment of the grid scheme.  The source is the x-derivative of the
     Hamiltonian (MfcProblem.hamiltonian_derivative) at the particles and
     the controls of `policy` there, re-evaluated per slice: under the policy
@@ -136,6 +136,7 @@ def regress_adjoint(
     particle under the ensemble's kernel_subsample), are read off the cell
     counts that the regression computes anyway.
     """
+    grid = policy.grid
     M = grid.time_steps
     d = problem.state_dim
     ncells = int(np.prod(np.array(grid.nodes) - 1))

@@ -76,7 +76,7 @@ def _write_dumps(config: RunConfig, report: nag.RunReport, out_dir: Path) -> Non
     # the training ensemble of the last lookahead serves both dumps
     ensemble = simulate(problem, policy, config.particles, grid.time_steps, config.seed)
     if config.dump_adjoint:
-        field_to_csv(backward_sweep(problem, policy, ensemble, grid).u, out_dir / "adjoint_u.csv")
+        field_to_csv(backward_sweep(problem, policy, ensemble).u, out_dir / "adjoint_u.csv")
     if config.dump_trajectories:
         # the first 100 particles, one block (and one write) per slice
         d = problem.state_dim
@@ -152,13 +152,11 @@ def _sweep_cell(config: RunConfig, policy: PolicyField, q_min: float, q_max: flo
     )
 
     # the reference is always a freshly trained PDE-based policy on the
-    # perturbed law, regardless of which method produced the frozen policy
-    ref = nag.run(
-        problem, grid,
-        iterations=cell_cfg.sweep_iterations, tau=cell_cfg.tau,
-        num_particles=cell_cfg.particles, seed=cell_cfg.seed,
-        eval_seed=cell_cfg.eval_seed, method="fipde",
-    )
+    # perturbed law from the zero policy, regardless of which method and
+    # initial policy produced the frozen policy
+    ref = execute_run(dc_replace(
+        cell_cfg, iterations=cell_cfg.sweep_iterations, method="fipde", initial_policy=None
+    ))
     return j_policy, ref.records[-1].cost
 
 
@@ -220,7 +218,7 @@ def sparsity_report(policy: PolicyField, threshold: float = 0.0) -> np.ndarray:
     The proximal step produces exact zeros under an l1 cost, so the default
     threshold of zero counts genuinely switched-off controls.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # NaN is not
         raise ValueError("threshold must be nonnegative")
     flat = np.abs(policy.values).max(axis=-1)
     flat = flat.reshape(flat.shape[0], -1)

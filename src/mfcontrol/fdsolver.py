@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import GridField, PolicyField, SpaceTimeGrid, c_strides, deposit
+from .grids import GridField, PolicyField, c_strides, deposit
 # bound only because perfbench/run.py traces this name on this module
 from .grids import multilinear_eval  # noqa: F401
 from .particles import BoundAdjoint, ParticleEnsemble
@@ -283,7 +283,6 @@ class MonotoneOperator:
     identity rows.
     """
 
-    grid: SpaceTimeGrid
     system: BandMatrix
     _plan: Optional[_LinePlan] = None
 
@@ -348,10 +347,9 @@ def build_operator(
     problem: MfcProblem,
     policy: PolicyField,
     ensemble: ParticleEnsemble,
-    grid: SpaceTimeGrid,
     j: int,
 ) -> MonotoneOperator:
-    """Assemble the monotone stencil at time slice j.
+    """Assemble the monotone stencil at time slice j of policy.grid.
 
     First-order terms are discretized upwind (forward difference weighted by
     b+, backward by b-), the diagonal of sigma sigma^T centrally.  sigma is
@@ -366,6 +364,7 @@ def build_operator(
     (BandMatrix): entry for entry, bit for bit, the matrix that assembling L
     from COO triplets and forming I - dt*L with sparse algebra gives.
     """
+    grid = policy.grid
     t, X, psi = j * grid.dt, grid.node_coords(), policy.slice_flat(j)
     eta = ensemble.measure(j)
     b = problem.drift(t, X, psi, eta)
@@ -412,22 +411,23 @@ def build_operator(
     # 0 - dt*x and 1 + x * -dt equals 1 - dt*x, bit for bit
     system = L * -grid.dt
     system[d] += 1.0
-    return MonotoneOperator(grid=grid, system=BandMatrix(system, grid.nodes))
+    return MonotoneOperator(BandMatrix(system, grid.nodes))
 
 
 def assemble_source(
     problem: MfcProblem,
     policy: PolicyField,
     adjoint: AdjointField,
-    grid: SpaceTimeGrid,
     j: int,
 ) -> np.ndarray:
     """Explicit source slice of the fully discrete scheme, (num_nodes, d).
 
     The x-derivative of the Hamiltonian (MfcProblem.hamiltonian_derivative)
-    at the nodes, with the adjoint's slice j, under the adjoint's particle
-    law of slice j.  A non-finite entry raises FloatingPointError.
+    at the nodes of policy.grid, with the adjoint's slice j, under the
+    adjoint's particle law of slice j.  A non-finite entry raises
+    FloatingPointError.
     """
+    grid = policy.grid
     src = problem.hamiltonian_derivative(
         "x", j * grid.dt, grid.node_coords(), policy.slice_flat(j),
         adjoint.u_at_nodes(j), adjoint, j,
@@ -442,12 +442,13 @@ def backward_sweep(
     problem: MfcProblem,
     policy: PolicyField,
     ensemble: ParticleEnsemble,
-    grid: SpaceTimeGrid,
 ) -> AdjointField:
-    """Solve the adjoint PDE system backward on the grid.
+    """Solve the adjoint PDE system backward on policy.grid.
 
-    The returned field is bound to `ensemble`, the law that its sources and
-    the control gradient are linearised at, under the ensemble's atom cap.
+    Every slice's stencil and source are assembled at the policy's nodes,
+    and the returned field lies on the policy's grid.  It is bound to
+    `ensemble`, the law that its sources and the control gradient are
+    linearised at, under the ensemble's atom cap.
     Terminal slice is the discretized terminal condition; boundary nodes
     hold the terminal data as Dirichlet data for all times; each interior
     step solves (I - dt L) U^{j-1} = U^j + dt f for all components at once.
@@ -456,7 +457,7 @@ def backward_sweep(
     planning every slice: under the zero policy of a first iteration all M
     slices share one plan.
     """
-    d = problem.state_dim
+    d, grid = problem.state_dim, policy.grid
     dt, h = grid.dt, grid.h
     if dt > float(h.max()) * 4.0:
         warnings.warn(
@@ -475,10 +476,10 @@ def backward_sweep(
     U[M] = term
     op = None
     for j in range(M, 0, -1):
-        new_op = build_operator(problem, policy, ensemble, grid, j - 1)
+        new_op = build_operator(problem, policy, ensemble, j - 1)
         if op is None or not np.array_equal(new_op.system.band, op.system.band):
             op = new_op
-        src = assemble_source(problem, policy, adjoint, grid, j)
+        src = assemble_source(problem, policy, adjoint, j)
         rhs = U[j] + dt * src
         rhs[boundary] = term[boundary]
         U[j - 1] = op.solve(rhs)

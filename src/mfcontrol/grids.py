@@ -45,6 +45,8 @@ class SpaceTimeGrid:
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
         object.__setattr__(self, "nodes", tuple(int(v) for v in self.nodes))
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if self.time_steps < 1:
             raise ValueError("time_steps must be >= 1")
         if not (len(self.lo) == len(self.hi) == len(self.nodes)):

@@ -73,10 +73,11 @@ class EmpiricalMeasure:
 class MeasureKernel:
     """Kernel representation of a measure derivative (L-derivative).
 
-    The kernel value at (carrier, evaluation) has shape ``out_shape``; the
-    leading axis of ``out_shape`` indexes the coefficient component at the
-    carrier, trailing axes index derivative directions at the evaluation
-    point.  At most one of the two representations is populated:
+    The kernel value at (carrier, evaluation) is an array whose leading axis
+    indexes the coefficient component at the carrier and whose trailing
+    axes index derivative directions at the evaluation point: (d, d) for the
+    drift's state kernel, (d, k) for its action kernel.  At most one of the
+    two representations is populated:
 
     * ``const``       -- kernel independent of carrier and evaluation point,
       contracted by :meth:`const_contract`;
@@ -87,20 +88,18 @@ class MeasureKernel:
     A kernel with no representation is identically zero.
     """
 
-    out_shape: tuple
     const: Optional[np.ndarray] = None
     contract_fn: Optional[Callable] = None
     # not a field: perfbench/run.py reads it to count pairwise evaluations
     pair_fn = None
 
     @classmethod
-    def zero(cls, out_shape: tuple) -> "MeasureKernel":
-        return cls(out_shape=tuple(out_shape))
+    def zero(cls) -> "MeasureKernel":
+        return cls()
 
     @classmethod
     def constant(cls, value) -> "MeasureKernel":
-        arr = np.asarray(value, dtype=float)
-        return cls(out_shape=arr.shape, const=arr)
+        return cls(const=np.asarray(value, dtype=float))
 
     @property
     def is_zero(self) -> bool:
@@ -108,7 +107,7 @@ class MeasureKernel:
 
     def const_contract(self, mean_weights: np.ndarray) -> np.ndarray:
         """A constant kernel contracted against the carrier mean of the
-        weights, shape out_shape[mean_weights.ndim:], the same at every
+        weights, shape const.shape[mean_weights.ndim:], the same at every
         evaluation point."""
         return np.tensordot(mean_weights, self.const, axes=mean_weights.ndim)
 
@@ -123,11 +122,11 @@ class MeasureKernel:
         """Particle average of a ``contract_fn`` kernel, contracted against
         carrier weights.
 
-        With ``weights`` of shape (L, *out_shape[:r]) the leading r axes of
-        the kernel are contracted against the weights before averaging over
-        carriers; the result has shape (P, *out_shape[r:]).  A constant
-        or zero kernel raises ValueError: const_contract serves the first,
-        and the second adds nothing.
+        With ``weights`` of shape (L, *S[:r]), S the shape of a kernel
+        value, the leading r axes of the kernel are contracted against the
+        weights before averaging over carriers; the result has shape
+        (P, *S[r:]).  A constant or zero kernel raises ValueError:
+        const_contract serves the first, and the second adds nothing.
         """
         if self.contract_fn is None:
             raise ValueError("mean_contract serves contract_fn kernels only")

@@ -180,6 +180,31 @@ def _grad_norm(grad: GridField) -> float:
     return float(np.sqrt(np.mean(grad.values**2)))
 
 
+def _onto_run_grid(policy: PolicyField, grid: SpaceTimeGrid) -> PolicyField:
+    """A copy of the policy's values on the run grid itself.
+
+    The policy must lie on `grid`: the same nodes and time steps, and the
+    box corners and the horizon equal up to 1e-9 of a mesh width and of a
+    time step.  That accepts a policy read back by field_from_csv, whose
+    upper corner is the last node's coordinate, lo + (n - 1) h, and can
+    differ from hi in the last bits.  Any other grid raises ValueError
+    naming both.
+    """
+    other = policy.grid
+
+    def box(g: SpaceTimeGrid) -> np.ndarray:
+        return np.array(g.lo + g.hi + (g.horizon,))
+
+    scale = np.concatenate([grid.h, grid.h, [grid.dt]])
+    if not (
+        other.nodes == grid.nodes
+        and other.time_steps == grid.time_steps
+        and np.all(np.abs(box(other) - box(grid)) <= 1e-9 * scale)
+    ):
+        raise ValueError(f"the initial policy lies on {other}, not on the run grid {grid}")
+    return PolicyField(grid, policy.values.copy())
+
+
 def run(
     problem: MfcProblem,
     grid: SpaceTimeGrid,
@@ -208,11 +233,15 @@ def run(
     at a time.  At its peak a solve holds one ensemble, its adjoint, the
     (phi, psi) pair and the gradient; the initial policy is released after
     the first step.  The interaction sums are subsampled at the problem's own
-    cap, problem.kernel_subsample.  Row m = 0 echoes the cost of the
-    initial policy; row m >= 1 reports the cost of phi^m together with the
-    gradient norm and wall time of the iteration producing it.  On
-    failure, also in the cost row of the initial policy, a
-    :class:`SolverError` carrying the partial report is raised.
+    cap, problem.kernel_subsample.  An initial policy must lie on `grid` up
+    to rounding (a CSV round trip of a policy on it does), and the run
+    takes its values onto `grid` itself, so that the iterates, the adjoint,
+    the gradient and the report's policy share one grid object; a policy on
+    another grid raises ValueError before any cost row.  Row m = 0 echoes
+    the cost of the initial policy; row m >= 1 reports the cost of phi^m
+    together with the gradient norm and wall time of the iteration
+    producing it.  On failure, also in the cost row of the initial policy,
+    a :class:`SolverError` carrying the partial report is raised.
     """
     # emreg imports this module, so it is imported here, and
     # emreg.regress_adjoint is looked up at each call
@@ -225,7 +254,7 @@ def run(
     _check_step_settings(tau)
     M = grid.time_steps
     phi0 = (
-        initial_policy.copy()
+        _onto_run_grid(initial_policy, grid)
         if initial_policy is not None
         else PolicyField.zeros(grid, problem.control_dim)
     )
@@ -260,10 +289,10 @@ def run(
             tic = time.perf_counter()
             ensemble = simulate(problem, state.psi, num_particles, M, seed)
             if method == "emreg":
-                adjoint = emreg.regress_adjoint(problem, state.psi, ensemble, grid, previous)
+                adjoint = emreg.regress_adjoint(problem, state.psi, ensemble, previous)
                 previous = adjoint.cells
             else:
-                adjoint = backward_sweep(problem, state.psi, ensemble, grid)
+                adjoint = backward_sweep(problem, state.psi, ensemble)
             grad = gradient_field(problem, state.psi, adjoint)
             # the training ensemble and the adjoint bound to it go before the
             # evaluation and the next simulate, so that one ensemble is alive

@@ -33,10 +33,10 @@ class MfcProblem:
       dx_drift -> (P,d,d) with [p,i,l] = d b_i / d x_l;  da_drift -> (P,d,k)
       dx_running -> (P,d);  da_running -> (P,k);  dx_terminal -> (P,d)
     The measure derivatives of the drift are MeasureKernels with the
-    carrier/evaluation convention, out_shape (d,d) for mu_drift and (d,k)
-    for nu_drift; the costs' measure dependence enters only through their
-    pointwise derivatives under the law.  The adjoint solver holds the
-    terminal data on the boundary of its truncated box.
+    carrier/evaluation convention, kernel values of shape (d,d) for
+    mu_drift and (d,k) for nu_drift; the costs' measure dependence enters
+    only through their pointwise derivatives under the law.  The adjoint
+    solver holds the terminal data on the boundary of its truncated box.
 
     eta, the law of a slice, holds its states eta.x and the mean eta.mean_a
     of their controls: the coefficients read the action law through it.
@@ -76,8 +76,8 @@ class MfcProblem:
         for attr in ("state_dim", "control_dim", "noise_dim"):
             if getattr(self, attr) < 1:
                 raise ValueError(f"{attr} must be a positive integer")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         check_kernel_subsample(self.kernel_subsample)
 
     def hamiltonian_derivative(

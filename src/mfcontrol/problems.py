@@ -118,7 +118,7 @@ def portfolio_problem(
         dx_running=dx_running,
         da_running=da_running,
         dx_terminal=dx_terminal,
-        mu_drift=MeasureKernel.zero((2, 2)),
+        mu_drift=MeasureKernel.zero(),
         nu_drift=MeasureKernel.constant([[p.lam], [0.0]]),
         initial_sampler=initial_sampler,
         nonsmooth_cost=nonsmooth,
@@ -402,7 +402,7 @@ def cs2d_problem(
             g_x, g_v = _atom_grad(ex[:, 0], ex[:, 1], measure.x, weights[:, 1])
             return np.column_stack([g_x, g_v])
 
-        mu_drift = MeasureKernel(out_shape=(2, 2), contract_fn=mu_drift_contract)
+        mu_drift = MeasureKernel(contract_fn=mu_drift_contract)
 
     def initial_sampler(n, rng):
         comp = rng.random(n) < 0.5
@@ -427,7 +427,7 @@ def cs2d_problem(
         da_running=da_running,
         dx_terminal=dx_terminal,
         mu_drift=mu_drift,
-        nu_drift=MeasureKernel.zero((2, 1)),
+        nu_drift=MeasureKernel.zero(),
         initial_sampler=initial_sampler,
         nonsmooth_cost=nonsmooth,
         name="cucker-smale-2d",

@@ -267,7 +267,7 @@ def _directional_derivative_error(problem, grid, policy_base, N=50_000, seed=77,
     delta = PolicyField(grid, dir_vals)
 
     ens = simulate(problem, psi, N, M, seed)
-    adjoint = backward_sweep(problem, psi, ens, grid)
+    adjoint = backward_sweep(problem, psi, ens)
     grad = gradient_field(problem, psi, adjoint)
 
     controls = np.stack([psi.eval_slice(j, ens.states[j]) for j in range(M + 1)])

@@ -210,6 +210,26 @@ def test_negative_sweep_iterations_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_horizon_exits_2(tmp_path, capsys):
+    cfg = _cfg(tmp_path, TINY + f"output = {tmp_path / 'out'}\nproblem.horizon = nan\n")
+    assert main(["run", cfg]) == 2
+    assert "horizon" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_initial_policy_from_another_box_exits_2(tmp_path, capsys):
+    # a cs2d policy has the portfolio run's 11 x 11 nodes and 10 steps,
+    # but its box starts at (0, 0), the portfolio's at (-2, 0)
+    cs_out = tmp_path / "cs"
+    cs_cfg = TINY.replace("portfolio", "cs2d").replace("iterations = 2", "iterations = 0")
+    assert main(["run", _cfg(tmp_path, cs_cfg), "--output", str(cs_out)]) == 0
+    capsys.readouterr()
+    cfg = _cfg(tmp_path, TINY + f"initial_policy = {cs_out / 'policy_phi.csv'}\n")
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "not on the run grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_subcommand(tmp_path, capsys):
     cfg = _cfg(tmp_path, "problem = portfolio\n")
     assert main(["validate", cfg]) == 0
@@ -263,8 +283,9 @@ def test_sparsity_report_counts_exact_zeros():
     out = io.StringIO()
     sparsity_to_csv(grid.times, fractions, out)
     assert out.getvalue().splitlines()[0] == "t,zero_fraction"
-    with pytest.raises(ValueError):
-        sparsity_report(PolicyField(grid, vals), threshold=-1.0)
+    for threshold in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            sparsity_report(PolicyField(grid, vals), threshold=threshold)
 
 
 def _run_cli_subprocess(cfg, out_dir, threads):

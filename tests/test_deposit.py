@@ -87,7 +87,7 @@ def _affine_problem(d, rng):
         dx_running=lambda t, x, a, eta: x + c,
         da_running=None,
         dx_terminal=lambda x, mu: x @ G,
-        mu_drift=MeasureKernel.zero((d, d)), nu_drift=MeasureKernel.zero((d, 1)),
+        mu_drift=MeasureKernel.zero(), nu_drift=MeasureKernel.zero(),
         initial_sampler=None,
     )
 
@@ -106,7 +106,7 @@ def test_kernel_mean_is_the_mean_of_the_point_values(d, seed, n):
     )
     ncells = int(np.prod(np.array(grid.nodes) - 1))
     reg = regress_adjoint(
-        _affine_problem(d, rng), PolicyField.zeros(grid, 1), ensemble, grid,
+        _affine_problem(d, rng), PolicyField.zeros(grid, 1), ensemble,
         previous=rng.standard_normal((M + 1, ncells, d)),
     )
     for adjoint in (pde, reg):
@@ -147,9 +147,9 @@ def test_gradient_slice_matches_the_per_atom_path(method, subsample):
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ensemble = simulate(problem, policy, 500, grid.time_steps, 3)
     if method == "emreg":
-        adjoint = regress_adjoint(problem, policy, ensemble, grid)
+        adjoint = regress_adjoint(problem, policy, ensemble)
     else:
-        adjoint = backward_sweep(problem, policy, ensemble, grid)
+        adjoint = backward_sweep(problem, policy, ensemble)
     for j in range(grid.time_steps + 1):
         got = gradient_slice(problem, policy, adjoint, j)
         want = _gradient_slice_per_atom(problem, policy, ensemble, adjoint, j)
@@ -170,7 +170,7 @@ def test_assemble_source_matches_the_per_atom_path():
     vals = np.zeros((grid.time_steps + 1,) + grid.nodes + (2,))
     vals[j] = U.reshape(grid.nodes + (2,))
     adjoint = AdjointField(GridField(grid, vals), ensemble)
-    got = assemble_source(problem, policy, adjoint, grid, j)
+    got = assemble_source(problem, policy, adjoint, j)
     # the constant kernel's part, against U interpolated at every atom
     t, X, psi = j * grid.dt, grid.node_coords(), policy.slice_flat(j)
     eta = ensemble.measure(j)

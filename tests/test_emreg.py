@@ -120,7 +120,7 @@ def test_regressed_adjoint_tracks_terminal_condition():
     grid = portfolio_grid(cells=25, time_steps=25)
     policy = PolicyField.zeros(grid, 1)
     ens = simulate(prob, policy, 20_000, grid.time_steps, 0)
-    adj = regress_adjoint(prob, policy, ens, grid)
+    adj = regress_adjoint(prob, policy, ens)
     xT = ens.states[-1]
     exact = np.stack([-xT[:, 1], -xT[:, 0] + xT[:, 1]], axis=1)
     approx = adj.u_at_points(grid.time_steps, xT)
@@ -168,7 +168,7 @@ def test_regress_adjoint_matches_reference_loop_bitwise(model):
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 400, grid.time_steps, 0)
     previous = rng.standard_normal((grid.time_steps + 1, 100, 2))
-    adj = regress_adjoint(prob, policy, ens, grid, previous=previous)
+    adj = regress_adjoint(prob, policy, ens, previous=previous)
     want = _regress_reference(prob, policy, ens, grid, previous)
     np.testing.assert_array_equal(adj.cells, want)
     for j in (0, grid.time_steps):
@@ -187,7 +187,7 @@ def test_regression_means_are_the_histogram_means_of_the_strided_atoms(
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, N, grid.time_steps, 5)
     previous = rng.standard_normal((grid.time_steps + 1, 100, 2))
-    adj = regress_adjoint(prob, policy, ens, grid, previous=previous)
+    adj = regress_adjoint(prob, policy, ens, previous=previous)
     assert adj.ensemble is ens and ens.kernel_subsample == subsample
     assert ens.measure(0).stride() == stride
     lookups = []

@@ -62,7 +62,7 @@ def _linear_1d_problem(b=0.0, sigma=np.sqrt(2.0), source=None, terminal=None):
         dx_running=dx_running,
         da_running=lambda t, x, a, eta: np.zeros((x.shape[0], 1)),
         dx_terminal=dx_terminal,
-        mu_drift=MeasureKernel.zero((1, 1)), nu_drift=MeasureKernel.zero((1, 1)),
+        mu_drift=MeasureKernel.zero(), nu_drift=MeasureKernel.zero(),
         initial_sampler=lambda n, rng: rng.uniform(0.3, 0.7, (n, 1)),
     )
 
@@ -77,10 +77,10 @@ def _setup(problem, grid, N=64, seed=0):
     return policy, ens
 
 
-def _stencil(op):
+def _stencil(op, dt):
     """Dense L recovered from the system I - dt*L (zero on boundary rows)."""
     P = op.system.shape[0]
-    return (np.eye(P) - op.system.toarray()) / op.grid.dt
+    return (np.eye(P) - op.system.toarray()) / dt
 
 
 def test_stencil_weights_pure_diffusion():
@@ -88,8 +88,8 @@ def test_stencil_weights_pure_diffusion():
     prob = _linear_1d_problem(b=0.0, sigma=np.sqrt(2.0))
     grid = _grid_1d(nodes=11)
     policy, ens = _setup(prob, grid)
-    op = build_operator(prob, policy, ens, grid, 0)
-    L = _stencil(op)
+    op = build_operator(prob, policy, ens, 0)
+    L = _stencil(op, grid.dt)
     for k in range(1, 10):
         np.testing.assert_allclose(L[k, k - 1], 100.0, atol=1e-9)
         np.testing.assert_allclose(L[k, k + 1], 100.0, atol=1e-9)
@@ -102,7 +102,7 @@ def test_stencil_weights_upwind_drift():
     prob = _linear_1d_problem(b=1.0, sigma=np.sqrt(2.0))
     grid = _grid_1d(nodes=11)
     policy, ens = _setup(prob, grid)
-    L = _stencil(build_operator(prob, policy, ens, grid, 0))
+    L = _stencil(build_operator(prob, policy, ens, 0), grid.dt)
     np.testing.assert_allclose(L[5, 6], 110.0, atol=1e-9)
     np.testing.assert_allclose(L[5, 4], 100.0, atol=1e-9)
     np.testing.assert_allclose(L[5, 5], -210.0, atol=1e-9)
@@ -112,7 +112,7 @@ def test_stencil_nonnegative_off_diagonal_on_models():
     for prob, grid in [(portfolio_problem(), portfolio_grid())]:
         policy, ens = _setup(prob, grid, N=256)
         for j in (0, 25, 49):
-            band = build_operator(prob, policy, ens, grid, j).system.band
+            band = build_operator(prob, policy, ens, j).system.band
             off_sys = np.delete(band, grid.state_dim, axis=0)
             assert np.all(off_sys <= 0.0)  # M-matrix sign pattern
             # rows of L sum to zero, so every row of I - dt*L sums to one
@@ -132,7 +132,7 @@ def test_off_diagonal_diffusion_rejected():
     policy = PolicyField.zeros(grid, 1)
     ens = simulate(portfolio_problem(), policy, 32, grid.time_steps, 0)
     with pytest.raises(ValueError, match="off-diagonal"):
-        build_operator(prob, policy, ens, grid, 0)
+        build_operator(prob, policy, ens, 0)
 
 
 def test_small_off_diagonal_diffusion_rejected():
@@ -144,18 +144,18 @@ def test_small_off_diagonal_diffusion_rejected():
     skew = np.full((2, 1), 1e-7)
     prob = dataclasses.replace(portfolio_problem(), diffusion=lambda t, eta: skew)
     with pytest.raises(ValueError, match="off-diagonal"):
-        build_operator(prob, policy, ens, grid, 0)
+        build_operator(prob, policy, ens, 0)
     # a diagonal sigma sigma^T of the same size passes
     diagonal = np.array([[1e-7], [0.0]])
     prob = dataclasses.replace(portfolio_problem(), diffusion=lambda t, eta: diagonal)
-    build_operator(prob, policy, ens, grid, 0)
+    build_operator(prob, policy, ens, 0)
 
 
 def test_m_matrix_inverse_nonnegativity():
     prob = portfolio_problem()
     grid = portfolio_grid()
     policy, ens = _setup(prob, grid, N=256)
-    op = build_operator(prob, policy, ens, grid, 10)
+    op = build_operator(prob, policy, ens, 10)
     rng = np.random.default_rng(0)
     for _ in range(10):
         rhs = rng.uniform(0.0, 1.0, (grid.num_nodes, 1))
@@ -217,7 +217,7 @@ def test_system_matches_coo_assembly_bitwise(psi_scale, nnz):
     policy = PolicyField(grid, vals)
     ens = simulate(prob, policy, 128, grid.time_steps, 0)
     for j in (0, 17):
-        got = build_operator(prob, policy, ens, grid, j).system
+        got = build_operator(prob, policy, ens, j).system
         assert got.nnz == nnz
         _assert_same_csr(got, _coo_system(prob, policy, ens, grid, j))
 
@@ -226,14 +226,14 @@ def test_system_matches_coo_assembly_bitwise_1d():
     prob = _linear_1d_problem(b=-0.4, sigma=0.3)
     grid = _grid_1d(nodes=21)
     policy, ens = _setup(prob, grid)
-    got = build_operator(prob, policy, ens, grid, 0).system
+    got = build_operator(prob, policy, ens, 0).system
     _assert_same_csr(got, _coo_system(prob, policy, ens, grid, 0))
 
 
 def test_singular_system_raises_promptly():
     grid = _grid_1d(nodes=21)
     P = grid.num_nodes
-    op = MonotoneOperator(grid=grid, system=BandMatrix(np.zeros((3, P)), grid.nodes))
+    op = MonotoneOperator(BandMatrix(np.zeros((3, P)), grid.nodes))
     tic = time.perf_counter()
     with pytest.raises(RuntimeError, match="zero pivot"):
         op.solve(np.ones((P, 1)))
@@ -244,7 +244,7 @@ def test_solve_tolerance_is_relative_to_rhs(monkeypatch):
     prob = _linear_1d_problem()
     grid = _grid_1d(nodes=21)
     policy, ens = _setup(prob, grid)
-    op = build_operator(prob, policy, ens, grid, 0)
+    op = build_operator(prob, policy, ens, 0)
     rng = np.random.default_rng(1)
     rhs = 1e12 * rng.standard_normal((grid.num_nodes, 1))
     sol = op.solve(rhs)
@@ -261,7 +261,7 @@ def test_solve_tolerance_is_relative_also_below_unit_scale():
     prob = _linear_1d_problem()
     grid = _grid_1d(nodes=21)
     policy, ens = _setup(prob, grid)
-    op = build_operator(prob, policy, ens, grid, 0)
+    op = build_operator(prob, policy, ens, 0)
     rhs = 1e-12 * np.random.default_rng(3).standard_normal((grid.num_nodes, 1))
     op.solve(rhs)
     exact = op._plan
@@ -291,7 +291,7 @@ def _coupled_portfolio_slice(j=17):
     rng = np.random.default_rng(5)
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 256, grid.time_steps, 0)
-    return build_operator(prob, policy, ens, grid, j)
+    return build_operator(prob, policy, ens, j)
 
 
 def _random_sign_portfolio_slice(j=10):
@@ -301,7 +301,7 @@ def _random_sign_portfolio_slice(j=10):
     rng = np.random.default_rng(1)
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 1000, grid.time_steps, 0)
-    return build_operator(prob, policy, ens, grid, j)
+    return build_operator(prob, policy, ens, j)
 
 
 def _cs2d_slice(j=3):
@@ -310,7 +310,7 @@ def _cs2d_slice(j=3):
     policy = PolicyField(grid, np.random.default_rng(6).standard_normal(
         (grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 200, grid.time_steps, 0)
-    return build_operator(prob, policy, ens, grid, j)
+    return build_operator(prob, policy, ens, j)
 
 
 def _slice_3d():
@@ -332,7 +332,7 @@ def _slice_3d():
     )
     grid = SpaceTimeGrid(horizon=1.0, time_steps=20, lo=(0.0,) * 3, hi=(1.0,) * 3, nodes=(9, 8, 7))
     policy, ens = _setup(prob, grid)
-    return build_operator(prob, policy, ens, grid, 4)
+    return build_operator(prob, policy, ens, 4)
 
 
 @pytest.mark.parametrize(
@@ -340,7 +340,7 @@ def _slice_3d():
 )
 def test_solve_matches_dense_solve(make_slice):
     op = make_slice()
-    P = op.grid.num_nodes
+    P = op.system.shape[0]
     rng = np.random.default_rng(7)
     rhs = rng.standard_normal((P, 2))
     sol = op.solve(rhs)
@@ -353,7 +353,7 @@ def test_solve_obeys_discrete_maximum_principle():
     # the solution is a convex combination of the right-hand side
     op = _coupled_portfolio_slice()
     np.testing.assert_allclose(op.system.band.sum(axis=0), 1.0, rtol=0, atol=1e-12)
-    rhs = np.random.default_rng(8).uniform(-3.0, 5.0, (op.grid.num_nodes, 2))
+    rhs = np.random.default_rng(8).uniform(-3.0, 5.0, (op.system.shape[0], 2))
     sol = op.solve(rhs)
     assert np.all(sol >= rhs.min(axis=0) - 1e-12)
     assert np.all(sol <= rhs.max(axis=0) + 1e-12)
@@ -372,7 +372,7 @@ def _liquidating_portfolio_slice(j=17):
     prob, grid = portfolio_problem(), portfolio_grid()
     policy = _liquidating_policy(grid)
     ens = simulate(prob, policy, 256, grid.time_steps, 0)
-    return build_operator(prob, policy, ens, grid, j)
+    return build_operator(prob, policy, ens, j)
 
 
 def _line_of_nodes(nodes, line_dim):
@@ -419,7 +419,7 @@ def _assert_block_triangular(plan, system):
 )
 def test_elimination_order_is_block_triangular(make_slice, line_dim):
     op = make_slice()
-    op.solve(np.ones((op.grid.num_nodes, 1)))
+    op.solve(np.ones((op.system.shape[0], 1)))
     plan = op._plan
     # the lines run along the one diffusive dimension
     assert plan.line_dim == line_dim
@@ -438,7 +438,7 @@ def test_band_product_matches_the_dense_matrix():
     dense = op.system.toarray()
     assert np.count_nonzero(dense) == op.system.nnz
     rng = np.random.default_rng(4)
-    for shape in [(op.grid.num_nodes,), (op.grid.num_nodes, 3)]:
+    for shape in [(op.system.shape[0],), (op.system.shape[0], 3)]:
         x = rng.standard_normal(shape)
         np.testing.assert_allclose(op.system @ x, dense @ x, rtol=0, atol=1e-13)
 
@@ -467,7 +467,7 @@ def test_sweep_factors_once_per_distinct_operator(monkeypatch, policy_kind, fact
         policy = _liquidating_policy(grid)
     ens = simulate(prob, policy, 256, grid.time_steps, 0)
     plans = _counting_plans(monkeypatch)
-    backward_sweep(prob, policy, ens, grid)
+    backward_sweep(prob, policy, ens)
     assert len(plans) == factors
 
 
@@ -475,7 +475,7 @@ def test_reused_factor_matches_a_factor_per_slice_bitwise(monkeypatch):
     prob, grid = portfolio_problem(), portfolio_grid()
     policy = PolicyField.zeros(grid, 1)
     ens = simulate(prob, policy, 256, grid.time_steps, 0)
-    reused = backward_sweep(prob, policy, ens, grid).u.values
+    reused = backward_sweep(prob, policy, ens).u.values
     solve = MonotoneOperator.solve
 
     def solve_with_a_fresh_plan(op, rhs):
@@ -484,7 +484,7 @@ def test_reused_factor_matches_a_factor_per_slice_bitwise(monkeypatch):
 
     monkeypatch.setattr(MonotoneOperator, "solve", solve_with_a_fresh_plan)
     plans = _counting_plans(monkeypatch)
-    fresh = backward_sweep(prob, policy, ens, grid).u.values
+    fresh = backward_sweep(prob, policy, ens).u.values
     assert len(plans) == grid.time_steps
     np.testing.assert_array_equal(reused.view(np.int64), fresh.view(np.int64))
 
@@ -496,7 +496,7 @@ def test_two_diffusive_dimensions_rejected():
     sigma = np.diag([0.7, 0.1])
     prob = dataclasses.replace(portfolio_problem(), noise_dim=2, diffusion=lambda t, eta: sigma)
     with pytest.raises(ValueError, match=r"diffuses in dimensions \[0, 1\]"):
-        build_operator(prob, policy, ens, grid, 0)
+        build_operator(prob, policy, ens, 0)
 
 
 def _laplacian_system(nodes, weight=30.0):
@@ -517,7 +517,7 @@ def test_lines_that_read_each_other_are_eliminated_as_one_run():
     # lines along dimension 0 into one component, a run that
     # block-tridiagonal elimination solves
     grid = SpaceTimeGrid(horizon=1.0, time_steps=10, lo=(0.0, 0.0), hi=(1.0, 1.0), nodes=(13, 11))
-    op = MonotoneOperator(grid=grid, system=_laplacian_system(grid.nodes))
+    op = MonotoneOperator(_laplacian_system(grid.nodes))
     rhs = np.random.default_rng(9).standard_normal((grid.num_nodes, 2))
     sol = op.solve(rhs)
     want = np.linalg.solve(op.system.toarray(), rhs)
@@ -593,12 +593,10 @@ def test_line_plan_solves_random_planar_bands(system, columns, seed):
 
 def test_a_3d_lattice_raises_at_its_first_solve():
     # the line solve is planar; build_operator still assembles the 3D slice
-    nodes = (20, 20, 20)
-    grid = SpaceTimeGrid(horizon=1.0, time_steps=10, lo=(0.0,) * 3, hi=(1.0,) * 3, nodes=nodes)
-    for op in (_slice_3d(), MonotoneOperator(grid=grid, system=_laplacian_system(nodes))):
+    for op in (_slice_3d(), MonotoneOperator(_laplacian_system((20, 20, 20)))):
         tic = time.perf_counter()
         with pytest.raises(ValueError, match="planar.*method = emreg"):
-            op.solve(np.ones((op.grid.num_nodes, 1)))
+            op.solve(np.ones((op.system.shape[0], 1)))
         assert time.perf_counter() - tic < 1.0
 
 
@@ -607,7 +605,7 @@ def test_zero_source_sweep_obeys_maximum_principle():
     prob = _linear_1d_problem(b=0.7, sigma=0.5, terminal=terminal)
     grid = _grid_1d(nodes=41, time_steps=50)
     policy, ens = _setup(prob, grid)
-    adj = backward_sweep(prob, policy, ens, grid)
+    adj = backward_sweep(prob, policy, ens)
     data = terminal(grid.node_coords())
     lo, hi = data.min(), data.max()
     assert adj.u.values.min() >= lo - 1e-10
@@ -633,7 +631,7 @@ def test_manufactured_solution_convergence_order():
         )
         grid = _grid_1d(nodes=nodes, time_steps=steps)
         policy, ens = _setup(prob, grid)
-        adj = backward_sweep(prob, policy, ens, grid)
+        adj = backward_sweep(prob, policy, ens)
         u0 = adj.u.slice_flat(0)[:, 0]
         errors.append(np.abs(u0 - exact(0.0, grid.node_coords())[:, 0]).max())
     order1 = np.log2(errors[0] / errors[1])
@@ -653,7 +651,7 @@ def test_portfolio_source_and_terminal_data():
     vals = np.zeros((grid.time_steps + 1,) + grid.nodes + (2,))
     vals[j] = rng.standard_normal(grid.nodes + (2,))
     adjoint = AdjointField(GridField(grid, vals), ens)
-    src = assemble_source(prob, policy, adjoint, grid, j)
+    src = assemble_source(prob, policy, adjoint, j)
     np.testing.assert_allclose(src[:, 0], policy.slice_flat(j)[:, 0], atol=1e-12)
     np.testing.assert_allclose(src[:, 1], 2.0 * X[:, 1], atol=1e-12)
     term = prob.terminal_derivative(X, adjoint)
@@ -667,4 +665,4 @@ def test_large_time_step_warns():
     grid = SpaceTimeGrid(horizon=1.0, time_steps=1, lo=(0.0,), hi=(1.0,), nodes=(51,))
     policy, ens = _setup(prob, grid)
     with pytest.warns(UserWarning, match="time step"):
-        backward_sweep(prob, policy, ens, grid)
+        backward_sweep(prob, policy, ens)

@@ -56,6 +56,9 @@ def test_grid_validation():
         SpaceTimeGrid(1.0, 2, (1.0,), (0.0,), (5,))
     with pytest.raises(ValueError, match="at least one space dimension"):
         SpaceTimeGrid(1.0, 2, (), (), ())
+    for horizon in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="horizon"):
+            SpaceTimeGrid(horizon, 3, (0.0,), (1.0,), (5,))
 
 
 def test_interpolation_partition_of_unity(grid):

@@ -58,7 +58,7 @@ def test_non_integer_subsample_cap_is_rejected(measure, cap):
 
 
 def test_zero_kernel(measure):
-    kern = MeasureKernel.zero((2, 1))
+    kern = MeasureKernel.zero()
     assert kern.is_zero
     assert not MeasureKernel.constant([[0.0], [0.0]]).is_zero
     # mean_contract serves contract_fn kernels; a zero kernel adds nothing

@@ -47,7 +47,7 @@ def test_build_operator_portfolio_slice(benchmark):
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ensemble = simulate(problem, policy, 1000, grid.time_steps, 0)
     op = benchmark.pedantic(
-        build_operator, args=(problem, policy, ensemble, grid, 10),
+        build_operator, args=(problem, policy, ensemble, 10),
         rounds=20, iterations=5, warmup_rounds=1,
     )
     assert op.system.nnz == 9804
@@ -65,7 +65,7 @@ def test_factor_and_solve_portfolio_slice(benchmark):
     rhs = rng.standard_normal((grid.num_nodes, 2))
 
     def step():
-        return build_operator(problem, policy, ensemble, grid, 10).solve(rhs)
+        return build_operator(problem, policy, ensemble, 10).solve(rhs)
 
     out = benchmark.pedantic(step, rounds=10, iterations=2, warmup_rounds=1)
     assert out.shape == (grid.num_nodes, 2)
@@ -85,7 +85,7 @@ def test_factor_and_solve_portfolio_liquidating_slice(benchmark):
     rhs = np.random.default_rng(1).standard_normal((grid.num_nodes, 2))
 
     def step():
-        return build_operator(problem, policy, ensemble, grid, 10).solve(rhs)
+        return build_operator(problem, policy, ensemble, 10).solve(rhs)
 
     out = benchmark.pedantic(step, rounds=10, iterations=2, warmup_rounds=1)
     assert out.shape == (grid.num_nodes, 2)
@@ -131,9 +131,9 @@ def test_gradient_field_portfolio_iteration(benchmark, portfolio_iteration, meth
     # the adjoint off the node deposit (fipde) or the cell histogram (emreg)
     problem, grid, policy, ensemble = portfolio_iteration
     if method == "emreg":
-        adjoint = regress_adjoint(problem, policy, ensemble, grid)
+        adjoint = regress_adjoint(problem, policy, ensemble)
     else:
-        adjoint = backward_sweep(problem, policy, ensemble, grid)
+        adjoint = backward_sweep(problem, policy, ensemble)
     grad = benchmark.pedantic(
         gradient_field, args=(problem, policy, adjoint),
         rounds=5, iterations=1, warmup_rounds=1,

@@ -14,6 +14,8 @@ from mfcontrol import (
     PolicyField,
     cs2d_grid,
     cs2d_problem,
+    field_from_csv,
+    field_to_csv,
     portfolio_grid,
     portfolio_problem,
     simulate,
@@ -240,6 +242,52 @@ def test_run_holds_one_policy_pair_at_a_time(method, monkeypatch):
     grid = portfolio_grid(cells=10, time_steps=10)
     run(prob, grid, iterations=2, num_particles=100, seed=0, method=method)
     assert alive_at_start == [2, 2, 2, 2, 2]
+
+
+def _rows(report):
+    return [(r.m, r.cost.hex(), r.stderr.hex(), r.grad_norm.hex()) for r in report.records]
+
+
+@pytest.mark.parametrize("method", ["fipde", "emreg"])
+def test_a_restart_from_csv_runs_on_the_run_grid(method, tmp_path):
+    # at 49 cells the CSV's upper corner is the last node's coordinate,
+    # lo + 49 h, which misses hi = (6, 4) in the last bits
+    prob = portfolio_problem()
+    grid = portfolio_grid(cells=49, time_steps=4)
+    rng = np.random.default_rng(11)
+    policy = PolicyField(grid, 0.3 * rng.standard_normal((5,) + grid.nodes + (1,)))
+    field_to_csv(policy, tmp_path / "policy.csv")
+    restored = field_from_csv(tmp_path / "policy.csv", policy=True)
+    assert restored.grid.hi != grid.hi
+    reports = [
+        run(prob, grid, iterations=2, num_particles=200, seed=0, method=method,
+            initial_policy=initial)
+        for initial in (policy, restored)
+    ]
+    for report in reports:
+        assert report.policy.grid is grid and report.lookahead.grid is grid
+    assert _rows(reports[1]) == _rows(reports[0])
+    np.testing.assert_array_equal(reports[1].policy.values, reports[0].policy.values)
+
+
+@pytest.mark.parametrize("method", ["fipde", "ipde", "emreg"])
+def test_an_initial_policy_off_the_run_grid_is_rejected_before_any_simulation(
+    method, monkeypatch
+):
+    def never(*args):
+        raise AssertionError("simulated before the initial policy was checked")
+
+    monkeypatch.setattr(nag, "simulate", never)
+    monkeypatch.setattr(nag, "estimate_cost", never)
+    prob = portfolio_problem()
+    grid = portfolio_grid(cells=10, time_steps=10)
+    shifted = dataclasses.replace(grid, lo=(-1.0, 0.0), hi=(7.0, 4.0))
+    coarse = portfolio_grid(cells=8, time_steps=10)
+    for other in (shifted, coarse):
+        with pytest.raises(ValueError, match="initial policy") as info:
+            run(prob, grid, 1, num_particles=100, method=method,
+                initial_policy=PolicyField.zeros(other, 1))
+        assert repr(other) in str(info.value) and repr(grid) in str(info.value)
 
 
 def test_failure_carries_partial_report():

@@ -118,7 +118,7 @@ def test_non_finite_states_raise():
         dx_drift=base.dx_drift, da_drift=base.da_drift,
         dx_running=base.dx_running, da_running=base.da_running,
         dx_terminal=base.dx_terminal,
-        mu_drift=MeasureKernel.zero((2, 2)), nu_drift=MeasureKernel.zero((2, 1)),
+        mu_drift=MeasureKernel.zero(), nu_drift=MeasureKernel.zero(),
         initial_sampler=base.initial_sampler,
     )
     with pytest.raises(FloatingPointError):
@@ -400,4 +400,4 @@ def test_sigma_of_a_wrong_shape_is_rejected(sigma):
         estimate_cost(prob, policy, 50, grid.time_steps, 0)
     ens = simulate(base, policy, 50, grid.time_steps, 0)
     with pytest.raises(ValueError, match=message):
-        build_operator(prob, policy, ens, grid, 10)
+        build_operator(prob, policy, ens, 10)

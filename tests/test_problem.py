@@ -209,7 +209,7 @@ def test_hamiltonian_derivative_matches_the_einsum_copies_bitwise(model, subsamp
     pde = AdjointField(GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (2,))), ens)
     ncells = int(np.prod(np.array(grid.nodes) - 1))
     reg = regress_adjoint(
-        prob, policy, ens, grid,
+        prob, policy, ens,
         previous=rng.standard_normal((M + 1, ncells, 2)),
     )
     X = grid.node_coords()
@@ -225,7 +225,7 @@ def test_hamiltonian_derivative_matches_the_einsum_copies_bitwise(model, subsamp
         want = _assemble_source_einsum(prob, policy, ens, U, j)
         got = prob.hamiltonian_derivative("x", t, X, psi, U, pde, j)
         np.testing.assert_array_equal(_bits(got), _bits(want))
-        got = assemble_source(prob, policy, pde, grid, j)
+        got = assemble_source(prob, policy, pde, j)
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
 

@@ -141,6 +141,13 @@ def test_kernel_subsample_is_none_or_a_positive_integer(cap):
         assert make_problem(kernel_subsample=np.int64(1)).kernel_subsample == 1
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+def test_horizon_is_positive_and_finite(horizon):
+    for problem in (portfolio_problem(), cs2d_problem()):
+        with pytest.raises(ValueError, match="horizon"):
+            dataclasses.replace(problem, horizon=horizon)
+
+
 def _direct_loop(x, atoms, R, q, dx_moment=False):
     """_kernel_sums as it was before the interpolation: every distinct x
     summed directly over the atoms, in blocks of 64 rows."""
