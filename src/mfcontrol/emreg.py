@@ -22,7 +22,7 @@ import numpy as np
 from . import nag
 from .grids import PolicyField, SpaceTimeGrid
 from .particles import BoundAdjoint, ParticleEnsemble
-from .problem import MfcProblem
+from .problem import MfcProblem, check_finite_source
 
 # Bound only because perfbench/run.py traces these names on this module;
 # the loop that calls them is nag.run.
@@ -59,25 +59,23 @@ def cell_index(grid: SpaceTimeGrid, x: np.ndarray) -> np.ndarray:
 
 
 def _cell_means(
-    idx: np.ndarray, counts: np.ndarray, targets: np.ndarray, fallback: np.ndarray
-) -> np.ndarray:
-    """Least-squares fit of targets on the indicator basis of the grid cells.
+    idx: np.ndarray, counts: np.ndarray, targets: np.ndarray, out: np.ndarray
+) -> None:
+    """Least-squares fit of targets on the indicator basis of the grid cells,
+    written into `out` in place.
 
     For an orthogonal indicator basis the normal equations decouple and the
     solution is the target mean per cell.  `idx` holds the cell of each
     sample (cell_index) and `counts` the samples per cell,
     np.bincount(idx, minlength=num_cells); cells containing no sample keep
-    the corresponding `fallback` row.  Shapes: idx (N,), targets (N, c),
-    fallback (num_cells, c); returns (num_cells, c).
+    their row of `out`.  Shapes: idx (N,), targets (N, c), out (num_cells, c).
     """
-    ncells = fallback.shape[0]
-    out = fallback.copy()
+    ncells = out.shape[0]
     filled = counts > 0
     sums = np.empty((ncells, targets.shape[1]))
     for c in range(targets.shape[1]):
         sums[:, c] = np.bincount(idx, weights=targets[:, c], minlength=ncells)
     out[filled] = sums[filled] / counts[filled, None]
-    return out
 
 
 @dataclass
@@ -87,7 +85,9 @@ class PiecewiseConstantAdjoint(BoundAdjoint):
     regress_adjoint binds it to the particle law (ensemble) it was
     regressed on.  u_at_points looks up each point's cell; kernel_mean(j)
     is the mean of slice j over the kernel atoms, which the regression
-    stores in `means` as it reads them off its cell counts.
+    stores in `means` as it reads them off its cell counts.  `cells` is the
+    array the regression was handed as `previous` (or its zeros), so a
+    later regression into the same array changes this adjoint too.
     """
 
     grid: SpaceTimeGrid
@@ -127,9 +127,17 @@ def regress_adjoint(
     the controls of `policy` there, re-evaluated per slice: under the policy
     that simulated `ensemble`, the particle loop's controls bit for bit.
     The diffusion does not depend on the state, so no gradient term enters
-    the targets.  Cells that no particle visits keep their row of
-    `previous`, the (M+1, num_cells, d) cells of an earlier regression
-    (zero without one).
+    the targets.  A non-finite source raises FloatingPointError naming the
+    slice and the particle, before any cell of the slice it feeds is
+    written.
+
+    `previous`, the (M+1, num_cells, d) float cells of an earlier
+    regression, is updated in place and becomes the returned adjoint's
+    `cells`: a visited cell gets its new mean, a cell that no particle
+    visits keeps its value.  So an earlier adjoint holding the same array
+    sees the new cells.  Without `previous` the cells start from zeros.
+    The update is bit for bit the regression into a fresh array, since the
+    sweep reads a slice only after regressing it.
 
     The returned adjoint is bound to `ensemble`.  Its kernel means, the mean
     of each slice's cell values over the kernel atoms (every stride-th
@@ -140,9 +148,17 @@ def regress_adjoint(
     M = grid.time_steps
     d = problem.state_dim
     ncells = int(np.prod(np.array(grid.nodes) - 1))
-    fallback = previous if previous is not None else np.zeros((M + 1, ncells, d))
+    shape = (M + 1, ncells, d)
+    if previous is None:
+        cells = np.zeros(shape)
+    elif previous.shape == shape and previous.dtype == np.float64:
+        cells = previous
+    else:
+        raise ValueError(
+            f"previous cells are {previous.dtype} of shape {previous.shape}, "
+            f"expected float64 of shape {shape}"
+        )
 
-    cells = np.empty((M + 1, ncells, d))
     means = np.empty((M + 1, d))
     stride = ensemble.measure(M).stride()
     # the sources of the loop read the slices and means regressed so far
@@ -150,7 +166,7 @@ def regress_adjoint(
 
     def regress(j, idx, targets):
         counts = np.bincount(idx, minlength=ncells)
-        cells[j] = _cell_means(idx, counts, targets, fallback[j])
+        _cell_means(idx, counts, targets, cells[j])
         if stride > 1:
             counts = np.bincount(idx[::stride], minlength=ncells)
         means[j] = counts @ cells[j] / counts.sum()
@@ -166,6 +182,7 @@ def regress_adjoint(
         src = problem.hamiltonian_derivative(
             "x", j * grid.dt, x, policy.eval_slice(j, x), u_here, adjoint, j
         )
+        check_finite_source(src, j, "particle")
         targets = u_here + grid.dt * src
         idx = cell_index(grid, ensemble.states[j - 1])
         regress(j - 1, idx, targets)

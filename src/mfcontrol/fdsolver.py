@@ -39,7 +39,7 @@ from .grids import GridField, PolicyField, c_strides, deposit
 # bound only because perfbench/run.py traces this name on this module
 from .grids import multilinear_eval  # noqa: F401
 from .particles import BoundAdjoint, ParticleEnsemble
-from .problem import MfcProblem
+from .problem import MfcProblem, check_finite_source
 
 _SOLVE_TOL = 1e-10  # on the residual relative to |rhs|_inf
 
@@ -432,9 +432,7 @@ def assemble_source(
         "x", j * grid.dt, grid.node_coords(), policy.slice_flat(j),
         adjoint.u_at_nodes(j), adjoint, j,
     )
-    if not np.all(np.isfinite(src)):
-        p = int(np.argwhere(~np.isfinite(src).all(axis=1))[0][0])
-        raise FloatingPointError(f"non-finite adjoint source at slice {j}, node {p}")
+    check_finite_source(src, j, "node")
     return src
 
 

@@ -11,6 +11,7 @@ the nodes, uses the same cells and weights.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Tuple
@@ -31,6 +32,14 @@ def c_strides(nodes: Sequence[int]) -> np.ndarray:
     return strides
 
 
+def _count(name: str, v) -> int:
+    """v as an int; ValueError unless it is an integer (a float is not)."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {v!r}") from None
+
+
 @dataclass(frozen=True)
 class SpaceTimeGrid:
     """Uniform tensor grid on [0, T] x prod_i [lo_i, hi_i]."""
@@ -44,7 +53,8 @@ class SpaceTimeGrid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
-        object.__setattr__(self, "nodes", tuple(int(v) for v in self.nodes))
+        object.__setattr__(self, "nodes", tuple(_count("a node count", v) for v in self.nodes))
+        object.__setattr__(self, "time_steps", _count("time_steps", self.time_steps))
         if not 0 < self.horizon < np.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if self.time_steps < 1:
@@ -56,8 +66,8 @@ class SpaceTimeGrid:
         for lo, hi, n in zip(self.lo, self.hi, self.nodes):
             if n < 2:
                 raise ValueError("need at least two nodes per dimension")
-            if not lo < hi:
-                raise ValueError("need lo < hi per dimension")
+            if not -np.inf < lo < hi < np.inf:
+                raise ValueError(f"need finite lo < hi per dimension, got {lo!r}, {hi!r}")
 
     @property
     def state_dim(self) -> int:

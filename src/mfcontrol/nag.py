@@ -221,8 +221,9 @@ def run(
 
     `method` is one of :data:`METHODS`: 'fipde' and 'emreg' extrapolate with
     the momentum weight m / (m + 3), 'ipde' takes plain steps.  The
-    regression starts each iteration's cells from the previous iteration's
-    cells.  The
+    regression updates one cell array for the whole run: each iteration
+    writes its cell means into the previous iteration's cells, and a cell
+    that no particle visits keeps its value.  The
     training ensemble reuses the same seed every iteration so the scheme is
     a deterministic fixed-point iteration on the policy; cost rows are
     estimated on a separate fixed evaluation seed (common random numbers
@@ -279,8 +280,9 @@ def run(
     def eval_cost(policy: PolicyField) -> tuple[float, float]:
         return estimate_cost(problem, policy, num_particles, M, eval_seed)
 
-    # the regression's cells of the last iteration; not its adjoint, which
-    # would keep the last training ensemble alive through the next simulate
+    # the regression's cells, which the next regression updates in place;
+    # not its adjoint, which would keep the last training ensemble alive
+    # through the next simulate
     previous = None
     try:
         cost0, err0 = eval_cost(state.phi)

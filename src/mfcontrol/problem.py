@@ -130,6 +130,15 @@ class MfcProblem:
         return np.asarray(self.dx_terminal(x, adjoint.ensemble.measure(M)), dtype=float)
 
 
+def check_finite_source(src: np.ndarray, j: int, point: str) -> None:
+    """Raise FloatingPointError if the adjoint source of slice j, one row
+    per point, holds a non-finite entry; the message names the slice and
+    the first such row as `point` ("node" or "particle") and its index."""
+    if not np.all(np.isfinite(src)):
+        p = int(np.argwhere(~np.isfinite(src).all(axis=1))[0][0])
+        raise FloatingPointError(f"non-finite adjoint source at slice {j}, {point} {p}")
+
+
 @dataclass
 class DerivativeReport:
     """Worst-case relative errors of the pointwise derivatives, per callback."""

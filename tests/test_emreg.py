@@ -86,7 +86,8 @@ def test_cell_regression_matches_dense_least_squares(grid):
     targets = rng.standard_normal((300, 2))
     fallback = np.zeros((16, 2))
     idx = cell_index(grid, x)
-    out = _cell_means(idx, np.bincount(idx, minlength=16), targets, fallback)
+    out = fallback.copy()
+    _cell_means(idx, np.bincount(idx, minlength=16), targets, out)
     np.testing.assert_array_equal(out, cell_regression(grid, x, targets, fallback))
     # dense normal equations on the indicator design matrix
     design = np.zeros((300, 16))
@@ -101,7 +102,8 @@ def test_cell_regression_keeps_fallback_in_empty_cells(grid):
     targets = np.array([[2.0, -1.0]])
     fallback = np.full((16, 2), 7.0)
     idx = cell_index(grid, x)
-    out = _cell_means(idx, np.bincount(idx, minlength=16), targets, fallback)
+    out = fallback.copy()
+    _cell_means(idx, np.bincount(idx, minlength=16), targets, out)
     np.testing.assert_array_equal(out[0], [2.0, -1.0])
     np.testing.assert_array_equal(out[1:], fallback[1:])
 
@@ -168,7 +170,11 @@ def test_regress_adjoint_matches_reference_loop_bitwise(model):
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 400, grid.time_steps, 0)
     previous = rng.standard_normal((grid.time_steps + 1, 100, 2))
-    adj = regress_adjoint(prob, policy, ens, previous=previous)
+    cells = previous.copy()
+    adj = regress_adjoint(prob, policy, ens, previous=cells)
+    # the regression updates the cells it is given, and the oracle reads
+    # the original ones
+    assert adj.cells is cells
     want = _regress_reference(prob, policy, ens, grid, previous)
     np.testing.assert_array_equal(adj.cells, want)
     for j in (0, grid.time_steps):
@@ -187,7 +193,7 @@ def test_regression_means_are_the_histogram_means_of_the_strided_atoms(
     policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, N, grid.time_steps, 5)
     previous = rng.standard_normal((grid.time_steps + 1, 100, 2))
-    adj = regress_adjoint(prob, policy, ens, previous=previous)
+    adj = regress_adjoint(prob, policy, ens, previous=previous.copy())
     assert adj.ensemble is ens and ens.kernel_subsample == subsample
     assert ens.measure(0).stride() == stride
     lookups = []
@@ -226,6 +232,51 @@ def test_run_emreg_mirrors_driver_interface():
     np.testing.assert_array_equal(rep.policy.values, rep2.policy.values)
     with pytest.raises(TypeError):
         run_emreg(prob, grid, iterations=1, method="ipde")
+
+
+@pytest.mark.parametrize(
+    "previous",
+    [np.zeros((7, 100, 2)), np.zeros((9, 100, 2)), np.zeros((8, 100, 2), dtype=np.float32)],
+    ids=["too-few-slices", "too-many-slices", "float32"],
+)
+def test_regression_rejects_cells_of_another_shape(previous):
+    prob, grid = portfolio_problem(), portfolio_grid(cells=10, time_steps=7)
+    policy = PolicyField.zeros(grid, 1)
+    ens = simulate(prob, policy, 50, grid.time_steps, 0)
+    with pytest.raises(ValueError, match=r"expected float64 of shape \(8, 100, 2\)"):
+        regress_adjoint(prob, policy, ens, previous=previous)
+
+
+def test_run_regresses_into_one_cell_array(monkeypatch):
+    # from the second iteration on, every regression receives the cells of
+    # the one before and returns them as its own; the run is bit for bit
+    # the run that regresses into a fresh array every iteration
+    regress = emreg.regress_adjoint
+    calls = []
+
+    def in_place(problem, policy, ensemble, previous):
+        adjoint = regress(problem, policy, ensemble, previous)
+        calls.append((previous, adjoint.cells))
+        return adjoint
+
+    def fresh(problem, policy, ensemble, previous):
+        return regress(problem, policy, ensemble, None if previous is None else previous.copy())
+
+    prob, grid = portfolio_problem(), portfolio_grid(cells=10, time_steps=10)
+    reports = []
+    for wrapper in (in_place, fresh):
+        monkeypatch.setattr(emreg, "regress_adjoint", wrapper)
+        reports.append(run(prob, grid, iterations=3, num_particles=300, seed=0, method="emreg"))
+    assert len(calls) == 3 and calls[0][0] is None
+    cells = calls[0][1]
+    for previous, returned in calls[1:]:
+        assert previous is cells and returned is cells
+    rows = [
+        [(r.cost.hex(), r.stderr.hex(), r.grad_norm.hex()) for r in rep.records]
+        for rep in reports
+    ]
+    assert rows[0] == rows[1]
+    np.testing.assert_array_equal(reports[0].policy.values, reports[1].policy.values)
 
 
 def test_emreg_approaches_pde_solution_on_nominal_model():

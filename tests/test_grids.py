@@ -59,6 +59,16 @@ def test_grid_validation():
     for horizon in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="horizon"):
             SpaceTimeGrid(horizon, 3, (0.0,), (1.0,), (5,))
+    inf = float("inf")
+    for lo, hi in (((0.0,), (inf,)), ((-inf,), (1.0,)), ((-inf,), (inf,))):
+        with pytest.raises(ValueError, match="finite lo < hi"):
+            SpaceTimeGrid(1.0, 2, lo, hi, (5,))
+    for nodes in ((2.7,), (5.0,), (5, 3.5)):
+        with pytest.raises(ValueError, match="node count must be an integer"):
+            SpaceTimeGrid(1.0, 2, (0.0,) * len(nodes), (1.0,) * len(nodes), nodes)
+    for time_steps in (2.5, 3.0):
+        with pytest.raises(ValueError, match="time_steps must be an integer"):
+            SpaceTimeGrid(1.0, time_steps, (0.0,), (1.0,), (5,))
 
 
 def test_interpolation_partition_of_unity(grid):

@@ -305,6 +305,27 @@ def test_failure_carries_partial_report():
     assert partial.policy is not None
 
 
+@pytest.mark.parametrize("method, point", [("fipde", "node"), ("emreg", "particle")])
+def test_a_non_finite_adjoint_source_fails_its_iteration(method, point):
+    # one NaN at t = 0.5: both adjoints stop at the slice that reads it,
+    # before the NaN reaches the gradient, the policy and the next simulation
+    base = portfolio_problem()
+
+    def dx_running(t, x, a, eta):
+        out = np.array(base.dx_running(t, x, a, eta), dtype=float)
+        if t == 0.5:
+            out[0, 0] = np.nan
+        return out
+
+    prob = dataclasses.replace(base, dx_running=dx_running)
+    grid = portfolio_grid(cells=10, time_steps=10)
+    message = rf"^iteration 0 failed: non-finite adjoint source at slice 5, {point} 0$"
+    with pytest.raises(SolverError, match=message) as info:
+        run(prob, grid, iterations=2, num_particles=200, seed=0, method=method)
+    assert isinstance(info.value.__cause__, FloatingPointError)
+    assert len(info.value.partial_report.records) == 1
+
+
 def test_failure_in_the_initial_cost_row_carries_empty_report():
     prob = dataclasses.replace(
         portfolio_problem(), drift=lambda t, x, a, eta: np.full_like(x, np.inf)
