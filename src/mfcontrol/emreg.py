@@ -136,8 +136,9 @@ def regress_adjoint(
     `cells`: a visited cell gets its new mean, a cell that no particle
     visits keeps its value.  So an earlier adjoint holding the same array
     sees the new cells.  Without `previous` the cells start from zeros.
-    The update is bit for bit the regression into a fresh array, since the
-    sweep reads a slice only after regressing it.
+    The update is bit for bit the regression into a fresh array: a slice's
+    old values are read only by its own regression, for its unvisited
+    cells, and no slice is read before it is written.
 
     The returned adjoint is bound to `ensemble`.  Its kernel means, the mean
     of each slice's cell values over the kernel atoms (every stride-th
