@@ -8,8 +8,6 @@ sparsity statistics of a policy.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 from typing import List, Optional
@@ -22,16 +20,6 @@ from .fdsolver import backward_sweep
 from .grids import PolicyField, field_from_csv, field_to_csv
 from .particles import estimate_cost, simulate
 from .problems import portfolio_problem
-
-
-def max_workers() -> int:
-    """Worker cap from the MFCONTROL_THREADS environment variable."""
-    raw = os.environ.get("MFCONTROL_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return os.cpu_count() or 1
-    return max(1, n)
 
 
 def _load_initial_policy(config: RunConfig) -> Optional[PolicyField]:
@@ -168,31 +156,19 @@ def robustness_sweep(config: RunConfig, policy: PolicyField) -> SweepResult:
     [sweep.q_max_lo, sweep.q_max_hi].  For each lattice cell the initial
     inventory law is U(q_min, q_max), the frozen policy is evaluated by
     simulation, and the reference cost is a freshly trained PDE-based policy
-    at that law.  Cells run as independent jobs; results are assembled in a
-    fixed order so the output is schedule-independent.
+    at that law.  The cells run one after another in lattice order, q_min
+    outer and q_max inner; the first cell that raises stops the sweep.
     """
     if config.problem != "portfolio":
         raise ValueError("the robustness sweep perturbs the portfolio inventory law")
     q_min_values = np.linspace(*config.sweep_q_min, config.sweep_steps)
     q_max_values = np.linspace(*config.sweep_q_max, config.sweep_steps)
 
-    cells = [(i, j) for i in range(len(q_min_values)) for j in range(len(q_max_values))]
     policy_cost = np.empty((len(q_min_values), len(q_max_values)))
     reference_cost = np.empty_like(policy_cost)
-
-    def work(cell):
-        i, j = cell
-        return cell, _sweep_cell(config, policy, q_min_values[i], q_max_values[j])
-
-    workers = min(max_workers(), len(cells))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, cells))
-    else:
-        results = [work(c) for c in cells]
-    for (i, j), (jp, jr) in results:
-        policy_cost[i, j] = jp
-        reference_cost[i, j] = jr
+    for i, q_min in enumerate(q_min_values):
+        for j, q_max in enumerate(q_max_values):
+            policy_cost[i, j], reference_cost[i, j] = _sweep_cell(config, policy, q_min, q_max)
 
     abs_gap = np.abs(policy_cost - reference_cost)
     denom = np.abs(reference_cost)

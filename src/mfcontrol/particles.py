@@ -20,7 +20,7 @@ from .measures import EmpiricalMeasure
 from .problem import MfcProblem
 from .prox import ell_value
 
-_CHUNK = 4096  # fixed reduction chunk so results are schedule-independent
+_CHUNK = 4096  # fixed chunk of the cost mean, so its summation order is fixed
 # share of particle-steps outside the policy grid's box, per dimension, above
 # which the particle loop warns: the clamped interpolation makes the policy
 # and the adjoint constant out there

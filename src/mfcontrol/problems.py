@@ -62,6 +62,11 @@ def portfolio_problem(
     value Q_T (S_T - gamma Q_T).  kernel_subsample: see MfcProblem.
     """
     p = params
+    if not -np.inf < p.q_lo <= p.q_hi < np.inf:  # NaN is not
+        raise ValueError(
+            f"the inventory law U(q_lo, q_hi) needs finite q_lo <= q_hi, "
+            f"got q_lo = {p.q_lo!r}, q_hi = {p.q_hi!r}"
+        )
     sig_const = np.array([[p.sigma], [0.0]])
     sig_const.flags.writeable = False
 

@@ -5,7 +5,8 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+import threading
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,7 +25,6 @@ from mfcontrol import (
 from mfcontrol.cli import main
 from mfcontrol.config import RunConfig, parse_config
 from mfcontrol.experiments import (
-    SweepResult,
     robustness_sweep,
     sparsity_report,
     sparsity_to_csv,
@@ -217,6 +217,24 @@ def test_non_finite_horizon_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_reversed_inventory_law_exits_2(tmp_path, capsys):
+    text = TINY + f"output = {tmp_path / 'out'}\nproblem.q_lo = 3\nproblem.q_hi = 1\n"
+    assert main(["run", _cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert "q_lo" in err and "q_hi" in err, err
+    assert not (tmp_path / "out").exists()
+    # a sweep whose q_min and q_max ranges overlap names the keys too
+    cfg = _cfg(tmp_path, TINY + "sweep.steps = 2\nsweep.q_min_lo = 1\nsweep.q_min_hi = 3\n"
+               "sweep.q_max_lo = 1\nsweep.q_max_hi = 2\n")
+    _, grid = parse_config(cfg).build()
+    policy = tmp_path / "policy.csv"
+    field_to_csv(PolicyField(grid, np.zeros((11,) + grid.nodes + (1,))), policy)
+    assert main(["sweep", cfg, "--policy", str(policy), "--output", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert "q_lo" in err and "q_hi" in err, err
+    assert not (tmp_path / "s").exists()
+
+
 def test_an_initial_policy_from_another_box_exits_2(tmp_path, capsys):
     # a cs2d policy has the portfolio run's 11 x 11 nodes and 10 steps,
     # but its box starts at (0, 0), the portfolio's at (-2, 0)
@@ -288,12 +306,18 @@ def test_sparsity_report_counts_exact_zeros():
             sparsity_report(PolicyField(grid, vals), threshold=threshold)
 
 
+def _blas_threads_env(threads):
+    # BLAS sizes its thread pool when numpy is first imported, so a new count
+    # needs a fresh process; the line solve's matmul and inverses run there
+    return dict(os.environ, PYTHONPATH=SRC,
+                OMP_NUM_THREADS=str(threads), OPENBLAS_NUM_THREADS=str(threads))
+
+
 def _run_cli_subprocess(cfg, out_dir, threads):
-    env = dict(os.environ, PYTHONPATH=SRC, MFCONTROL_THREADS=str(threads))
     return subprocess.run(
         [sys.executable, "-m", "mfcontrol.cli", "run", cfg, "--output", str(out_dir)],
         capture_output=True,
-        env=env,
+        env=_blas_threads_env(threads),
         check=True,
     )
 
@@ -306,43 +330,40 @@ def _strip_wall_time(path):
 def test_reports_are_byte_identical_across_thread_counts(tmp_path):
     cfg = _cfg(tmp_path, TINY)
     _run_cli_subprocess(cfg, tmp_path / "t1", 1)
-    _run_cli_subprocess(cfg, tmp_path / "t4", 4)
+    _run_cli_subprocess(cfg, tmp_path / "t2", 2)
     a = (tmp_path / "t1" / "policy_phi.csv").read_bytes()
-    assert a == (tmp_path / "t4" / "policy_phi.csv").read_bytes()
+    assert a == (tmp_path / "t2" / "policy_phi.csv").read_bytes()
     # every numeric column except the wall-time measurement is reproducible
     assert _strip_wall_time(tmp_path / "t1" / "report.csv") == _strip_wall_time(
-        tmp_path / "t4" / "report.csv"
+        tmp_path / "t2" / "report.csv"
     )
 
 
-def test_robustness_sweep_is_thread_count_invariant(monkeypatch):
-    # the sweep is the only threaded code: its cells run in a pool of
-    # MFCONTROL_THREADS workers and must come out bit for bit the same
-    config = RunConfig(
-        problem="portfolio", cells=6, time_steps=6, particles=200,
-        sweep_steps=2, sweep_iterations=1,
-    )
-    _, grid = config.build()
-    rng = np.random.default_rng(4)
-    policy = PolicyField(grid, 0.3 * rng.standard_normal((7,) + grid.nodes + (1,)))
+def test_sweep_runs_its_cells_in_order_on_the_calling_thread(monkeypatch):
+    config = RunConfig(problem="portfolio", sweep_steps=3, sweep_q_min_lo=0.0,
+                       sweep_q_min_hi=2.0, sweep_q_max_lo=3.0, sweep_q_max_hi=5.0)
+    calls = []
 
-    pools = []
+    def recording_cell(cell_config, policy, q_min, q_max):
+        calls.append((threading.get_ident(), q_min, q_max))
+        if len(calls) == fail_at:
+            raise RuntimeError("cell failed")
+        return q_min, q_max
 
-    class RecordingPool(experiments.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    monkeypatch.setattr(experiments, "_sweep_cell", recording_cell)
+    lattice = [(q_min, q_max) for q_min in (0.0, 1.0, 2.0) for q_max in (3.0, 4.0, 5.0)]
+    fail_at = None
+    result = robustness_sweep(config, policy=None)
+    assert calls == [(threading.get_ident(),) + cell for cell in lattice]
+    np.testing.assert_array_equal(result.policy_cost, np.repeat([[0.0], [1.0], [2.0]], 3, 1))
+    np.testing.assert_array_equal(result.reference_cost, np.tile([3.0, 4.0, 5.0], (3, 1)))
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
-    results = []
-    for threads in (1, 2):
-        monkeypatch.setenv("MFCONTROL_THREADS", str(threads))
-        results.append(robustness_sweep(config, policy))
-    assert pools == [2]  # one worker runs inline; two run in a pool
-    for f in fields(SweepResult):
-        a, b = (getattr(r, f.name) for r in results)
-        assert a.shape == b.shape, f.name
-        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64), err_msg=f.name)
+    # the first failing cell stops the sweep: no later cell starts
+    calls.clear()
+    fail_at = 2
+    with pytest.raises(RuntimeError, match="cell failed"):
+        robustness_sweep(config, policy=None)
+    assert calls == [(threading.get_ident(),) + cell for cell in lattice[:2]]
 
 
 _SCIPY_PROBE = """
@@ -410,9 +431,8 @@ def test_pde_jobs_run_without_scipy(tmp_path):
 
 
 def test_sweep_is_thread_count_invariant_from_a_fresh_process(tmp_path):
-    # unlike test_robustness_sweep_is_thread_count_invariant, the process
-    # starts cold, so with four workers the cells' first PDE reference
-    # solves run on concurrent threads
+    # each cell's reference run goes through the line solve, whose matmul and
+    # inverses run on the BLAS pool
     cfg = _cfg(
         tmp_path,
         "problem = portfolio\ngrid.cells = 6\ngrid.time_steps = 6\nparticles = 200\n"
@@ -422,13 +442,13 @@ def test_sweep_is_thread_count_invariant_from_a_fresh_process(tmp_path):
     rng = np.random.default_rng(5)
     policy = tmp_path / "policy.csv"
     field_to_csv(PolicyField(grid, 0.3 * rng.standard_normal((7,) + grid.nodes + (1,))), policy)
-    for threads in (4, 1):
+    for threads in (1, 2):
         subprocess.run(
             [sys.executable, "-m", "mfcontrol.cli", "sweep", cfg, "--policy", str(policy),
              "--output", str(tmp_path / f"t{threads}")],
             capture_output=True,
-            env=dict(os.environ, PYTHONPATH=SRC, MFCONTROL_THREADS=str(threads)),
+            env=_blas_threads_env(threads),
             check=True, timeout=300,
         )
-    sweeps = [(tmp_path / f"t{threads}" / "sweep.csv").read_bytes() for threads in (4, 1)]
+    sweeps = [(tmp_path / f"t{threads}" / "sweep.csv").read_bytes() for threads in (1, 2)]
     assert sweeps[0] == sweeps[1]

@@ -18,6 +18,7 @@ from mfcontrol import (
     CuckerSmaleParams,
     EmpiricalMeasure,
     PolicyField,
+    PortfolioParams,
     cs2d_grid,
     cs2d_problem,
     portfolio_problem,
@@ -146,6 +147,17 @@ def test_horizon_is_positive_and_finite(horizon):
     for problem in (portfolio_problem(), cs2d_problem()):
         with pytest.raises(ValueError, match="horizon"):
             dataclasses.replace(problem, horizon=horizon)
+
+
+@pytest.mark.parametrize(
+    "q_lo, q_hi",
+    [(3.0, 1.0), (float("nan"), 2.0), (1.0, float("nan")), (-np.inf, 1.0), (1.0, np.inf)],
+)
+def test_the_inventory_law_needs_finite_ordered_bounds(q_lo, q_hi):
+    with pytest.raises(ValueError, match=r"q_lo.*q_hi"):
+        portfolio_problem(PortfolioParams(q_lo=q_lo, q_hi=q_hi))
+    # a point mass is a law: U(q, q) samples q
+    portfolio_problem(PortfolioParams(q_lo=1.5, q_hi=1.5))
 
 
 def _direct_loop(x, atoms, R, q, dx_moment=False):
