@@ -10,7 +10,6 @@ from .emreg import PiecewiseConstantAdjoint, regress_adjoint
 from .fdsolver import AdjointField, assemble_source, backward_sweep, build_operator
 from .grids import (
     GridField,
-    PolicyField,
     SpaceTimeGrid,
     field_from_csv,
     field_to_csv,
@@ -64,7 +63,6 @@ __all__ = [
     "NagState",
     "ParticleEnsemble",
     "PiecewiseConstantAdjoint",
-    "PolicyField",
     "PortfolioParams",
     "ProxSpec",
     "RiccatiSolution",

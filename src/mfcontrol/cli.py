@@ -75,7 +75,7 @@ def main(argv=None) -> int:
 
         if args.command == "sweep":
             cfg = _load_config(args.config, output=args.output)
-            policy = field_from_csv(args.policy, policy=True)
+            policy = field_from_csv(args.policy)
             result = robustness_sweep(cfg, policy)
             out_dir = Path(cfg.output)
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "sparsity":
-            policy = field_from_csv(args.policy, policy=True)
+            policy = field_from_csv(args.policy)
             fractions = sparsity_report(policy, threshold=args.threshold)
             sparsity_to_csv(policy.grid.times, fractions, sys.stdout)
             return 0

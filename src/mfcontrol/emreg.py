@@ -8,7 +8,9 @@ piecewise-constant field exposes the same evaluation protocol as the PDE
 solution, so ``nag.run(..., method="emreg")`` shares the control-gradient
 assembly and the step verbatim with the PDE methods.  The approximation is
 only supported where particles actually travel; cells never visited keep
-the value from the previous outer iteration (zero initially).
+the value from the previous outer iteration (zero initially).  A particle's
+cell is grids.cell_index, the rule by which the interpolation and the
+deposit locate points.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import nag
-from .grids import PolicyField, SpaceTimeGrid
+from .grids import GridField, SpaceTimeGrid, cell_index
 from .particles import BoundAdjoint, ParticleEnsemble
 from .problem import MfcProblem, check_finite_source
 
@@ -28,34 +30,6 @@ from .problem import MfcProblem, check_finite_source
 # the loop that calls them is nag.run.
 from .nag import gradient_field, nag_step  # noqa: F401
 from .particles import estimate_cost, simulate  # noqa: F401
-
-
-def cell_index(grid: SpaceTimeGrid, x: np.ndarray) -> np.ndarray:
-    """Flat index of the grid cell containing each point (clamped to the box).
-
-    Cells are numbered in C order over the (n_i - 1) cells per dimension; a
-    point on an upper face lies in the last cell.  Each coordinate's cell
-    floor((x_i - lo_i) / h_i) is clamped to [0, n_i - 2] while still a float
-    and accumulated into the flat index one dimension at a time.
-    """
-    x = np.asarray(x)
-    flat = None
-    stride = 1
-    for i in range(grid.state_dim - 1, -1, -1):
-        u = x[:, i] - grid.lo[i]
-        u /= grid.h[i]
-        np.floor(u, out=u)
-        # ufuncs rather than np.clip, whose wrapper costs more than the clip
-        np.maximum(u, 0.0, out=u)
-        np.minimum(u, grid.nodes[i] - 2, out=u)
-        if flat is None:
-            flat = u
-        else:
-            u *= stride
-            flat += u
-        stride *= grid.nodes[i] - 1
-    # a sum of integers below 2^53 is exact in float64
-    return flat.astype(np.int64)
 
 
 def _cell_means(
@@ -113,7 +87,7 @@ class PiecewiseConstantAdjoint(BoundAdjoint):
 
 def regress_adjoint(
     problem: MfcProblem,
-    policy: PolicyField,
+    policy: GridField,
     ensemble: ParticleEnsemble,
     previous: Optional[np.ndarray] = None,
 ) -> PiecewiseConstantAdjoint:

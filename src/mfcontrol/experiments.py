@@ -17,15 +17,15 @@ import numpy as np
 from . import nag
 from .config import RunConfig
 from .fdsolver import backward_sweep
-from .grids import PolicyField, field_from_csv, field_to_csv
+from .grids import GridField, field_from_csv, field_to_csv
 from .particles import estimate_cost, simulate
 from .problems import portfolio_problem
 
 
-def _load_initial_policy(config: RunConfig) -> Optional[PolicyField]:
+def _load_initial_policy(config: RunConfig) -> Optional[GridField]:
     if config.initial_policy is None:
         return None
-    return field_from_csv(config.initial_policy, policy=True)
+    return field_from_csv(config.initial_policy)
 
 
 def execute_run(config: RunConfig) -> nag.RunReport:
@@ -131,7 +131,7 @@ def _perturbed_config(config: RunConfig, q_min: float, q_max: float) -> RunConfi
     return dc_replace(config, problem_overrides=overrides)
 
 
-def _sweep_cell(config: RunConfig, policy: PolicyField, q_min: float, q_max: float):
+def _sweep_cell(config: RunConfig, policy: GridField, q_min: float, q_max: float):
     """(frozen-policy cost, fresh-reference cost) on one perturbed law."""
     cell_cfg = _perturbed_config(config, q_min, q_max)
     problem, grid = cell_cfg.build()
@@ -148,7 +148,7 @@ def _sweep_cell(config: RunConfig, policy: PolicyField, q_min: float, q_max: flo
     return j_policy, ref.records[-1].cost
 
 
-def robustness_sweep(config: RunConfig, policy: PolicyField) -> SweepResult:
+def robustness_sweep(config: RunConfig, policy: GridField) -> SweepResult:
     """Evaluate a frozen policy over a lattice of perturbed initial laws.
 
     The lattice is the config's: sweep.steps evenly spaced values of q_min
@@ -188,7 +188,7 @@ def robustness_sweep(config: RunConfig, policy: PolicyField) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def sparsity_report(policy: PolicyField, threshold: float = 0.0) -> np.ndarray:
+def sparsity_report(policy: GridField, threshold: float = 0.0) -> np.ndarray:
     """Fraction of grid nodes with |policy| <= threshold, per time slice.
 
     The proximal step produces exact zeros under an l1 cost, so the default

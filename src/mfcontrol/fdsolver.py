@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import GridField, PolicyField, c_strides, deposit
+from .grids import GridField, c_strides, deposit
 # bound only because perfbench/run.py traces this name on this module
 from .grids import multilinear_eval  # noqa: F401
 from .particles import BoundAdjoint, ParticleEnsemble
@@ -345,7 +345,7 @@ class AdjointField(BoundAdjoint):
 
 def build_operator(
     problem: MfcProblem,
-    policy: PolicyField,
+    policy: GridField,
     ensemble: ParticleEnsemble,
     j: int,
 ) -> MonotoneOperator:
@@ -358,7 +358,9 @@ def build_operator(
     off-diagonal mass above 1e-12 of the largest diagonal entry would
     produce negative stencil weights and is rejected.  So is diffusion in
     more than one dimension, which would join all interior nodes into one
-    component of the line solve (see the module docstring).
+    component of the line solve (see the module docstring).  A non-finite
+    drift at an interior node raises FloatingPointError naming the slice and
+    the node.
 
     I - dt*L is kept as the (P, 2d+1) band of the (2d+1)-point stencil
     (BandMatrix): entry for entry, bit for bit, the matrix that assembling L
@@ -390,6 +392,10 @@ def build_operator(
     P = grid.num_nodes
     h = grid.h
     boundary = grid.boundary_mask()
+    # boundary rows are zeroed below, so only an interior drift must be finite
+    bad = ~np.isfinite(b).all(axis=1) & ~boundary
+    if bad.any():
+        raise FloatingPointError(f"non-finite drift at slice {j}, node {int(np.argmax(bad))}")
 
     # Entries e = 0 .. 2d of row k lie in columns k - s_0 < ... < k - s_{d-1}
     # < k < k + s_{d-1} < ... < k + s_0 (s_i the stride of dimension i):
@@ -400,8 +406,6 @@ def build_operator(
         half_diffusion = 0.5 * diag[i] / h[i] ** 2
         up = np.maximum(b[:, i], 0.0) / h[i] + half_diffusion
         dn = np.maximum(-b[:, i], 0.0) / h[i] + half_diffusion
-        if np.any((np.minimum(up, dn) < 0) & ~boundary):
-            raise ValueError(f"negative stencil weight along dimension {i}")
         L[2 * d - i] = up
         L[i] = dn
         L[d] -= up + dn
@@ -416,7 +420,7 @@ def build_operator(
 
 def assemble_source(
     problem: MfcProblem,
-    policy: PolicyField,
+    policy: GridField,
     adjoint: AdjointField,
     j: int,
 ) -> np.ndarray:
@@ -438,7 +442,7 @@ def assemble_source(
 
 def backward_sweep(
     problem: MfcProblem,
-    policy: PolicyField,
+    policy: GridField,
     ensemble: ParticleEnsemble,
 ) -> AdjointField:
     """Solve the adjoint PDE system backward on policy.grid.

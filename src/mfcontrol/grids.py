@@ -2,11 +2,12 @@
 
 All grid data is evaluated off-grid through one interpolation operator:
 multilinear tent-function interpolation in space (clamped to the bounding
-box) and, for policies, piecewise-constant evaluation in time on the Euler
-partition.  The interpolation weights are nonnegative, sum to one and are
-supported on the 2^d corners of the enclosing cell, which makes the
-operator monotone.  Its transpose, the cloud-in-cell deposit of points on
-the nodes, uses the same cells and weights.
+box) and piecewise-constant evaluation in time on the Euler partition.  The
+interpolation weights are nonnegative, sum to one and are supported on the
+2^d corners of the enclosing cell, which makes the operator monotone.  Its
+transpose, the cloud-in-cell deposit of points on the nodes, uses the same
+cells and weights.  One rule, _cell_of, puts a point in its cell for the
+interpolation, the deposit and the regression adjoint's cell_index.
 """
 
 from __future__ import annotations
@@ -138,29 +139,43 @@ def _finite_points(x) -> np.ndarray:
     return x
 
 
+def _cell_of(grid: SpaceTimeGrid, x: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell of coordinate i of the finite points x, (P, d), and u: x_i clamped
+    to the box, less lo_i, over h_i.  The cell is floor(u) clamped to n_i - 2,
+    so an upper-face point lies in the last cell; both are (P,) floats."""
+    # with the bound as first operand, maximum and minimum resolve ties
+    # exactly as np.clip does
+    u = np.maximum(grid.lo[i], x[:, i])
+    np.minimum(grid.hi[i], u, out=u)
+    u -= grid.lo[i]
+    u /= grid.h[i]
+    cell = np.floor(u)
+    np.minimum(cell, grid.nodes[i] - 2, out=cell)
+    return cell, u
+
+
+def cell_index(grid: SpaceTimeGrid, x) -> np.ndarray:
+    """C-order index over the n_i - 1 cells per dimension of the cell of each
+    point x (_cell_of), (P, d) -> (P,); a non-finite coordinate is a ValueError."""
+    x = _finite_points(x)
+    strides = c_strides([n - 1 for n in grid.nodes])
+    flat = sum(_cell_of(grid, x, i)[0] * strides[i] for i in range(grid.state_dim))
+    # a sum of integers below 2^53 is exact in float64
+    return flat.astype(np.int64)
+
+
 def _cell_weights(grid: SpaceTimeGrid, x) -> tuple[np.ndarray, list]:
     """Cells and tent weights of query points x, shape (P, d).
 
-    Returns the flat index of the lowest node of each point's cell, shape
-    (P,), and the weights of the cell's 2^d corners, a list of (P,) arrays
-    in the order of grid._corner_offsets.  Points are clamped componentwise
-    to the bounding box first; a point on an upper face lies in the last
-    cell.
+    Returns the flat index of the lowest node of each point's cell (_cell_of),
+    shape (P,), and the weights of the cell's 2^d corners, a list of (P,)
+    arrays in the order of grid._corner_offsets.
     """
     x = _finite_points(x)
     for i in range(grid.state_dim):
-        # clamp to the box; with the bound as first operand, maximum and
-        # minimum resolve ties exactly as np.clip does
-        u = np.maximum(grid.lo[i], x[:, i])
-        np.minimum(grid.hi[i], u, out=u)
-        u -= grid.lo[i]
-        u /= grid.h[i]
-        # the cell is floored and clamped as a float, so that frac is a
-        # float difference (no int64 conversion per dimension); the last
-        # cell also holds the upper face
-        cell = np.floor(u)
-        np.minimum(cell, grid.nodes[i] - 2, out=cell)
-        frac = u
+        # the cell stays a float, so that frac is a float difference (no
+        # int64 conversion per dimension)
+        cell, frac = _cell_of(grid, x, i)
         frac -= cell  # >= 0 since cell <= floor(u)
         np.minimum(1.0, frac, out=frac)
         cell *= grid.strides[i]
@@ -230,7 +245,8 @@ def deposit(grid: SpaceTimeGrid, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GridField:
-    """Values on a space-time grid; shape (M+1, *nodes, c)."""
+    """Values on a space-time grid, shape (M+1, *nodes, c): off the grid,
+    multilinear in space (clamped), piecewise-constant on [t_j, t_{j+1})."""
 
     grid: SpaceTimeGrid
     values: np.ndarray
@@ -263,11 +279,6 @@ class GridField:
         return multilinear_eval(self.grid, self.values[j], x)
 
 
-class PolicyField(GridField):
-    """Feedback control on the grid: multilinear in space with clamping,
-    piecewise-constant in time on [t_j, t_{j+1})."""
-
-
 def field_to_csv(field: GridField, path) -> None:
     """Serialize as rows `t, x1..xd, c1..cc` with 17 significant digits.
 
@@ -291,8 +302,9 @@ def field_to_csv(field: GridField, path) -> None:
             fh.write("".join([stamp + x + values % tuple(v) for x, v in rows]))
 
 
-def field_from_csv(path, policy: bool = False) -> GridField:
-    """Reconstruct a GridField written by field_to_csv."""
+def field_from_csv(path) -> GridField:
+    """Reconstruct a GridField written by field_to_csv.  The rows must follow
+    the lattice of the file's own times and coordinates in C order."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = np.loadtxt(fh, delimiter=",", ndmin=2)
@@ -312,6 +324,13 @@ def field_from_csv(path, policy: bool = False) -> GridField:
     expected_rows = (M + 1) * grid.num_nodes
     if rows.shape[0] != expected_rows:
         raise ValueError(f"expected {expected_rows} rows, found {rows.shape[0]}")
+    # the file's own values, not grid.node_coords(), whose last node can miss
+    # the written one in the last bits
+    lattice = np.stack(np.meshgrid(times, *axes, indexing="ij"), axis=-1).reshape(-1, 1 + d)
+    misplaced = np.flatnonzero((rows[:, : 1 + d] != lattice).any(axis=1))
+    if misplaced.size:
+        r = misplaced[0]
+        raise ValueError(f"row {r + 1} after the header of {path} is out of place: (t, x) "
+                         f"is {rows[r, : 1 + d].tolist()}, not {lattice[r].tolist()}")
     values = rows[:, 1 + d :].reshape((M + 1,) + nodes + (c,))
-    cls = PolicyField if policy else GridField
-    return cls(grid, values)
+    return GridField(grid, values)

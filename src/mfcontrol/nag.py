@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .fdsolver import AdjointField, backward_sweep
-from .grids import GridField, PolicyField, SpaceTimeGrid
+from .grids import GridField, SpaceTimeGrid
 from .particles import estimate_cost, simulate
 from .problem import MfcProblem
 from .prox import prox_apply
@@ -30,7 +30,7 @@ METHODS = ("fipde", "ipde", "emreg")
 
 
 def gradient_slice(
-    problem: MfcProblem, policy: PolicyField, adjoint: AdjointField, j: int
+    problem: MfcProblem, policy: GridField, adjoint: AdjointField, j: int
 ) -> np.ndarray:
     """Control gradient at the time-j grid nodes, shape (num_nodes, k): the
     a-derivative of the Hamiltonian (MfcProblem.hamiltonian_derivative) at
@@ -45,7 +45,7 @@ def gradient_slice(
 
 
 def gradient_field(
-    problem: MfcProblem, policy: PolicyField, adjoint: AdjointField
+    problem: MfcProblem, policy: GridField, adjoint: AdjointField
 ) -> GridField:
     """Control gradient on every time slice of the policy grid."""
     grid = policy.grid
@@ -66,8 +66,8 @@ class NagState:
     """Iterate pair of the accelerated scheme: proximal point and lookahead."""
 
     iteration: int
-    phi: PolicyField
-    psi: PolicyField
+    phi: GridField
+    psi: GridField
 
 
 def _check_step_settings(tau: float) -> None:
@@ -94,8 +94,8 @@ def nag_step(
     psi_vals = phi_vals + coef * (phi_vals - state.phi.values)
     return NagState(
         iteration=state.iteration + 1,
-        phi=PolicyField(grid, phi_vals),
-        psi=PolicyField(grid, psi_vals),
+        phi=GridField(grid, phi_vals),
+        psi=GridField(grid, psi_vals),
     )
 
 
@@ -117,8 +117,8 @@ class RunReport:
     method: str
     problem_name: str
     records: List[IterationRecord]
-    policy: Optional[PolicyField] = None
-    lookahead: Optional[PolicyField] = None
+    policy: Optional[GridField] = None
+    lookahead: Optional[GridField] = None
     settings: dict = field(default_factory=dict)
 
     @property
@@ -180,7 +180,7 @@ def _grad_norm(grad: GridField) -> float:
     return float(np.sqrt(np.mean(grad.values**2)))
 
 
-def _onto_run_grid(policy: PolicyField, grid: SpaceTimeGrid) -> PolicyField:
+def _onto_run_grid(policy: GridField, grid: SpaceTimeGrid) -> GridField:
     """A copy of the policy's values on the run grid itself.
 
     The policy must lie on `grid`: the same nodes and time steps, and the
@@ -202,7 +202,7 @@ def _onto_run_grid(policy: PolicyField, grid: SpaceTimeGrid) -> PolicyField:
         and np.all(np.abs(box(other) - box(grid)) <= 1e-9 * scale)
     ):
         raise ValueError(f"the initial policy lies on {other}, not on the run grid {grid}")
-    return PolicyField(grid, policy.values.copy())
+    return GridField(grid, policy.values.copy())
 
 
 def run(
@@ -214,7 +214,7 @@ def run(
     seed: int = 0,
     eval_seed: int = 1_000_003,
     method: str = "fipde",
-    initial_policy: Optional[PolicyField] = None,
+    initial_policy: Optional[GridField] = None,
     callback: Optional[Callable[[int, NagState, RunReport], None]] = None,
 ) -> RunReport:
     """Run the iterative solver and report per-iteration costs.
@@ -257,7 +257,7 @@ def run(
     phi0 = (
         _onto_run_grid(initial_policy, grid)
         if initial_policy is not None
-        else PolicyField.zeros(grid, problem.control_dim)
+        else GridField.zeros(grid, problem.control_dim)
     )
     state = NagState(iteration=0, phi=phi0, psi=phi0.copy())
     # the state alone holds the initial policy, so the first step releases it
@@ -277,7 +277,7 @@ def run(
         problem_name=problem.name, records=[], settings=settings,
     )
 
-    def eval_cost(policy: PolicyField) -> tuple[float, float]:
+    def eval_cost(policy: GridField) -> tuple[float, float]:
         return estimate_cost(problem, policy, num_particles, M, eval_seed)
 
     # the regression's cells, which the next regression updates in place;

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .grids import PolicyField
+from .grids import GridField
 from .measures import EmpiricalMeasure
 from .problem import MfcProblem
 from .prox import ell_value
@@ -75,7 +75,7 @@ def _noise_streams(seed: int):
     )
 
 
-def _check_inputs(problem: MfcProblem, policy: PolicyField, N: int, M: int) -> None:
+def _check_inputs(problem: MfcProblem, policy: GridField, N: int, M: int) -> None:
     """Raise ValueError unless `policy` fits the problem and the Euler grid."""
     if N < 1 or M < 1:
         raise ValueError("need N >= 1 and M >= 1")
@@ -89,7 +89,7 @@ def _check_inputs(problem: MfcProblem, policy: PolicyField, N: int, M: int) -> N
 
 def _euler(
     problem: MfcProblem,
-    policy: PolicyField,
+    policy: GridField,
     N: int,
     M: int,
     seed: int,
@@ -188,7 +188,7 @@ def _euler(
 
 def simulate(
     problem: MfcProblem,
-    policy: PolicyField,
+    policy: GridField,
     N: int,
     M: int,
     seed: int,
@@ -239,7 +239,7 @@ def _check_memory(need: int, N: int, M: int) -> None:
 
 def estimate_cost(
     problem: MfcProblem,
-    policy: PolicyField,
+    policy: GridField,
     N: int,
     M: int,
     seed: int,

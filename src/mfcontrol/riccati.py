@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import PolicyField, SpaceTimeGrid
+from .grids import GridField, SpaceTimeGrid
 from .particles import _check_inputs, _euler
 from .problems import CuckerSmaleParams, cs2d_problem
 
@@ -94,7 +94,7 @@ def cs_lq_feedback(
     sol: RiccatiSolution,
     grid: SpaceTimeGrid,
     mean_velocity: np.ndarray,
-) -> PolicyField:
+) -> GridField:
     """Optimal affine feedback -gain(t_j) (v - mean_velocity[j]) on the grid."""
     mean_velocity = np.asarray(mean_velocity, dtype=float)
     if mean_velocity.shape != (grid.time_steps + 1,):
@@ -104,7 +104,7 @@ def cs_lq_feedback(
     for j, t in enumerate(grid.times):
         slc = -sol.gain(t) * (v - mean_velocity[j])
         vals[j] = slc.reshape(grid.nodes + (1,))
-    return PolicyField(grid, vals)
+    return GridField(grid, vals)
 
 
 def closed_loop_mean_velocity(
@@ -146,7 +146,7 @@ class AffineFitReport:
 
 
 def affine_fit_check(
-    policy: PolicyField,
+    policy: GridField,
     slice_var: int,
     mask: Optional[np.ndarray] = None,
     component: int = 0,

@@ -16,7 +16,7 @@ import pytest
 
 from mfcontrol import (
     CuckerSmaleParams,
-    PolicyField,
+    GridField,
     PortfolioParams,
     affine_fit_check,
     backward_sweep,
@@ -263,8 +263,8 @@ def _directional_derivative_error(problem, grid, policy_base, N=50_000, seed=77,
     for j, t in enumerate(grid.times):
         pol_vals[j] = (0.5 * (1 + 0.3 * np.cos(2 * t)) * policy_base(u)).reshape(grid.nodes + (1,))
         dir_vals[j] = ((1 + 0.5 * np.sin(2 * t)) * direction_base).reshape(grid.nodes + (1,))
-    psi = PolicyField(grid, pol_vals)
-    delta = PolicyField(grid, dir_vals)
+    psi = GridField(grid, pol_vals)
+    delta = GridField(grid, dir_vals)
 
     ens = simulate(problem, psi, N, M, seed)
     adjoint = backward_sweep(problem, psi, ens)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from mfcontrol import (
+    GridField,
     ParticleEnsemble,
-    PolicyField,
     experiments,
     field_from_csv,
     field_to_csv,
@@ -58,7 +58,7 @@ def test_run_writes_artifacts(tmp_path):
     payload = json.loads((out / "report.json").read_text())
     assert payload["problem"] == "portfolio"
     assert payload["settings"]["config"]["grid.cells"] == "10"
-    policy = field_from_csv(out / "policy_phi.csv", policy=True)
+    policy = field_from_csv(out / "policy_phi.csv")
     assert policy.grid.nodes == (11, 11)
     # the lookahead has no reader, so no policy_psi.csv
     assert sorted(p.name for p in out.iterdir()) == ["policy_phi.csv", "report.csv", "report.json"]
@@ -228,7 +228,7 @@ def test_reversed_inventory_law_exits_2(tmp_path, capsys):
                "sweep.q_max_lo = 1\nsweep.q_max_hi = 2\n")
     _, grid = parse_config(cfg).build()
     policy = tmp_path / "policy.csv"
-    field_to_csv(PolicyField(grid, np.zeros((11,) + grid.nodes + (1,))), policy)
+    field_to_csv(GridField(grid, np.zeros((11,) + grid.nodes + (1,))), policy)
     assert main(["sweep", cfg, "--policy", str(policy), "--output", str(tmp_path / "s")]) == 2
     err = capsys.readouterr().err
     assert "q_lo" in err and "q_hi" in err, err
@@ -245,6 +245,19 @@ def test_an_initial_policy_from_another_box_exits_2(tmp_path, capsys):
     cfg = _cfg(tmp_path, TINY + f"initial_policy = {cs_out / 'policy_phi.csv'}\n")
     assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
     assert "not on the run grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_initial_policy_with_a_row_out_of_place_exits_2(tmp_path, capsys):
+    _, grid = parse_config(_cfg(tmp_path, TINY)).build()
+    policy = tmp_path / "policy.csv"
+    field_to_csv(GridField.zeros(grid, 1), policy)
+    lines = policy.read_bytes().split(b"\r\n")
+    lines[1], lines[2] = lines[2], lines[1]
+    policy.write_bytes(b"\r\n".join(lines))
+    cfg = _cfg(tmp_path, TINY + f"initial_policy = {policy}\n")
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "row 1 after the header" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -291,11 +304,9 @@ def test_sweep_subcommand(tmp_path):
 def test_sparsity_report_counts_exact_zeros():
     cfg = RunConfig(problem="portfolio", cells=10, time_steps=10, particles=200, iterations=2)
     problem, grid = cfg.build()
-    from mfcontrol import PolicyField
-
     vals = np.ones((11,) + grid.nodes + (1,))
     vals[3] = 0.0
-    fractions = sparsity_report(PolicyField(grid, vals))
+    fractions = sparsity_report(GridField(grid, vals))
     assert fractions[3] == 1.0
     assert fractions[0] == 0.0
     out = io.StringIO()
@@ -303,7 +314,7 @@ def test_sparsity_report_counts_exact_zeros():
     assert out.getvalue().splitlines()[0] == "t,zero_fraction"
     for threshold in (-1.0, float("nan")):
         with pytest.raises(ValueError):
-            sparsity_report(PolicyField(grid, vals), threshold=threshold)
+            sparsity_report(GridField(grid, vals), threshold=threshold)
 
 
 def _blas_threads_env(threads):
@@ -441,7 +452,7 @@ def test_sweep_is_thread_count_invariant_from_a_fresh_process(tmp_path):
     _, grid = parse_config(cfg).build()
     rng = np.random.default_rng(5)
     policy = tmp_path / "policy.csv"
-    field_to_csv(PolicyField(grid, 0.3 * rng.standard_normal((7,) + grid.nodes + (1,))), policy)
+    field_to_csv(GridField(grid, 0.3 * rng.standard_normal((7,) + grid.nodes + (1,))), policy)
     for threads in (1, 2):
         subprocess.run(
             [sys.executable, "-m", "mfcontrol.cli", "sweep", cfg, "--policy", str(policy),

@@ -19,7 +19,6 @@ from mfcontrol import (
     MeasureKernel,
     MfcProblem,
     ParticleEnsemble,
-    PolicyField,
     SpaceTimeGrid,
     assemble_source,
     backward_sweep,
@@ -106,7 +105,7 @@ def test_kernel_mean_is_the_mean_of_the_point_values(d, seed, n):
     )
     ncells = int(np.prod(np.array(grid.nodes) - 1))
     reg = regress_adjoint(
-        _affine_problem(d, rng), PolicyField.zeros(grid, 1), ensemble,
+        _affine_problem(d, rng), GridField.zeros(grid, 1), ensemble,
         previous=rng.standard_normal((M + 1, ncells, d)),
     )
     for adjoint in (pde, reg):
@@ -144,7 +143,7 @@ def test_gradient_slice_matches_the_per_atom_path(method, subsample):
     grid = portfolio_grid(cells=12, time_steps=8)
     assert problem.nu_drift.const is not None
     rng = np.random.default_rng(8)
-    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
+    policy = GridField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ensemble = simulate(problem, policy, 500, grid.time_steps, 3)
     if method == "emreg":
         adjoint = regress_adjoint(problem, policy, ensemble)
@@ -163,7 +162,7 @@ def test_assemble_source_matches_the_per_atom_path():
     grid = cs2d_grid(params, cells=12, time_steps=6)
     assert problem.mu_drift.const is not None
     rng = np.random.default_rng(9)
-    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
+    policy = GridField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ensemble = simulate(problem, policy, 400, grid.time_steps, 1)
     U = rng.standard_normal((grid.num_nodes, 2))
     j = 4

@@ -5,7 +5,7 @@ import pytest
 
 from mfcontrol import (
     CuckerSmaleParams,
-    PolicyField,
+    GridField,
     cs2d_grid,
     cs2d_problem,
     portfolio_grid,
@@ -15,8 +15,8 @@ from mfcontrol import (
     simulate,
 )
 from mfcontrol import emreg
-from mfcontrol.emreg import PiecewiseConstantAdjoint, _cell_means, cell_index, run_emreg
-from mfcontrol.grids import SpaceTimeGrid
+from mfcontrol.emreg import PiecewiseConstantAdjoint, _cell_means, run_emreg
+from mfcontrol.grids import SpaceTimeGrid, cell_index
 
 
 def cell_regression(grid, x, targets, fallback):
@@ -120,7 +120,7 @@ def test_piecewise_constant_protocol(grid):
 def test_regressed_adjoint_tracks_terminal_condition():
     prob = portfolio_problem()
     grid = portfolio_grid(cells=25, time_steps=25)
-    policy = PolicyField.zeros(grid, 1)
+    policy = GridField.zeros(grid, 1)
     ens = simulate(prob, policy, 20_000, grid.time_steps, 0)
     adj = regress_adjoint(prob, policy, ens)
     xT = ens.states[-1]
@@ -167,7 +167,7 @@ def test_regress_adjoint_matches_reference_loop_bitwise(model):
         prob = cs2d_problem(params, kernel_subsample=subsample)
         grid = cs2d_grid(params, cells=10, time_steps=6)
     rng = np.random.default_rng(4)
-    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
+    policy = GridField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 400, grid.time_steps, 0)
     previous = rng.standard_normal((grid.time_steps + 1, 100, 2))
     cells = previous.copy()
@@ -190,7 +190,7 @@ def test_regression_means_are_the_histogram_means_of_the_strided_atoms(
     prob = portfolio_problem(kernel_subsample=subsample)
     grid = portfolio_grid(cells=10, time_steps=6)
     rng = np.random.default_rng(11)
-    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
+    policy = GridField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, N, grid.time_steps, 5)
     previous = rng.standard_normal((grid.time_steps + 1, 100, 2))
     adj = regress_adjoint(prob, policy, ens, previous=previous.copy())
@@ -241,7 +241,7 @@ def test_run_emreg_mirrors_driver_interface():
 )
 def test_regression_rejects_cells_of_another_shape(previous):
     prob, grid = portfolio_problem(), portfolio_grid(cells=10, time_steps=7)
-    policy = PolicyField.zeros(grid, 1)
+    policy = GridField.zeros(grid, 1)
     ens = simulate(prob, policy, 50, grid.time_steps, 0)
     with pytest.raises(ValueError, match=r"expected float64 of shape \(8, 100, 2\)"):
         regress_adjoint(prob, policy, ens, previous=previous)

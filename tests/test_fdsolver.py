@@ -16,7 +16,6 @@ from mfcontrol import (
     GridField,
     MeasureKernel,
     MfcProblem,
-    PolicyField,
     SpaceTimeGrid,
     assemble_source,
     backward_sweep,
@@ -72,7 +71,7 @@ def _grid_1d(nodes=11, time_steps=100):
 
 
 def _setup(problem, grid, N=64, seed=0):
-    policy = PolicyField.zeros(grid, 1)
+    policy = GridField.zeros(grid, 1)
     ens = simulate(problem, policy, N, grid.time_steps, seed)
     return policy, ens
 
@@ -129,7 +128,7 @@ def test_off_diagonal_diffusion_rejected():
     prob.diffusion = skew_diffusion
     prob.noise_dim = 2
     grid = portfolio_grid()
-    policy = PolicyField.zeros(grid, 1)
+    policy = GridField.zeros(grid, 1)
     ens = simulate(portfolio_problem(), policy, 32, grid.time_steps, 0)
     with pytest.raises(ValueError, match="off-diagonal"):
         build_operator(prob, policy, ens, 0)
@@ -139,7 +138,7 @@ def test_small_off_diagonal_diffusion_rejected():
     # sigma = 1e-7 [1, 1]^T: sigma sigma^T has as much mass off the diagonal
     # as on it, however small both are
     grid = portfolio_grid(cells=10, time_steps=4)
-    policy = PolicyField.zeros(grid, 1)
+    policy = GridField.zeros(grid, 1)
     ens = simulate(portfolio_problem(), policy, 32, grid.time_steps, 0)
     skew = np.full((2, 1), 1e-7)
     prob = dataclasses.replace(portfolio_problem(), diffusion=lambda t, eta: skew)
@@ -149,6 +148,29 @@ def test_small_off_diagonal_diffusion_rejected():
     diagonal = np.array([[1e-7], [0.0]])
     prob = dataclasses.replace(portfolio_problem(), diffusion=lambda t, eta: diagonal)
     build_operator(prob, policy, ens, 0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_drift_fails_only_at_an_interior_node(value):
+    prob = portfolio_problem()
+    grid = portfolio_grid(cells=10, time_steps=10)
+    policy, ens = _setup(prob, grid)
+    clean = build_operator(prob, policy, ens, 3).system.band
+    drift = prob.drift
+
+    def poisoned(t, x, a, eta):
+        b = np.array(drift(t, x, a, eta))
+        b[node, 0] = value
+        return b
+
+    prob.drift = poisoned
+    node = 60  # (5, 5), interior of the 11 x 11 lattice
+    with pytest.raises(FloatingPointError, match="non-finite drift at slice 3, node 60"):
+        build_operator(prob, policy, ens, 3)
+    # boundary rows of L are zeroed, so there the drift takes no part
+    node = 5  # (0, 5)
+    assert grid.boundary_mask()[node]
+    np.testing.assert_array_equal(build_operator(prob, policy, ens, 3).system.band, clean)
 
 
 def test_m_matrix_inverse_nonnegativity():
@@ -214,7 +236,7 @@ def test_system_matches_coo_assembly_bitwise(psi_scale, nnz):
     prob, grid = portfolio_problem(), portfolio_grid()
     rng = np.random.default_rng(3)
     vals = psi_scale * rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,))
-    policy = PolicyField(grid, vals)
+    policy = GridField(grid, vals)
     ens = simulate(prob, policy, 128, grid.time_steps, 0)
     for j in (0, 17):
         got = build_operator(prob, policy, ens, j).system
@@ -289,7 +311,7 @@ def _coupled_portfolio_slice(j=17):
     direction occurs, so no stencil entry drops out of the system."""
     prob, grid = portfolio_problem(), portfolio_grid()
     rng = np.random.default_rng(5)
-    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
+    policy = GridField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 256, grid.time_steps, 0)
     return build_operator(prob, policy, ens, j)
 
@@ -299,7 +321,7 @@ def _random_sign_portfolio_slice(j=10):
     the 51 portfolio lines into one run."""
     prob, grid = portfolio_problem(), portfolio_grid()
     rng = np.random.default_rng(1)
-    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
+    policy = GridField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 1000, grid.time_steps, 0)
     return build_operator(prob, policy, ens, j)
 
@@ -307,7 +329,7 @@ def _random_sign_portfolio_slice(j=10):
 def _cs2d_slice(j=3):
     params = CuckerSmaleParams(beta=10.0)
     prob, grid = cs2d_problem(params), cs2d_grid(params, time_steps=10)
-    policy = PolicyField(grid, np.random.default_rng(6).standard_normal(
+    policy = GridField(grid, np.random.default_rng(6).standard_normal(
         (grid.time_steps + 1,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 200, grid.time_steps, 0)
     return build_operator(prob, policy, ens, j)
@@ -365,7 +387,7 @@ def _liquidating_policy(grid):
     dimension splits the lattice into many strongly connected components."""
     q = grid.node_coords()[:, 1]
     vals = np.outer(1.0 + grid.times, 0.5 - q)
-    return PolicyField(grid, vals.reshape((grid.time_steps + 1,) + grid.nodes + (1,)))
+    return GridField(grid, vals.reshape((grid.time_steps + 1,) + grid.nodes + (1,)))
 
 
 def _liquidating_portfolio_slice(j=17):
@@ -462,7 +484,7 @@ def test_sweep_factors_once_per_distinct_operator(monkeypatch, policy_kind, fact
     # policy changes it
     prob, grid = portfolio_problem(), portfolio_grid(cells=20, time_steps=10)
     if policy_kind == "zero":
-        policy = PolicyField.zeros(grid, 1)
+        policy = GridField.zeros(grid, 1)
     else:
         policy = _liquidating_policy(grid)
     ens = simulate(prob, policy, 256, grid.time_steps, 0)
@@ -473,7 +495,7 @@ def test_sweep_factors_once_per_distinct_operator(monkeypatch, policy_kind, fact
 
 def test_reused_factor_matches_a_factor_per_slice_bitwise(monkeypatch):
     prob, grid = portfolio_problem(), portfolio_grid()
-    policy = PolicyField.zeros(grid, 1)
+    policy = GridField.zeros(grid, 1)
     ens = simulate(prob, policy, 256, grid.time_steps, 0)
     reused = backward_sweep(prob, policy, ens).u.values
     solve = MonotoneOperator.solve
@@ -491,7 +513,7 @@ def test_reused_factor_matches_a_factor_per_slice_bitwise(monkeypatch):
 
 def test_two_diffusive_dimensions_rejected():
     grid = portfolio_grid(cells=10, time_steps=4)
-    policy = PolicyField.zeros(grid, 1)
+    policy = GridField.zeros(grid, 1)
     ens = simulate(portfolio_problem(), policy, 32, grid.time_steps, 0)
     sigma = np.diag([0.7, 0.1])
     prob = dataclasses.replace(portfolio_problem(), noise_dim=2, diffusion=lambda t, eta: sigma)
@@ -644,7 +666,7 @@ def test_portfolio_source_and_terminal_data():
     grid = portfolio_grid()
     rng = np.random.default_rng(2)
     vals = rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,))
-    policy = PolicyField(grid, vals)
+    policy = GridField(grid, vals)
     ens = simulate(prob, policy, 128, grid.time_steps, 0)
     X = grid.node_coords()
     j = 17

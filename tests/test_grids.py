@@ -1,5 +1,7 @@
 """Grid geometry, interpolation identities and CSV round-trips."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,14 @@ from hypothesis import strategies as st
 
 from mfcontrol import (
     GridField,
-    PolicyField,
     SpaceTimeGrid,
+    cs2d_grid,
     field_from_csv,
     field_to_csv,
     multilinear_eval,
+    portfolio_grid,
 )
-from mfcontrol.grids import _cell_weights
+from mfcontrol.grids import _cell_weights, cell_index
 
 
 @pytest.fixture
@@ -214,6 +217,46 @@ def test_cell_weights_match_integer_cells_bitwise(d, seed, n):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+CELL_GRIDS = {
+    "portfolio": portfolio_grid(),
+    "cs2d": cs2d_grid(),
+    "portfolio-49": portfolio_grid(cells=49),
+    "uneven-7x13": SpaceTimeGrid(1.0, 2, (-1.7, 0.3), (2.9, 5.0 / 3.0), (7, 13)),
+}
+
+
+def _lowest_corner_cell(grid, x):
+    """Cell of _cell_weights' lowest corner, numbered as cell_index numbers
+    cells: C order over the n_i - 1 cells per dimension."""
+    base, _ = _cell_weights(grid, x)
+    lowest = np.unravel_index(base, grid.nodes)
+    return np.ravel_multi_index(lowest, tuple(n - 1 for n in grid.nodes))
+
+
+@pytest.mark.parametrize("name", sorted(CELL_GRIDS))
+def test_cell_index_is_the_cell_of_the_interpolation(name):
+    grid = CELL_GRIDS[name]
+    lo, hi = np.array(grid.lo), np.array(grid.hi)
+    rng = np.random.default_rng(sorted(CELL_GRIDS).index(name))
+    around = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), (20_000, 2))
+    nodes = grid.node_coords()
+    # every node, and one ulp to either side of it in each coordinate
+    near_nodes = [
+        np.stack([c if to == 0 else np.nextafter(c, to) for c, to in zip(nodes.T, tos)], axis=1)
+        for tos in itertools.product((-np.inf, 0, np.inf), repeat=2)
+    ]
+    for pts in [around] + near_nodes:
+        idx = cell_index(grid, pts)
+        assert idx.dtype == np.int64
+        np.testing.assert_array_equal(idx, _lowest_corner_cell(grid, pts))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cell_index_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite query coordinate 0 at point 1"):
+        cell_index(portfolio_grid(cells=10), np.array([[0.0, 1.0], [bad, 1.0]]))
+
+
 def test_interpolation_rejects_non_finite(grid):
     vals = np.zeros(grid.nodes + (1,))
     with pytest.raises(ValueError):
@@ -233,7 +276,7 @@ def test_policy_field_time_is_piecewise_constant(grid):
     vals = np.zeros((5,) + grid.nodes + (1,))
     for j in range(5):
         vals[j] = float(j)
-    pol = PolicyField(grid, vals)
+    pol = GridField(grid, vals)
     x = np.array([[0.0, 2.0], [-2.0, 4.0]])
     for j in range(5):
         np.testing.assert_array_equal(pol.eval_slice(j, x), [[float(j)]] * 2)
@@ -253,8 +296,6 @@ def test_csv_round_trip_is_exact(tmp_path, grid):
     back = field_from_csv(path)
     assert back.grid == grid
     np.testing.assert_array_equal(back.values, vals)
-    policy = field_from_csv(path, policy=True)
-    assert isinstance(policy, PolicyField)
 
 
 def _row_by_row_csv(field, path):
@@ -292,4 +333,22 @@ def test_csv_rejects_missing_rows(tmp_path, grid):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(ValueError):
+        field_from_csv(path)
+
+
+@pytest.mark.parametrize("edit", ["swap", "duplicate"])
+def test_csv_rejects_rows_out_of_place(tmp_path, grid, edit):
+    field = GridField(grid, np.random.default_rng(8).standard_normal((5,) + grid.nodes + (1,)))
+    path = tmp_path / "field.csv"
+    field_to_csv(field, path)
+    lines = path.read_bytes().split(b"\r\n")
+    # lines[2] and lines[3] are rows 2 and 3 of slice 0
+    if edit == "swap":
+        lines[2], lines[3] = lines[3], lines[2]
+        bad = 2
+    else:
+        lines[3] = lines[2]
+        bad = 3
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ValueError, match=f"row {bad} after the header .* out of place"):
         field_from_csv(path)

@@ -12,7 +12,7 @@ import pytest
 from mfcontrol import (
     CuckerSmaleParams,
     EmpiricalMeasure,
-    PolicyField,
+    GridField,
     backward_sweep,
     build_operator,
     cs2d_grid,
@@ -25,7 +25,7 @@ from mfcontrol import (
     regress_adjoint,
     simulate,
 )
-from mfcontrol.emreg import cell_index
+from mfcontrol.grids import cell_index
 
 pytest.importorskip("pytest_benchmark")
 
@@ -44,7 +44,7 @@ def test_multilinear_eval_10k_points(benchmark):
 def test_build_operator_portfolio_slice(benchmark):
     problem, grid = portfolio_problem(), portfolio_grid()
     rng = np.random.default_rng(1)
-    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
+    policy = GridField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ensemble = simulate(problem, policy, 1000, grid.time_steps, 0)
     op = benchmark.pedantic(
         build_operator, args=(problem, policy, ensemble, 10),
@@ -60,7 +60,7 @@ def test_factor_and_solve_portfolio_slice(benchmark):
     # the worst case of the line solve.
     problem, grid = portfolio_problem(), portfolio_grid()
     rng = np.random.default_rng(1)
-    policy = PolicyField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
+    policy = GridField(grid, rng.standard_normal((grid.time_steps + 1,) + grid.nodes + (1,)))
     ensemble = simulate(problem, policy, 1000, grid.time_steps, 0)
     rhs = rng.standard_normal((grid.num_nodes, 2))
 
@@ -80,7 +80,7 @@ def test_factor_and_solve_portfolio_liquidating_slice(benchmark):
     problem, grid = portfolio_problem(), portfolio_grid()
     q = grid.node_coords()[:, 1]
     vals = np.outer(1.0 + grid.times, 0.5 - q)
-    policy = PolicyField(grid, vals.reshape((grid.time_steps + 1,) + grid.nodes + (1,)))
+    policy = GridField(grid, vals.reshape((grid.time_steps + 1,) + grid.nodes + (1,)))
     ensemble = simulate(problem, policy, 1000, grid.time_steps, 0)
     rhs = np.random.default_rng(1).standard_normal((grid.num_nodes, 2))
 
@@ -95,7 +95,7 @@ def test_estimate_cost_portfolio_10k_particles(benchmark):
     # one cost row of a portfolio solve: the streamed Euler loop at
     # N = 10 000, M = 50, summing the costs along the way
     problem, grid = portfolio_problem(), portfolio_grid()
-    policy = PolicyField.zeros(grid, 1)
+    policy = GridField.zeros(grid, 1)
     cost, stderr = benchmark.pedantic(
         estimate_cost, args=(problem, policy, 10_000, grid.time_steps, 1_000_003),
         rounds=3, iterations=1, warmup_rounds=1,
@@ -107,7 +107,7 @@ def test_simulate_portfolio_10k_particles(benchmark):
     # the training ensemble of a portfolio iteration: the same Euler loop
     # at N = 10 000, M = 50, storing every step's states and control mean
     problem, grid = portfolio_problem(), portfolio_grid()
-    policy = PolicyField.zeros(grid, 1)
+    policy = GridField.zeros(grid, 1)
     ensemble = benchmark.pedantic(
         simulate, args=(problem, policy, 10_000, grid.time_steps, 0),
         rounds=3, iterations=1, warmup_rounds=1,
@@ -120,7 +120,7 @@ def portfolio_iteration():
     # the inputs of the gradient of a first portfolio iteration at the
     # README's size: N = 10 000 particles, 51 x 51 nodes, M = 50
     problem, grid = portfolio_problem(), portfolio_grid()
-    policy = PolicyField.zeros(grid, 1)
+    policy = GridField.zeros(grid, 1)
     ensemble = simulate(problem, policy, 10_000, grid.time_steps, 0)
     return problem, grid, policy, ensemble
 

@@ -11,7 +11,6 @@ from mfcontrol import (
     GridField,
     MeasureKernel,
     MfcProblem,
-    PolicyField,
     cs2d_grid,
     cs2d_problem,
     field_from_csv,
@@ -45,7 +44,7 @@ def test_zero_gradient_is_a_fixed_point():
     prob = portfolio_problem()
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((11,) + grid.nodes + (1,))
-    phi = PolicyField(grid, vals)
+    phi = GridField(grid, vals)
     state = NagState(iteration=3, phi=phi, psi=phi.copy())
     new = nag_step(state, GridField.zeros(grid, 1), 0.5, prob)
     np.testing.assert_array_equal(new.phi.values, vals)
@@ -58,8 +57,8 @@ def test_nag_step_composition():
     prob = portfolio_problem()
     prob.nonsmooth_cost = ProxSpec.l1(0.4)
     rng = np.random.default_rng(1)
-    phi_prev = PolicyField(grid, rng.standard_normal((11,) + grid.nodes + (1,)))
-    psi = PolicyField(grid, rng.standard_normal((11,) + grid.nodes + (1,)))
+    phi_prev = GridField(grid, rng.standard_normal((11,) + grid.nodes + (1,)))
+    psi = GridField(grid, rng.standard_normal((11,) + grid.nodes + (1,)))
     grad = GridField(grid, rng.standard_normal((11,) + grid.nodes + (1,)))
     tau = 0.2
     state = NagState(iteration=2, phi=phi_prev, psi=psi)
@@ -79,7 +78,7 @@ def test_nag_step_composition():
 def test_non_finite_step_settings_are_rejected():
     grid = portfolio_grid(cells=4, time_steps=4)
     prob = portfolio_problem()
-    phi = PolicyField.zeros(grid, 1)
+    phi = GridField.zeros(grid, 1)
     state = NagState(iteration=1, phi=phi, psi=phi.copy())
     grad = GridField.zeros(grid, 1)
     for tau in (float("nan"), float("inf")):
@@ -118,7 +117,7 @@ def test_portfolio_gradient_formula():
     prob = portfolio_problem()
     grid = portfolio_grid(cells=20, time_steps=20)
     rng = np.random.default_rng(2)
-    policy = PolicyField(grid, rng.standard_normal((21,) + grid.nodes + (1,)))
+    policy = GridField(grid, rng.standard_normal((21,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 300, grid.time_steps, 0)
     adj = _random_adjoint(grid, ens, 2, 3)
     j = 7
@@ -139,7 +138,7 @@ def test_cs2d_gradient_formula():
     prob = cs2d_problem(CuckerSmaleParams(gamma1=0.1))
     grid = cs2d_grid(cells=20, time_steps=20)
     rng = np.random.default_rng(4)
-    policy = PolicyField(grid, rng.standard_normal((21,) + grid.nodes + (1,)))
+    policy = GridField(grid, rng.standard_normal((21,) + grid.nodes + (1,)))
     ens = simulate(prob, policy, 300, grid.time_steps, 0)
     adj = _random_adjoint(grid, ens, 2, 5)
     j = 11
@@ -225,14 +224,14 @@ def test_run_holds_one_ensemble_at_a_time(method, monkeypatch):
 
 @pytest.mark.parametrize("method", ["fipde", "ipde", "emreg"])
 def test_run_holds_one_policy_pair_at_a_time(method, monkeypatch):
-    # only phi and psi may be alive when a simulation or a cost row starts:
-    # the initial policy goes with the first step
+    # no grid field but phi and psi may be alive when a simulation or a cost
+    # row starts: the initial policy goes with the first step
     alive_at_start = []
 
     def watched(fn):
         def call(*args):
             gc.collect()
-            alive_at_start.append(sum(isinstance(o, PolicyField) for o in gc.get_objects()))
+            alive_at_start.append(sum(isinstance(o, GridField) for o in gc.get_objects()))
             return fn(*args)
         return call
 
@@ -255,9 +254,9 @@ def test_a_restart_from_csv_runs_on_the_run_grid(method, tmp_path):
     prob = portfolio_problem()
     grid = portfolio_grid(cells=49, time_steps=4)
     rng = np.random.default_rng(11)
-    policy = PolicyField(grid, 0.3 * rng.standard_normal((5,) + grid.nodes + (1,)))
+    policy = GridField(grid, 0.3 * rng.standard_normal((5,) + grid.nodes + (1,)))
     field_to_csv(policy, tmp_path / "policy.csv")
-    restored = field_from_csv(tmp_path / "policy.csv", policy=True)
+    restored = field_from_csv(tmp_path / "policy.csv")
     assert restored.grid.hi != grid.hi
     reports = [
         run(prob, grid, iterations=2, num_particles=200, seed=0, method=method,
@@ -286,7 +285,7 @@ def test_an_initial_policy_off_the_run_grid_is_rejected_before_any_simulation(
     for other in (shifted, coarse):
         with pytest.raises(ValueError, match="initial policy") as info:
             run(prob, grid, 1, num_particles=100, method=method,
-                initial_policy=PolicyField.zeros(other, 1))
+                initial_policy=GridField.zeros(other, 1))
         assert repr(other) in str(info.value) and repr(grid) in str(info.value)
 
 

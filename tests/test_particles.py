@@ -11,9 +11,9 @@ import pytest
 from mfcontrol import (
     CuckerSmaleParams,
     EmpiricalMeasure,
+    GridField,
     MeasureKernel,
     MfcProblem,
-    PolicyField,
     PortfolioParams,
     build_operator,
     cs2d_grid,
@@ -28,7 +28,7 @@ from mfcontrol.prox import ell_value
 
 
 def _zero_policy(grid, k=1):
-    return PolicyField.zeros(grid, k)
+    return GridField.zeros(grid, k)
 
 
 def test_constant_coefficients_are_integrated_exactly():
@@ -64,7 +64,7 @@ def test_mean_field_drift_sees_population_control():
     prob = portfolio_problem(PortfolioParams(sigma=0.0))
     grid = portfolio_grid(PortfolioParams(sigma=0.0))
     vals = np.full((grid.time_steps + 1,) + grid.nodes + (1,), 0.8)
-    ens = simulate(prob, PolicyField(grid, vals), 100, grid.time_steps, 0)
+    ens = simulate(prob, GridField(grid, vals), 100, grid.time_steps, 0)
     np.testing.assert_allclose(ens.states[-1, :, 0], 2.0 + 0.5 * 0.8, atol=1e-12)
 
 
@@ -233,7 +233,7 @@ def _wavy_policy(grid, k):
     X = grid.node_coords()
     t = grid.times[:, None, None]
     vals = 0.3 * np.sin(X.sum(axis=1)[None, :, None] + 2.0 * t + np.arange(k))
-    return PolicyField(grid, vals.reshape((grid.time_steps + 1,) + grid.nodes + (k,)))
+    return GridField(grid, vals.reshape((grid.time_steps + 1,) + grid.nodes + (k,)))
 
 
 _ORACLE_CASES = [

@@ -11,7 +11,6 @@ from mfcontrol import (
     CuckerSmaleParams,
     EmpiricalMeasure,
     GridField,
-    PolicyField,
     assemble_source,
     cs2d_grid,
     cs2d_problem,
@@ -201,7 +200,7 @@ def test_hamiltonian_derivative_matches_the_einsum_copies_bitwise(model, subsamp
         grid = cs2d_grid(params, cells=10, time_steps=6)
     M = grid.time_steps
     rng = np.random.default_rng(12)
-    policy = PolicyField(grid, rng.standard_normal((M + 1,) + grid.nodes + (1,)))
+    policy = GridField(grid, rng.standard_normal((M + 1,) + grid.nodes + (1,)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # particles leaving the box
         ens = simulate(prob, policy, 400, M, 2)

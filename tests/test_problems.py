@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mfcontrol import (
     CuckerSmaleParams,
     EmpiricalMeasure,
-    PolicyField,
+    GridField,
     PortfolioParams,
     cs2d_grid,
     cs2d_problem,
@@ -115,7 +115,7 @@ def test_the_cap_follows_dataclasses_replace():
     params = CuckerSmaleParams(beta=10.0)
     replaced = dataclasses.replace(cs2d_problem(params, kernel_subsample=500), kernel_subsample=50)
     fresh = cs2d_problem(params, kernel_subsample=50)
-    policy = PolicyField.zeros(cs2d_grid(params, cells=10, time_steps=2), 1)
+    policy = GridField.zeros(cs2d_grid(params, cells=10, time_steps=2), 1)
     got = simulate(replaced, policy, 2000, 2, 0)
     want = simulate(fresh, policy, 2000, 2, 0)
     np.testing.assert_array_equal(got.states, want.states)
